@@ -129,6 +129,15 @@ def _seed_list(args) -> list[int]:
     return [args.seed + i for i in range(args.seeds)]
 
 
+def _cell_stats(program: Program, tests, n: int, seed: int) -> list[tuple[str, float]]:
+    """(stat, value) of every moment scalar and test average of one finite cell."""
+    r = instantiate(program, dims_for_scale(program, n), seed)
+    out = [(f"scalar:{ins.out}", r.scalars[ins.out])
+           for ins in program.instructions if isinstance(ins, Moment)]
+    out += [(f"avg:{label}", empirical_average(r, expr, vecs)) for label, expr, vecs in tests]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -143,14 +152,7 @@ def cmd_sim(args) -> int:
 
     def run_cell(cell):
         n, seed = cell
-        r = instantiate(program, dims_for_scale(program, n), seed)
-        out = []
-        for ins in program.instructions:
-            if isinstance(ins, Moment):
-                out.append((f"scalar:{ins.out}", n, seed, r.scalars[ins.out], 0.0))
-        for label, expr, vecs in tests:
-            out.append((f"avg:{label}", n, seed, empirical_average(r, expr, vecs), 0.0))
-        return out
+        return [(stat, n, seed, val, 0.0) for stat, val in _cell_stats(program, tests, n, seed)]
 
     rows = [row for chunk in _map_cells(run_cell, cells, args.workers) for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -163,8 +165,7 @@ def _limit_rows(program: Program, state, tests):
     for nm in program.scalar_names:
         val, se = state.scalar_limit(nm)
         rows.append((nm, "scalar_limit", val, se))
-    for gvar in sorted(state.correction_info):
-        ys, coeffs, ses = state.correction_info[gvar]
+    for gvar, (ys, coeffs, ses) in sorted(state.correction_info.items()):
         for y, a, se in zip(ys, coeffs, ses):
             rows.append((f"zdot:{gvar}:{y}", "zdot_coeff", float(a), float(se)))
     for label, expr, vecs in tests:
@@ -209,15 +210,7 @@ def consistency_table(program: Program, tests, sizes: list[int], seeds: list[int
     cells = [(n, s) for n in sizes for s in seeds]
 
     def run_cell(cell):
-        n, seed = cell
-        r = instantiate(program, dims_for_scale(program, n), seed)
-        vals = {}
-        for label, expr, vecs in tests:
-            vals[f"avg:{label}"] = empirical_average(r, expr, vecs)
-        for ins in program.instructions:
-            if isinstance(ins, Moment):
-                vals[f"scalar:{ins.out}"] = r.scalars[ins.out]
-        return (n, vals)
+        return cell[0], dict(_cell_stats(program, tests, *cell))
 
     per_cell = _map_cells(run_cell, cells, workers)
 
@@ -306,17 +299,8 @@ def cmd_free(args) -> int:
     word = _resolve_word(args.word)
     sizes = _parse_int_list(args.n)
     seeds = _seed_list(args)
-    method = _parse_method(args.method)
-    if isinstance(method, tuple):
-        report = freeness_sweep(program, word, sizes, seeds, method=method[0], probes=method[1])
-    else:
-        report = freeness_sweep(program, word, sizes, seeds, method=method)
-    rows = [list(r) for r in report.rows]
-    _write_csv(
-        args.out,
-        ("n", "seed_count", "median_abs", "mean_abs", "std"),
-        [tuple(r) for r in rows],
-    )
+    report = freeness_sweep(program, word, sizes, seeds, method=_parse_method(args.method))
+    _write_csv(args.out, ("n", "seed_count", "median_abs", "mean_abs", "std"), report.rows)
     print(f"decay_slope {report.slope!r}", file=sys.stderr)
     if args.witness:
         witness = fip_witness_program(program, word)

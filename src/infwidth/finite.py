@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     UndeclaredSymbol,
 )
-from .numerics import gaussian_factor, stream
+from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
@@ -107,17 +107,7 @@ def instantiate(
 
     vectors: dict[str, np.ndarray] = {}
     for rep in program.cdc_reps():
-        names, mean, cov = program.init_block(rep)
-        if not names:
-            continue
-        n = dims[rep]
-        lchol = gaussian_factor(cov)
-        gauss = np.column_stack(
-            [stream(seed, "vector", nm).standard_normal(n) for nm in names]
-        )
-        block = mean[None, :] + gauss @ lchol.T
-        for j, nm in enumerate(names):
-            vectors[nm] = np.ascontiguousarray(block[:, j])
+        vectors.update(sample_init_block(seed, "vector", *program.init_block(rep), dims[rep]))
 
     scalars: dict[str, float] = {}
     n_ref = _scalar_reference_dim(program, dims)
@@ -278,6 +268,40 @@ def _square_side(realization: Realization, word: MatrixWord) -> int:
     return realization.dims[rows]
 
 
+def trace_probes(n: int, method: str | tuple[str, int], cap: int, probes: int) -> int:
+    """Gaussian probes for a normalized trace of side n; 0 means exact.
+
+    method: "exact" (dense, requires n <= cap), "hutch" or ("hutch", p) for
+    Gaussian probes, or "auto" to pick exact when the side fits under the cap.
+    """
+    if isinstance(method, tuple):
+        method, probes = method
+    if method == "auto":
+        method = "exact" if n <= cap else "hutch"
+    if method == "exact":
+        return 0
+    if method != "hutch":
+        raise ValueError(f"unknown trace method {method!r}")
+    if probes < 2:
+        raise ValueError(f"Gaussian-probe traces need at least 2 probes, got {probes}")
+    return probes
+
+
+def probe_forms(apply, n: int, k: int, probes: int, seed: int, *labels) -> np.ndarray:
+    """Per-probe quadratic forms z^T A^r z for r = 1..k, shape (k, probes).
+
+    apply maps an (n, probes) block to A times it; the probes z are drawn
+    from stream(seed, *labels).
+    """
+    z = stream(seed, *labels).standard_normal((n, probes))
+    out = np.empty((k, probes))
+    v = z
+    for r in range(k):
+        v = apply(v)
+        out[r] = np.einsum("ip,ip->p", z, v)
+    return out
+
+
 def trace_moment(
     realization: Realization,
     word: MatrixWord,
@@ -285,27 +309,8 @@ def trace_moment(
     cap: int = EXACT_CAP,
     probes: int = HUTCHINSON_PROBES,
 ) -> tuple[float, float]:
-    """Normalized trace (1/n) tr(word) with a standard error.
-
-    method: "exact" (dense, requires n <= cap), ("hutch", p) for p Gaussian
-    probes, or "auto" to pick exact when the side fits under the cap.
-    """
-    n = _square_side(realization, word)
-    if n == 0:
-        return 1.0, 0.0
-    if isinstance(method, tuple):
-        method, probes = method
-    if method == "auto":
-        method = "exact" if n <= cap else "hutch"
-    if method == "exact":
-        m = materialize(realization, word, cap=cap)
-        return float(np.trace(m)) / n, 0.0
-    if method != "hutch":
-        raise ValueError(f"unknown trace method {method!r}")
-    g = stream(realization.seed, "hutch", word.key())
-    z = g.standard_normal((n, probes))
-    est = np.einsum("ip,ip->p", z, word_apply(realization, word, z)) / n
-    return float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(probes))
+    """Normalized trace (1/n) tr(word) with a standard error (see trace_probes)."""
+    return spectral_moments(realization, word, 1, method, cap, probes)[0]
 
 
 def spectral_moments(
@@ -321,28 +326,24 @@ def spectral_moments(
     n = _square_side(realization, word)
     if n == 0:
         return [(1.0, 0.0)] * k_max
-    if isinstance(method, tuple):
-        method, probes = method
-    if method == "auto":
-        method = "exact" if n <= cap else "hutch"
-    out: list[tuple[float, float]] = []
-    if method == "exact":
+    p = trace_probes(n, method, cap, probes)
+    if p == 0:
         m = materialize(realization, word, cap=cap)
+        out = []
         acc = m
-        for _ in range(k_max):
+        for r in range(k_max):
+            if r:
+                acc = acc @ m
             out.append((float(np.trace(acc)) / n, 0.0))
-            acc = acc @ m
         return out
-    if method != "hutch":
-        raise ValueError(f"unknown trace method {method!r}")
-    g = stream(realization.seed, "hutch", word.key())
-    z = g.standard_normal((n, probes))
-    v = z
-    for _ in range(k_max):
-        v = word_apply(realization, word, v)
-        est = np.einsum("ip,ip->p", z, v) / n
-        out.append((float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(probes))))
-    return out
+    forms = probe_forms(
+        lambda v: word_apply(realization, word, v), n, k_max, p,
+        realization.seed, "hutch", word.key(),
+    )
+    return [
+        (float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(p)))
+        for est in forms / n
+    ]
 
 
 def eig_spectrum(

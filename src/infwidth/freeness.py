@@ -29,11 +29,13 @@ from .finite import (
     dims_for_scale,
     instantiate,
     materialize,
+    probe_forms,
     trace_moment,
+    trace_probes,
     word_apply,
     word_classes,
 )
-from .numerics import gaussian_expect, stream
+from .numerics import gaussian_expect
 from .program import (
     MatMul,
     MatrixDecl,
@@ -164,6 +166,16 @@ def _poly_side(program: Program, poly: WordPoly) -> str:
     return side
 
 
+def _word_side(program: Program, word: AlternatingWord) -> str | None:
+    side_rep = None
+    for _, poly in word.factors:
+        side = _poly_side(program, poly)
+        side_rep = side_rep or side
+        if side != side_rep:
+            raise ShapeMismatch("alternating word factors act on different classes")
+    return side_rep
+
+
 def _poly_trace(realization, poly: WordPoly, method, cap, probes) -> float:
     return math.fsum(
         c * trace_moment(realization, w, method=method, cap=cap, probes=probes)[0]
@@ -179,18 +191,10 @@ def _poly_apply(realization, poly: WordPoly, probe: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_materialize(realization, poly: WordPoly, cap: int) -> np.ndarray:
-    out = None
-    for c, w in poly.terms:
-        term = c * materialize(realization, w, cap=cap)
-        out = term if out is None else out + term
-    return out
-
-
 def centered_trace(
     realization: Realization,
     word: AlternatingWord,
-    method: str = "auto",
+    method: str | tuple[str, int] = "auto",
     cap: int = FREENESS_EXACT_CAP,
     probes: int = FREENESS_PROBES,
 ) -> float:
@@ -198,38 +202,32 @@ def centered_trace(
 
     Each centering constant tau_i is the normalized trace of that polynomial
     on the same realization.  Exact below the dense cap, Gaussian-probe
-    estimated above it.
+    estimated above it (method as in finite.trace_probes).
     """
-    prog = realization.program
-    side_rep = None
-    for _, poly in word.factors:
-        side = _poly_side(prog, poly)
-        side_rep = side_rep or side
-        if side != side_rep:
-            raise ShapeMismatch("alternating word factors act on different classes")
+    side_rep = _word_side(realization.program, word)
     if side_rep is None:
         return 1.0
     n = realization.dims[side_rep]
-    if method == "auto":
-        method = "exact" if n <= cap else "hutch"
+    p = trace_probes(n, method, cap, probes)
 
     taus = [
         _poly_trace(realization, poly, method, cap, probes) for _, poly in word.factors
     ]
-    if method == "exact":
-        acc = np.eye(n)
+    if p == 0:
+        eye = acc = np.eye(n)
         for (_, poly), tau in zip(word.factors, taus):
-            m = _poly_materialize(realization, poly, cap)
-            acc = (m - tau * np.eye(n)) @ acc
+            acc = (_poly_apply(realization, poly, eye) - tau * eye) @ acc
         return float(np.trace(acc)) / n
-    g = stream(
-        realization.seed, "ctrace", "|".join(p.key() for _, p in word.factors)
+
+    def apply(v):
+        for (_, poly), tau in zip(word.factors, taus):
+            v = _poly_apply(realization, poly, v) - tau * v
+        return v
+
+    forms = probe_forms(
+        apply, n, 1, p, realization.seed, "ctrace", "|".join(q.key() for _, q in word.factors)
     )
-    z = g.standard_normal((n, probes))
-    v = z
-    for (_, poly), tau in zip(word.factors, taus):
-        v = _poly_apply(realization, poly, v) - tau * v
-    return float(np.mean(np.einsum("ip,ip->p", z, v)) / n)
+    return float(np.mean(forms[0]) / n)
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,7 @@ def freeness_sweep(
     word: AlternatingWord,
     n_list: list[int],
     seeds: list[int],
-    method: str = "auto",
+    method: str | tuple[str, int] = "auto",
     cap: int = FREENESS_EXACT_CAP,
     probes: int = FREENESS_PROBES,
 ) -> FreenessReport:
@@ -303,12 +301,7 @@ def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
     while any(u.startswith(prefix) for u in used):
         prefix = "f" + prefix
 
-    side_rep = None
-    for _, poly in word.factors:
-        side = _poly_side(base, poly)
-        side_rep = side_rep or side
-        if side != side_rep:
-            raise ShapeMismatch("alternating word factors act on different classes")
+    side_rep = _word_side(base, word)
     if side_rep is None:
         side_rep = base.cdc_reps()[0] if base.cdc_reps() else "c"
 
@@ -481,19 +474,14 @@ def jacobian_finite(
     prog = mlp_program(layers, phi, q1)
     r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
     word = jacobian_word(layers, phi_prime)
-    if n <= cap:
+    p = trace_probes(n, "auto", cap, probes)
+    if p == 0:
         j = materialize(r, word, cap=cap)
         s2 = np.linalg.svd(j, compute_uv=False) ** 2
         return np.array([float(np.mean(s2**k)) for k in range(1, k_max + 1)])
     jtj = _word_transpose(word) * word
-    g = stream(seed, "jacobian", word.key())
-    z = g.standard_normal((n, probes))
-    v = z
-    out = []
-    for _ in range(k_max):
-        v = word_apply(r, jtj, v)
-        out.append(float(np.mean(np.einsum("ip,ip->p", z, v)) / n))
-    return np.array(out)
+    forms = probe_forms(lambda v: word_apply(r, jtj, v), n, k_max, p, seed, "jacobian", word.key())
+    return np.array([float(np.mean(f) / n) for f in forms])
 
 
 def _word_transpose(word: MatrixWord) -> MatrixWord:

@@ -38,19 +38,16 @@ from .errors import (
     NonPSDExtension,
     UnknownSymbol,
 )
-from .numerics import gaussian_factor, pseudoinverse, repair_psd, stream
+from .numerics import pseudoinverse, repair_psd, sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 DEFAULT_SAMPLES = 200_000
 
-# pseudoinverse is re-exported here because correction coefficients consume it
 __all__ = [
     "LimitState",
     "ReplicatedLimit",
     "build_limit",
     "build_replicated",
-    "advance",
-    "pseudoinverse",
     "DEFAULT_SAMPLES",
 ]
 
@@ -129,19 +126,12 @@ class LimitState:
     # -- construction ------------------------------------------------------
 
     def _init_ensemble(self):
-        n = self.n_samples
         for rep in self.program.cdc_reps():
-            names, mean, cov = self.program.init_block(rep)
-            if not names:
-                continue
-            lchol = gaussian_factor(cov)
-            gauss = np.column_stack(
-                [stream(self.seed, "init", nm).standard_normal(n) for nm in names]
+            block = sample_init_block(
+                self.seed, "init", *self.program.init_block(rep), self.n_samples
             )
-            block = mean[None, :] + gauss @ lchol.T
-            for j, nm in enumerate(names):
-                self.cols[nm] = np.ascontiguousarray(block[:, j])
-                self.nodes[nm] = InitNode(nm)
+            self.cols.update(block)
+            self.nodes.update((nm, InitNode(nm)) for nm in block)
         for s in self.program.scalars:
             self.scalar_limits[s.name] = (s.limit, 0.0)
 
@@ -318,10 +308,6 @@ class LimitState:
         if gvar not in self.correction_info:
             raise UnknownSymbol(f"{gvar!r} is not a matmul output")
         return self.correction_info[gvar]
-
-
-def advance(state: LimitState, instr) -> LimitState:
-    return state.advance(instr)
 
 
 def build_limit(

@@ -75,6 +75,21 @@ def stream(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def sample_init_block(
+    seed: int, label: str, names, mean: np.ndarray, cov: np.ndarray, n: int
+) -> dict[str, np.ndarray]:
+    """n iid draws of the initial vectors `names` ~ N(mean, cov), one column each.
+
+    The block is mean + gauss @ L.T with L L^T = cov, where the gauss column
+    of each name comes from its own stream (seed, label, name).
+    """
+    if not names:
+        return {}
+    gauss = np.column_stack([stream(seed, label, nm).standard_normal(n) for nm in names])
+    block = mean[None, :] + gauss @ gaussian_factor(cov).T
+    return {nm: np.ascontiguousarray(block[:, j]) for j, nm in enumerate(names)}
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature and Hermite expansions
 # ---------------------------------------------------------------------------

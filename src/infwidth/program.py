@@ -236,9 +236,6 @@ class Program:
         c = self.class_ratio[self.cdc_of_class[m.cols]]
         return c / r if transposed else r / c
 
-    def is_gvar(self, vector: str) -> bool:
-        return vector in self.gvars
-
     def init_block(self, rep: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Names, mean vector and covariance of the initial vectors in a CDC."""
         names = tuple(v.name for v in self.vectors if self.cdc(v.name) == rep)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from infwidth.cli import build_parser, run, sweep_passes
@@ -120,3 +122,88 @@ def test_sweep_verdict_monotone_in_tolerance():
     for gap0, gap1, se1 in cases:
         results = [sweep_passes(gap0, gap1, se1, 256, 4096, t) for t in tols]
         assert results == sorted(results), (gap0, gap1, se1)
+
+
+# A program with moment scalars and a nonlin parameter, so that sim and verify
+# emit both scalar: and avg: rows.
+_GOLDEN_PROGRAM = """\
+matrix W : c x c var 0.5
+vector z0 : c
+x1 = matmul W z0
+y1 = matmul W^T z0
+z1 = nonlin x1 + x2 (x1, y1)
+m1 = moment x1 * x2 (z0, z1)
+z2 = nonlin p1 * x1 (z1 ; m1)
+m2 = moment x1^2 (z2)
+"""
+
+# sha256 of CSV bytes + NUL + stderr, recorded before the trace estimators,
+# initial-vector samplers and finite cell runners were merged.  Sizes that
+# are not powers of two catch a change of normalisation order.
+_GOLDEN = {
+    "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
+            "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
+    "limit_r1": ["limit", "--program", "@atav", "--ensemble", "6000",
+                 "--test", "x1 * x2:v,x"],
+    "limit_r4": ["limit", "--program", "@semicircle", "--ensemble", "8000",
+                 "--replicas", "4", "--test", "x1 * x2:z0,z2"],
+    "verify": ["verify", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
+               "--ensemble", "6000", "--replicas", "2", "--test", "x1 * x2:z0,z2"],
+    "free_exact": ["free", "--program", "@fipbase", "--word", "@word_b",
+                   "--n", "96,300", "--seeds", "2", "--method", "exact"],
+    "free_hutch_witness": ["free", "--program", "@fipbase", "--word", "@word_b",
+                           "--n", "96,300", "--seeds", "2", "--method", "hutch:16",
+                           "--witness", "--ensemble", "4000", "--replicas", "2"],
+    "free_auto": ["free", "--program", "@fipbase", "--word", "@word_a",
+                  "--n", "96,600", "--seeds", "2"],
+    "jacobian_dense": ["jacobian", "--layers", "3", "--phi", "tanh", "--size", "150",
+                       "--seeds", "2", "--kmax", "3"],
+    "jacobian_probe": ["jacobian", "--layers", "2", "--phi", "relu", "--size", "1100",
+                       "--kmax", "3"],
+    "law_mp": ["law", "mp", "--rho", "0.3", "--rmax", "6"],
+}
+
+_GOLDEN_SHA = {
+    "sim":
+        "7e596467c0f70957dcc9b3ba78fbcc021750d4a32fd3ca847416be12be332980",
+    "limit_r1":
+        "d38badf3d3e2ccf1f436de5aaa8e0fe7fcefd6d6d149cb38dda76cbba07ed0e7",
+    "limit_r4":
+        "9048f2767ba80e9b278425c79c92158323e887d163a83b34adb5b2b1a3d1877b",
+    "verify":
+        "bbd8ff98859edd6d31796614ee4d53f90c9e335c4d458393a7001bde9f3bb14e",
+    "free_exact":
+        "2ec80de934d6fb71eaeec298e984c7605835ab3e6a956e827ab3ddfea7554be8",
+    "free_hutch_witness":
+        "00ba955c26728a37f6e3d5e62ed22dbb4c23ece83bd8088a83cbb641ee6cbe5a",
+    "free_auto":
+        "fdfcf16a0a4cc95d3b9cdcc31f7145f1ebc7076a158138fcf55ebaf7433d7731",
+    "jacobian_dense":
+        "f2f8fba31b1b430c059e2cc9c825971b81f16f73949fef8094cc8acaaf7297c1",
+    "jacobian_probe":
+        "9d533cf8649ce5aaab05a3c6a6b18042705bebbbe6e1ccb35e26851f8d82789a",
+    "law_mp":
+        "9d52187d5a837d983bb71a1643de3389b117c4dba60f9bdf35da534786fa49b9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_bytes(tmp_path, capsys, name):
+    prog = tmp_path / "golden.ntp"
+    prog.write_text(_GOLDEN_PROGRAM)
+    argv = [a.format(prog=prog) for a in _GOLDEN[name]]
+    capsys.readouterr()
+    rc, data = _run(tmp_path, *argv)
+    assert rc == 0
+    digest = hashlib.sha256(data + b"\0" + capsys.readouterr().err.encode()).hexdigest()
+    assert digest == _GOLDEN_SHA[name]
+
+
+@pytest.mark.parametrize("probes", [0, 1])
+def test_free_rejects_fewer_than_two_probes(tmp_path, probes):
+    rc, data = _run(tmp_path, "free", "--program", "@fipbase", "--word", "@word_a",
+                    "--n", "64", "--method", f"hutch:{probes}")
+    assert rc == 2
+    lines = data.decode().splitlines()
+    assert lines[0] == "error,kind,message"
+    assert lines[1].startswith("error,ValueError,")

@@ -263,6 +263,10 @@ def test_trace_exact_equals_eigensum():
     tr, _ = trace_moment(r, word, method="exact")
     eigs = eig_spectrum(r, word)
     assert tr == pytest.approx(float(np.sum(eigs)) / 200, rel=1e-8)
+    moments = spectral_moments(r, word, 3, method="exact")
+    assert moments[0] == (tr, 0.0)
+    for k, (m, _) in enumerate(moments, start=1):
+        assert m == pytest.approx(float(np.sum(eigs**k)) / 200, rel=1e-8)
 
 
 def test_eig_spectrum_diag_words():
