@@ -265,23 +265,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_law(args) -> int:
+    if args.law == "mp" and (args.rho is None or args.rho <= 0):
+        raise ValueError("mp law needs --rho > 0")
+    if args.density and args.law != "catalan":
+        xs = np.linspace(args.xmin, args.xmax, args.points)
+        rows = [(float(v), laws.law_density(args.law, float(v), args.rho)[0]) for v in xs]
+        _write_csv(args.out, ("x", "density"), rows)
+        return 0
     rows = []
     if args.law == "semicircle":
-        if args.density:
-            xs = np.linspace(args.xmin, args.xmax, args.points)
-            rows = [(float(v), laws.semicircle_density(float(v))) for v in xs]
-            _write_csv(args.out, ("x", "density"), rows)
-            return 0
         for r in range(1, args.rmax + 1):
             rows.append(("semicircle", "", r, laws.semicircle_moment(r)))
     elif args.law == "mp":
-        if args.rho is None or args.rho <= 0:
-            raise ValueError("mp law needs --rho > 0")
-        if args.density:
-            xs = np.linspace(args.xmin, args.xmax, args.points)
-            rows = [(float(v), laws.mp_density(float(v), args.rho)) for v in xs]
-            _write_csv(args.out, ("x", "density"), rows)
-            return 0
         for r in range(1, args.rmax + 1):
             rows.append(("mp", args.rho, r, laws.mp_moment(r, args.rho)))
         rows.append(("mp", args.rho, "atom", laws.mp_atom(args.rho)))

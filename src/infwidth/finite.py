@@ -81,9 +81,6 @@ class Realization:
     vectors: dict[str, np.ndarray] = field(repr=False)
     scalars: dict[str, float]
 
-    def dim_of(self, vector: str) -> int:
-        return self.dims[self.program.cdc(vector)]
-
 
 def instantiate(
     program: Program,

@@ -1,8 +1,8 @@
 """Infinite-width limit engine.
 
 Processes a program instruction by instruction and maintains, for every
-vector, the limiting coordinate random variable as a node in a symbolic DAG
-together with a large seeded Monte-Carlo ensemble of joint samples.
+vector, a large seeded Monte-Carlo ensemble of joint samples of its limiting
+coordinate random variable.
 
 The limit of a matmul output splits into two parts:
 
@@ -21,13 +21,13 @@ The limit of a matmul output splits into two parts:
   exact for non-differentiable nonlinearities as well.
 
 Scalars produced by moment instructions converge to the ensemble mean of
-the expression over the children's limit samples.
+the expression over the children's limit samples.  Replicas split the sample
+budget over independent ensembles and are pooled through one rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,36 +52,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InitNode:
-    name: str
-
-
-@dataclass(frozen=True)
-class GaussNode:
-    """Fresh Gaussian component of one matmul product."""
-
-    matrix: str
-    transposed: bool
-    index: int  # position within the family
-
-
-@dataclass(frozen=True)
-class MatMulNode:
-    gauss: GaussNode
-    correction: tuple[tuple[float, str], ...]  # (coefficient, input vector name)
-
-
-@dataclass(frozen=True)
-class AppliedNode:
-    expr: exprs.Expr
-    children: tuple[str, ...]
-    param_limits: tuple[float, ...]
-
-
-LimitNode = InitNode | GaussNode | MatMulNode | AppliedNode
-
-
 class GaussianFamily:
     """All products by one matrix in one direction, with their joint covariance."""
 
@@ -96,13 +66,9 @@ class GaussianFamily:
     def __len__(self) -> int:
         return len(self.inputs)
 
-    @property
-    def key(self) -> tuple[str, bool]:
-        return (self.matrix, self.transposed)
-
 
 class LimitState:
-    """Limit DAG plus joint sample ensemble, built by appending instructions.
+    """Joint limit sample ensemble of a program, built by appending instructions.
 
     Processing is prefix-monotone: advancing appends new vectors, scalars,
     and family members but never rewrites existing ones.  A fully processed
@@ -113,8 +79,6 @@ class LimitState:
         self.program = program
         self.n_samples = int(n_samples)
         self.seed = int(seed)
-        self.position = 0
-        self.nodes: dict[str, LimitNode] = {}
         self.cols: dict[str, np.ndarray] = {}
         self.gauss_cols: dict[str, np.ndarray] = {}
         self.families: dict[tuple[str, bool], GaussianFamily] = {}
@@ -127,11 +91,9 @@ class LimitState:
 
     def _init_ensemble(self):
         for rep in self.program.cdc_reps():
-            block = sample_init_block(
+            self.cols.update(sample_init_block(
                 self.seed, "init", *self.program.init_block(rep), self.n_samples
-            )
-            self.cols.update(block)
-            self.nodes.update((nm, InitNode(nm)) for nm in block)
+            ))
         for s in self.program.scalars:
             self.scalar_limits[s.name] = (s.limit, 0.0)
 
@@ -167,7 +129,7 @@ class LimitState:
         aug[:k, :k] = family.cov
         aug[:k, k] = aug[k, :k] = cov_row
         aug[k, k] = variance
-        wmin = float(np.linalg.eigvalsh(aug)[0]) if k + 1 > 0 else 0.0
+        wmin = float(np.linalg.eigvalsh(aug)[0])
         if wmin < -1e-6 * max(variance, 1e-12):
             raise NonPSDExtension(
                 f"extension for {label} is not PSD-repairable (min eig {wmin:.3e})"
@@ -228,27 +190,16 @@ class LimitState:
     def advance(self, instr) -> "LimitState":
         if isinstance(instr, MatMul):
             self._advance_matmul(instr)
-        elif isinstance(instr, Nonlin):
-            pars = tuple(self.scalar_limits[nm][0] for nm in instr.params)
-            cols = tuple(self.cols[nm] for nm in instr.inputs)
-            self.cols[instr.out] = np.asarray(
-                exprs.evaluate(instr.expr, cols, pars), dtype=np.float64
-            )
-            self.nodes[instr.out] = AppliedNode(instr.expr, instr.inputs, pars)
-        elif isinstance(instr, Moment):
-            pars = tuple(self.scalar_limits[nm][0] for nm in instr.params)
-            cols = tuple(self.cols[nm] for nm in instr.inputs)
-            vals = np.asarray(exprs.evaluate(instr.expr, cols, pars), dtype=np.float64)
-            if vals.ndim == 0:
-                self.scalar_limits[instr.out] = (float(vals), 0.0)
-            else:
-                self.scalar_limits[instr.out] = (
-                    float(np.mean(vals)),
-                    float(np.std(vals, ddof=1) / math.sqrt(self.n_samples)),
-                )
-        else:
+            return self
+        if not isinstance(instr, (Nonlin, Moment)):
             raise TypeError(f"cannot advance over {instr!r}")
-        self.position += 1
+        pars = tuple(self.scalar_limits[nm][0] for nm in instr.params)
+        cols = tuple(self.cols[nm] for nm in instr.inputs)
+        vals = np.asarray(exprs.evaluate(instr.expr, cols, pars), dtype=np.float64)
+        if isinstance(instr, Nonlin):
+            self.cols[instr.out] = vals
+        else:
+            self.scalar_limits[instr.out] = self._mean_stderr(vals)
         return self
 
     def _advance_matmul(self, instr: MatMul):
@@ -256,11 +207,7 @@ class LimitState:
         xcol = self.cols[instr.vin]
         n = self.n_samples
         scale = family.var_scale
-        cov_row = (
-            np.array([float(self.cols[nm] @ xcol) / n for nm in family.inputs]) * scale
-            if len(family)
-            else np.zeros(0)
-        )
+        cov_row = np.array([float(self.cols[nm] @ xcol) / n for nm in family.inputs]) * scale
         variance = scale * float(xcol @ xcol) / n
         gcol = self.extend_family(family, cov_row, variance, label=instr.out)
 
@@ -270,17 +217,21 @@ class LimitState:
         col = gcol.copy()
         for a, nm in zip(coeffs, ys):
             col += a * self.cols[nm]
-        index = len(family)
         family.inputs.append(instr.vin)
         family.outputs.append(instr.out)
         self.gauss_cols[instr.out] = gcol
         self.cols[instr.out] = col
-        self.nodes[instr.out] = MatMulNode(
-            GaussNode(instr.matrix, instr.transposed, index),
-            tuple((float(a), nm) for a, nm in zip(coeffs, ys)),
-        )
 
     # -- queries -------------------------------------------------------------
+
+    def _mean_stderr(self, vals: np.ndarray) -> tuple[float, float]:
+        """Ensemble mean and single-ensemble stderr; a constant has stderr 0."""
+        if vals.ndim == 0:
+            return float(vals), 0.0
+        return (
+            float(np.mean(vals)),
+            float(np.std(vals, ddof=1) / math.sqrt(self.n_samples)),
+        )
 
     def expect(self, test: exprs.Expr, vectors: list[str]) -> tuple[float, float]:
         """Monte-Carlo mean and stderr of test over the given limit variables."""
@@ -290,13 +241,7 @@ class LimitState:
         if exprs.n_inputs(test) > len(vectors):
             raise ArityMismatch("test expression arity exceeds vector count")
         cols = tuple(self.cols[nm] for nm in vectors)
-        vals = np.asarray(exprs.evaluate(test, cols), dtype=np.float64)
-        if vals.ndim == 0:
-            return float(vals), 0.0
-        return (
-            float(np.mean(vals)),
-            float(np.std(vals, ddof=1) / math.sqrt(self.n_samples)),
-        )
+        return self._mean_stderr(np.asarray(exprs.evaluate(test, cols), dtype=np.float64))
 
     def scalar_limit(self, name: str) -> tuple[float, float]:
         if name not in self.scalar_limits:
@@ -334,47 +279,39 @@ class ReplicatedLimit:
         if not states:
             raise ValueError("need at least one replica")
         self.states = states
+        self.correction_info = {
+            g: (ys, *self._pool([st.correction_info[g][1:] for st in states]))
+            for g, (ys, _, _) in states[0].correction_info.items()
+        }
 
-    @property
-    def program(self) -> Program:
-        return self.states[0].program
+    @staticmethod
+    def _pool(estimates: list[tuple]) -> tuple:
+        """Pool per-replica (value, stderr) pairs into (replica mean, spread/sqrt(R)).
 
-    def _combine(self, vals: np.ndarray, fallback: float) -> tuple[float, float]:
-        if len(self.states) == 1:
-            return float(vals[0]), fallback
-        return (
-            float(np.mean(vals)),
-            float(np.std(vals, ddof=1) / math.sqrt(len(vals))),
-        )
+        A single replica keeps its own ensemble stderr.
+        """
+        if len(estimates) == 1:
+            return estimates[0]
+        vals = np.array([v for v, _ in estimates])
+        return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(len(vals))
 
     def expect(self, test: exprs.Expr, vectors: list[str]) -> tuple[float, float]:
-        pairs = [st.expect(test, vectors) for st in self.states]
-        return self._combine(np.array([p[0] for p in pairs]), pairs[0][1])
+        mean, se = self._pool([st.expect(test, vectors) for st in self.states])
+        return float(mean), float(se)
 
     def scalar_limit(self, name: str) -> tuple[float, float]:
-        pairs = [st.scalar_limit(name) for st in self.states]
-        return self._combine(np.array([p[0] for p in pairs]), pairs[0][1])
+        mean, se = self._pool([st.scalar_limit(name) for st in self.states])
+        return float(mean), float(se)
 
-    def correction_coeffs(self, gvar: str):
-        ys, c0, se0 = self.states[0].correction_coeffs(gvar)
-        if len(self.states) == 1:
-            return ys, c0, se0
-        coeffs = np.array([st.correction_coeffs(gvar)[1] for st in self.states])
-        r = len(self.states)
-        if coeffs.size == 0:
-            return ys, c0, se0
-        return (
-            ys,
-            coeffs.mean(axis=0),
-            coeffs.std(axis=0, ddof=1) / math.sqrt(r),
-        )
-
-    @property
-    def correction_info(self):
-        return {g: self.correction_coeffs(g) for g in self.states[0].correction_info}
+    def correction_coeffs(self, gvar: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """(inputs, pooled coefficients, pooled stderr) of the correction part."""
+        if gvar not in self.correction_info:
+            raise UnknownSymbol(f"{gvar!r} is not a matmul output")
+        return self.correction_info[gvar]
 
     def diagnostics(self) -> list[str]:
-        return list(self.states[0].diagnostics)
+        """Every replica's diagnostics in first-seen order, duplicates dropped."""
+        return list(dict.fromkeys(d for st in self.states for d in st.diagnostics))
 
 
 def build_replicated(

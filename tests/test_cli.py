@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +163,11 @@ _GOLDEN = {
     "jacobian_probe": ["jacobian", "--layers", "2", "--phi", "relu", "--size", "1100",
                        "--kmax", "3"],
     "law_mp": ["law", "mp", "--rho", "0.3", "--rmax", "6"],
+    "law_semicircle_density": ["law", "semicircle", "--density", "--xmin", "-2.5",
+                               "--xmax", "2.5", "--points", "41"],
+    "law_mp_density": ["law", "mp", "--rho", "0.5", "--density", "--xmin", "0",
+                       "--xmax", "3", "--points", "31"],
+    "law_catalan_density": ["law", "catalan", "--density", "--rmax", "5"],
 }
 
 _GOLDEN_SHA = {
@@ -184,6 +191,12 @@ _GOLDEN_SHA = {
         "9d533cf8649ce5aaab05a3c6a6b18042705bebbbe6e1ccb35e26851f8d82789a",
     "law_mp":
         "9d52187d5a837d983bb71a1643de3389b117c4dba60f9bdf35da534786fa49b9",
+    "law_semicircle_density":
+        "18298605730980559b512c6ab528d8088f206a2d26d3d76cfd7f557f958760e4",
+    "law_mp_density":
+        "e169f1f59d57e0f7499bccdcba5cca6b5e0fc49619d5dcd01fbc1d6083c42041",
+    "law_catalan_density":
+        "af3cde3e60f85390c78c3bc6ed03bb92a9052215efef1a34d776234e1dd0daa9",
 }
 
 
@@ -197,6 +210,39 @@ def test_golden_bytes(tmp_path, capsys, name):
     assert rc == 0
     digest = hashlib.sha256(data + b"\0" + capsys.readouterr().err.encode()).hexdigest()
     assert digest == _GOLDEN_SHA[name]
+
+
+def test_law_mp_density_needs_rho(tmp_path):
+    rc, data = _run(tmp_path, "law", "mp", "--density")
+    assert rc == 2
+    assert data.decode() == "error,kind,message\nerror,ValueError,mp law needs --rho > 0\n"
+
+
+def _load_replay():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+    spec = importlib.util.spec_from_file_location("perfbench_replay", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name", ["limit_r1", "limit_r4", "verify", "free_hutch_witness", "jacobian_probe"]
+)
+def test_benchmark_replay_matches_cli(tmp_path, capsys, name):
+    # the benchmark's traced replay calls the library directly and must keep
+    # writing the CLI's bytes
+    replay = _load_replay()
+    prog = tmp_path / "golden.ntp"
+    prog.write_text(_GOLDEN_PROGRAM)
+    argv = [a.format(prog=prog) for a in _GOLDEN[name]]
+    outputs = []
+    for label, runner in [("cli", run), ("replay", lambda a: replay.run(replay.Tracer(), a))]:
+        out = tmp_path / f"{label}.csv"
+        capsys.readouterr()
+        rc = runner(argv + ["--out", str(out)])
+        outputs.append((rc, out.read_bytes(), capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("probes", [0, 1])

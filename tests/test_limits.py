@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from infwidth import corpus
+from infwidth import corpus, dsl
 from infwidth import exprs as E
 from infwidth.errors import NonPSDExtension, UnknownSymbol
 from infwidth.laws import catalan, semicircle_b_coeff
@@ -286,3 +286,70 @@ def test_prefix_monotone_processing():
     before = st.cols["y"].copy()
     st.advance(prog.instructions[1])
     assert np.array_equal(before, st.cols["y"])
+
+
+# Moment scalars, a parameterised nonlin and a transposed product with a
+# correction part, so every pooled query has something to pool.
+_POOL_PROGRAM = """\
+matrix W : c x c var 0.5
+vector z0 : c
+x1 = matmul W z0
+y1 = matmul W^T z0
+z1 = nonlin x1 + x2 (x1, y1)
+m1 = moment x1 * x2 (z0, z1)
+z2 = nonlin p1 * x1 (z1 ; m1)
+m2 = moment x1^2 (z2)
+"""
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_replicated_equals_manual_pool_of_independent_builds(replicas):
+    prog = dsl.parse_program(_POOL_PROGRAM)
+    n, seed = 6001, 4
+    rep = build_replicated(prog, n_samples=n, seed=seed, replicas=replicas)
+    states = [
+        build_limit(prog, n_samples=max(2, n // replicas), seed=seed * 1_000_003 + r)
+        for r in range(replicas)
+    ]
+
+    def manual(pairs):
+        if replicas == 1:  # the single ensemble keeps its own stderr
+            return pairs[0]
+        vals = np.array([v for v, _ in pairs])
+        return np.mean(vals, axis=0), np.std(vals, ddof=1, axis=0) / math.sqrt(3)
+
+    test = E.mul(E.x(0), E.x(1))
+    want = manual([st.expect(test, ["z0", "z2"]) for st in states])
+    assert rep.expect(test, ["z0", "z2"]) == tuple(map(float, want))
+    for nm in ("m1", "m2"):
+        want = manual([st.scalar_limit(nm) for st in states])
+        assert rep.scalar_limit(nm) == tuple(map(float, want))
+    ys, coeffs, ses = rep.correction_coeffs("y1")
+    assert ys == ("z0",)
+    want_c, want_se = manual([st.correction_coeffs("y1")[1:] for st in states])
+    np.testing.assert_array_equal(coeffs, want_c)
+    np.testing.assert_array_equal(ses, want_se)
+    assert rep.correction_info["y1"] == (ys, coeffs, ses)
+    with pytest.raises(UnknownSymbol):
+        rep.correction_coeffs("z1")
+
+
+def test_build_replicated_rejects_zero_replicas():
+    with pytest.raises(ValueError):
+        build_replicated(corpus.load_program("atav"), n_samples=100, replicas=0)
+
+
+def test_replicated_diagnostics_cover_every_replica():
+    prog = build_program(
+        [
+            MatrixDecl("W", "c", "c", 1.0),
+            VectorDecl("v", "c"),
+            MatMul("g1", "W", False, "v"),
+            MatMul("g2", "W", False, "v"),
+        ]
+    )
+    rep = build_replicated(prog, n_samples=3000, seed=3, replicas=3)
+    shared = list(rep.states[0].diagnostics)
+    assert shared and all(st.diagnostics == shared for st in rep.states)
+    rep.states[1].diagnostics.append("DegenerateGVar: seen in replica 1 only")
+    assert rep.diagnostics() == shared + ["DegenerateGVar: seen in replica 1 only"]
