@@ -270,6 +270,9 @@ def cmd_law(args) -> int:
     if args.density and args.law != "catalan":
         xs = np.linspace(args.xmin, args.xmax, args.points)
         rows = [(float(v), laws.law_density(args.law, float(v), args.rho)[0]) for v in xs]
+        atom = laws.law_density(args.law, 0.0, args.rho)[1]
+        if atom > 0:  # the point mass at zero, which no density row carries
+            rows.append(("atom", atom))
         _write_csv(args.out, ("x", "density"), rows)
         return 0
     rows = []

@@ -18,7 +18,16 @@ The limit of a matmul output splits into two parts:
   limit variables, b holds the cross-moments of their Gaussian parts with
   the current input, and rho_applied is the limiting rows/cols ratio of the
   matrix as applied.  This pseudoinverse form needs no derivatives and is
-  exact for non-differentiable nonlinearities as well.
+  exact for non-differentiable nonlinearities as well.  A solve that drops
+  singular values is reported as a ``RankDeficientGram`` diagnostic.
+
+Each family keeps its members' Gaussian parts as the columns of one
+preallocated ``(n_samples, capacity)`` store, capacity being the program's
+number of products by that matrix in that direction, and the Gram matrix of
+its inputs, filled one row per member from the same dot products that give
+the new member's covariance row.  Conditioning and correction solves read
+slices of both, so no column is ever copied into a stacked matrix and no
+Gram matrix is recomputed.
 
 Scalars produced by moment instructions converge to the ensemble mean of
 the expression over the children's limit samples.  Replicas split the sample
@@ -38,7 +47,7 @@ from .errors import (
     NonPSDExtension,
     UnknownSymbol,
 )
-from .numerics import pseudoinverse, repair_psd, sample_init_block, stream
+from .numerics import pseudoinverse, pseudoinverse_rank, repair_psd, sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 DEFAULT_SAMPLES = 200_000
@@ -53,18 +62,32 @@ __all__ = [
 
 
 class GaussianFamily:
-    """All products by one matrix in one direction, with their joint covariance."""
+    """All products by one matrix in one direction, with their joint covariance.
 
-    def __init__(self, matrix: str, transposed: bool, var_scale: float):
+    The members' Gaussian parts are the columns of one preallocated
+    Fortran-order ``(n_samples, capacity)`` store, and the family keeps the
+    Gram matrix ``E[x_i x_j]`` of its inputs, so ``cov == var_scale * gram``.
+    Both fill in place as members are appended.
+    """
+
+    def __init__(
+        self, matrix: str, transposed: bool, var_scale: float, n_samples: int, capacity: int
+    ):
         self.matrix = matrix
         self.transposed = transposed
         self.var_scale = var_scale  # effective variance of the family
         self.inputs: list[str] = []  # matmul input names, introduction order
         self.outputs: list[str] = []  # product names
-        self.cov = np.zeros((0, 0))
+        self.store = np.empty((n_samples, capacity), order="F")
+        self.gram = np.empty((capacity, capacity))
 
     def __len__(self) -> int:
         return len(self.inputs)
+
+    @property
+    def cov(self) -> np.ndarray:
+        k = len(self)
+        return self.var_scale * self.gram[:k, :k]
 
 
 class LimitState:
@@ -106,22 +129,33 @@ class LimitState:
             scale = decl.sigma2
             if transposed:
                 scale = self.program.matrix_ratio(matrix) * decl.sigma2
-            self.families[key] = GaussianFamily(matrix, transposed, scale)
+            capacity = sum(
+                isinstance(i, MatMul) and (i.matrix, i.transposed) == key
+                for i in self.program.instructions
+            )
+            self.families[key] = GaussianFamily(
+                matrix, transposed, scale, self.n_samples, capacity
+            )
         return self.families[key]
 
     def extend_family(
-        self, family: GaussianFamily, cov_row: np.ndarray, variance: float, label: str
+        self, family: GaussianFamily, gram_row: np.ndarray, gram_diag: float, label: str
     ) -> np.ndarray:
-        """Append one jointly-Gaussian member by conditioning on the family.
+        """Write one jointly-Gaussian member into the family by conditioning.
 
-        The new sample column is the conditional mean given the existing
-        columns plus a fresh innovation of the conditional variance; the
-        family covariance gains the given row/diagonal.
+        ``gram_row`` holds the second moments of the new input with the
+        family's inputs and ``gram_diag`` its own; the member's covariances
+        are ``var_scale`` times these.  The new column is the conditional
+        mean given the existing members plus a fresh innovation of the
+        conditional variance.  Returns the column, a view into the store;
+        the caller appends the input and product names.
         """
         k = len(family)
-        cov_row = np.asarray(cov_row, dtype=np.float64)
-        if cov_row.shape != (k,):
-            raise ArityMismatch(f"covariance row has length {cov_row.size}, family has {k}")
+        gram_row = np.asarray(gram_row, dtype=np.float64)
+        if gram_row.shape != (k,):
+            raise ArityMismatch(f"Gram row has length {gram_row.size}, family has {k}")
+        cov_row = family.var_scale * gram_row
+        variance = family.var_scale * gram_diag
         if variance < 0:
             raise NonPSDExtension(f"negative variance {variance} for {label}")
 
@@ -138,14 +172,14 @@ class LimitState:
         xi = stream(self.seed, "fresh", family.matrix, family.transposed, k).standard_normal(
             self.n_samples
         )
+        col = family.store[:, k]
         if k == 0:
-            cond_mean = 0.0
+            col[:] = 0.0
             cond_var = variance
         else:
             base = repair_psd(family.cov, rel_tol=1e-9)
             w = pseudoinverse(base) @ cov_row
-            existing = np.column_stack([self.gauss_cols[nm] for nm in family.outputs])
-            cond_mean = existing @ w
+            np.matmul(family.store[:, :k], w, out=col)
             cond_var = variance - float(cov_row @ w)
         if cond_var <= 1e-10 * max(variance, 1e-30):
             self.diagnostics.append(
@@ -153,36 +187,47 @@ class LimitState:
                 "its Gaussian part is a deterministic image of earlier members"
             )
             cond_var = max(cond_var, 0.0)
-        col = cond_mean + math.sqrt(max(cond_var, 0.0)) * xi
+        col += math.sqrt(max(cond_var, 0.0)) * xi
 
-        family.cov = aug
+        family.gram[k, :k] = family.gram[:k, k] = gram_row
+        family.gram[k, k] = gram_diag
         return col
 
-    def _correction(
-        self, matrix: str, transposed: bool, vin: str
-    ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    def _correction(self, instr: MatMul) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Coefficients of the correction part over earlier opposite inputs.
 
         Returns (input names, coefficients, first-order standard errors).
         """
-        opposite = self.families.get((matrix, not transposed))
+        opposite = self.families.get((instr.matrix, not instr.transposed))
         if opposite is None or len(opposite) == 0:
             return (), np.zeros(0), np.zeros(0)
+        k = len(opposite)
         ys = tuple(opposite.inputs)
-        yc = np.column_stack([self.cols[nm] for nm in ys])
-        hc = np.column_stack([self.gauss_cols[nm] for nm in opposite.outputs])
-        xcol = self.cols[vin]
+        h = opposite.store[:, :k]
+        xcol = self.cols[instr.vin]
         n = self.n_samples
-        gram = (yc.T @ yc) / n
-        b = hc.T @ xcol / n
-        rho_applied = self.program.matrix_ratio(matrix, transposed)
-        cplus = pseudoinverse(gram)
-        coeffs = cplus @ b / rho_applied
-        # delta-method stderr: per-sample influence of both b and the Gram matrix
+        b = h.T @ xcol / n
+        rho_applied = self.program.matrix_ratio(instr.matrix, instr.transposed)
+        cplus, rank, cutoff = pseudoinverse_rank(opposite.gram[:k, :k])
+        if rank < k:
+            self.diagnostics.append(
+                f"RankDeficientGram: {instr.out} kept rank {rank} of {k} (cutoff {cutoff:.3e})"
+            )
         w = cplus @ b
-        r = hc * xcol[:, None] - yc * (yc @ w)[:, None]
-        infl = (r - r.mean(axis=0)) @ (cplus.T / rho_applied)
-        stderr = infl.std(axis=0, ddof=1) / math.sqrt(n)
+        coeffs = w / rho_applied
+        # delta-method stderr: per-sample influence r_j = h_j x - y_j (y . w) of
+        # both b and the Gram matrix, so std_j = sqrt((M^T Cov(r) M)_jj / n)
+        # with M = C^+T / rho_applied
+        yw = w[0] * self.cols[ys[0]]
+        for a, nm in zip(w[1:], ys[1:]):
+            yw += a * self.cols[nm]
+        r = np.multiply(h, xcol[:, None], out=np.empty((n, k), order="F"))
+        for rj, nm in zip(r.T, ys):
+            rj -= self.cols[nm] * yw
+        r -= r.mean(axis=0)
+        m = cplus.T / rho_applied
+        var = np.sum(m * ((r.T @ r) @ m), axis=0) / (n - 1)
+        stderr = np.sqrt(np.maximum(var, 0.0) / n)
         return ys, coeffs, stderr
 
     # -- instruction processing ---------------------------------------------
@@ -206,12 +251,10 @@ class LimitState:
         family = self._family(instr.matrix, instr.transposed)
         xcol = self.cols[instr.vin]
         n = self.n_samples
-        scale = family.var_scale
-        cov_row = np.array([float(self.cols[nm] @ xcol) / n for nm in family.inputs]) * scale
-        variance = scale * float(xcol @ xcol) / n
-        gcol = self.extend_family(family, cov_row, variance, label=instr.out)
+        gram_row = np.array([float(self.cols[nm] @ xcol) / n for nm in family.inputs])
+        gcol = self.extend_family(family, gram_row, float(xcol @ xcol) / n, label=instr.out)
 
-        ys, coeffs, stderr = self._correction(instr.matrix, instr.transposed, instr.vin)
+        ys, coeffs, stderr = self._correction(instr)
         self.correction_info[instr.out] = (ys, coeffs, stderr)
 
         col = gcol.copy()

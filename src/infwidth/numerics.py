@@ -19,13 +19,19 @@ def pseudoinverse(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     Singular values below ``rel_tol * max_singular_value`` are treated as
     exact zeros, so the result is stable on rank-deficient input.
     """
+    return pseudoinverse_rank(m, rel_tol)[0]
+
+
+def pseudoinverse_rank(m: np.ndarray, rel_tol: float = 1e-12) -> tuple[np.ndarray, int, float]:
+    """(pseudoinverse, number of singular values kept, cutoff) from one SVD."""
     m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
-        return m.T.copy()
+        return m.T.copy(), 0, 0.0
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     cutoff = rel_tol * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
+    keep = s > cutoff
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (vt.T * inv) @ u.T, int(np.count_nonzero(keep)), float(cutoff)
 
 
 def repair_psd(sym: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:

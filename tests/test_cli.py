@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from infwidth.cli import build_parser, run, sweep_passes
@@ -141,7 +142,10 @@ m2 = moment x1^2 (z2)
 
 # sha256 of CSV bytes + NUL + stderr, recorded before the trace estimators,
 # initial-vector samplers and finite cell runners were merged.  Sizes that
-# are not powers of two catch a change of normalisation order.
+# are not powers of two catch a change of normalisation order.  limit_r4 and
+# free_hutch_witness were re-recorded when the correction solve started to
+# read its Gram matrix from the family's incremental dot products: their
+# values moved by at most 1e-12 stderr.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -176,13 +180,13 @@ _GOLDEN_SHA = {
     "limit_r1":
         "d38badf3d3e2ccf1f436de5aaa8e0fe7fcefd6d6d149cb38dda76cbba07ed0e7",
     "limit_r4":
-        "9048f2767ba80e9b278425c79c92158323e887d163a83b34adb5b2b1a3d1877b",
+        "e8c4d52772067524f421e040f5da5624a680016c7ae7467506a3f7ca20ae4400",
     "verify":
         "bbd8ff98859edd6d31796614ee4d53f90c9e335c4d458393a7001bde9f3bb14e",
     "free_exact":
         "2ec80de934d6fb71eaeec298e984c7605835ab3e6a956e827ab3ddfea7554be8",
     "free_hutch_witness":
-        "00ba955c26728a37f6e3d5e62ed22dbb4c23ece83bd8088a83cbb641ee6cbe5a",
+        "3aab7fafe7dbcd53200ecd5059cd8d2ae8c9a00efa4c922488b6340c387706d3",
     "free_auto":
         "fdfcf16a0a4cc95d3b9cdcc31f7145f1ebc7076a158138fcf55ebaf7433d7731",
     "jacobian_dense":
@@ -216,6 +220,19 @@ def test_law_mp_density_needs_rho(tmp_path):
     rc, data = _run(tmp_path, "law", "mp", "--density")
     assert rc == 2
     assert data.decode() == "error,kind,message\nerror,ValueError,mp law needs --rho > 0\n"
+
+
+def test_law_mp_density_reports_atom(tmp_path):
+    # at rho = 2 half the mass sits at zero, outside every density row
+    rc, data = _run(tmp_path, "law", "mp", "--rho", "2", "--density", "--xmin", "0",
+                    "--xmax", "6", "--points", "20001")
+    assert rc == 0
+    lines = data.decode().splitlines()
+    assert lines[0] == "x,density"
+    assert lines[-1] == "atom,0.5"
+    xs, ys = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:-1]]).T
+    mass = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
+    assert abs(mass + 0.5 - 1.0) <= 1e-3
 
 
 def _load_replay():

@@ -9,7 +9,7 @@ from infwidth import exprs as E
 from infwidth.errors import NonPSDExtension, UnknownSymbol
 from infwidth.laws import catalan, semicircle_b_coeff
 from infwidth.limits import LimitState, build_limit, build_replicated
-from infwidth.numerics import hermite_pair_expectation
+from infwidth.numerics import hermite_pair_expectation, pseudoinverse
 from infwidth.program import (
     CovDecl,
     MatMul,
@@ -353,3 +353,74 @@ def test_replicated_diagnostics_cover_every_replica():
     assert shared and all(st.diagnostics == shared for st in rep.states)
     rep.states[1].diagnostics.append("DegenerateGVar: seen in replica 1 only")
     assert rep.diagnostics() == shared + ["DegenerateGVar: seen in replica 1 only"]
+
+
+def _chain(maps):
+    """z_i = f_i(W z_{i-1}, W^T z_{i-1}) over one square matrix."""
+    lines = ["matrix W : c x c var 0.5", "vector z0 : c"]
+    for i, f in enumerate(maps, start=1):
+        lines += [f"x{i} = matmul W z{i - 1}", f"y{i} = matmul W^T z{i - 1}",
+                  f"z{i} = nonlin {f} (x{i}, y{i})"]
+    return dsl.parse_program("\n".join(lines) + "\n")
+
+
+_MIXED = ["x1 + x2", "tanh(x1 + x2)", "relu(x1) + x2", "x1 + x2",
+          "clamp(x1 + x2, -2.0, 2.0)", "x1 + x2", "tanh(x1 + x2)", "relu(x1) + x2"]
+
+
+def _reference_correction(st, instr):
+    """The correction solve as first written: stacked copies of the columns, a
+    Gram matrix from yc.T @ yc and the full N x k influence matrix."""
+    ys = st.correction_info[instr.out][0]
+    opposite = st.families.get((instr.matrix, not instr.transposed))
+    if not ys:
+        return np.zeros(0), np.zeros(0)
+    assert ys == tuple(opposite.inputs[: len(ys)])
+    yc = np.column_stack([st.cols[nm] for nm in ys])
+    hc = np.column_stack([st.gauss_cols[nm] for nm in opposite.outputs[: len(ys)]])
+    xcol = st.cols[instr.vin]
+    n = st.n_samples
+    gram = (yc.T @ yc) / n
+    b = hc.T @ xcol / n
+    rho = st.program.matrix_ratio(instr.matrix, instr.transposed)
+    cplus = pseudoinverse(gram)
+    w = cplus @ b
+    r = hc * xcol[:, None] - yc * (yc @ w)[:, None]
+    infl = (r - r.mean(axis=0)) @ (cplus.T / rho)
+    return w / rho, infl.std(axis=0, ddof=1) / math.sqrt(n)
+
+
+@pytest.fixture(scope="module", params=["semicircle", "mixed8"])
+def solved_state(request):
+    prog = corpus.load_program("semicircle") if request.param == "semicircle" else _chain(_MIXED)
+    return build_limit(prog, n_samples=20_000, seed=8)
+
+
+def test_correction_solve_matches_reference_formulas(solved_state):
+    st = solved_state
+    matmuls = [i for i in st.program.instructions if isinstance(i, MatMul)]
+    assert sum(len(st.correction_info[i.out][0]) for i in matmuls) > 0
+    for instr in matmuls:
+        _, coeffs, ses = st.correction_info[instr.out]
+        want_c, want_se = _reference_correction(st, instr)
+        tol = 1e-8 * np.maximum(np.abs(want_c), want_se)
+        assert np.all(np.abs(coeffs - want_c) <= tol), instr.out
+        assert np.all(np.abs(ses - want_se) <= 1e-8 * want_se), instr.out
+
+
+def test_family_gram_and_column_store(solved_state):
+    st = solved_state
+    for family in st.families.values():
+        y = np.column_stack([st.cols[nm] for nm in family.inputs])
+        want = family.var_scale * (y.T @ y) / st.n_samples
+        assert np.max(np.abs(family.cov - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        # every Gaussian part is a view into the family store, never a copy
+        assert all(np.shares_memory(st.gauss_cols[nm], family.store) for nm in family.outputs)
+
+
+def test_rank_deficient_gram_is_reported():
+    st = build_limit(_chain(["x1 + x2"] * 16), n_samples=20_000, seed=0)
+    rank = [d for d in st.diagnostics if d.startswith("RankDeficientGram: ")]
+    assert rank and all(" kept rank " in d and "(cutoff " in d for d in rank)
+    atav = build_limit(corpus.load_program("atav"), n_samples=20_000, seed=0)
+    assert not any(d.startswith("RankDeficientGram") for d in atav.diagnostics)
