@@ -31,6 +31,7 @@ from . import corpus, dsl, exprs, laws
 from .finite import dims_for_scale, empirical_average, instantiate
 from .freeness import (
     ACTIVATIONS,
+    FREENESS_PROBES,
     fip_witness_program,
     freeness_sweep,
     jacobian_finite,
@@ -85,14 +86,13 @@ def _parse_int_list(text: str) -> list[int]:
     return vals
 
 
-def _parse_method(text: str):
-    if text in ("auto", "exact"):
-        return text
-    if text.startswith("hutch"):
-        if ":" in text:
-            return ("hutch", int(text.split(":", 1)[1]))
-        return "hutch"
-    raise ValueError(f"unknown method {text!r}; use exact or hutch:p")
+def _parse_method(text: str) -> tuple[str, int]:
+    """(method, probes) of a --method value: auto, exact, hutch or hutch:p."""
+    if text in ("auto", "exact", "hutch"):
+        return text, FREENESS_PROBES
+    if text.startswith("hutch:"):
+        return "hutch", int(text.removeprefix("hutch:"))
+    raise ValueError(f"unknown method {text!r}; use auto, exact, hutch or hutch:p")
 
 
 def _parse_tests(program: Program, name: str, test_flags: list[str]):
@@ -122,10 +122,6 @@ def _seed_list(args) -> list[int]:
         raise ValueError("--seeds must be >= 1")
     if getattr(args, "workers", 1) < 1:
         raise ValueError("--workers must be >= 1")
-    if getattr(args, "ensemble", 2) < 2:
-        raise ValueError("--ensemble must be >= 2")
-    if getattr(args, "replicas", 1) < 1:
-        raise ValueError("--replicas must be >= 1")
     return [args.seed + i for i in range(args.seeds)]
 
 
@@ -297,7 +293,8 @@ def cmd_free(args) -> int:
     word = _resolve_word(args.word)
     sizes = _parse_int_list(args.n)
     seeds = _seed_list(args)
-    report = freeness_sweep(program, word, sizes, seeds, method=_parse_method(args.method))
+    method, probes = _parse_method(args.method)
+    report = freeness_sweep(program, word, sizes, seeds, method=method, probes=probes)
     _write_csv(args.out, ("n", "seed_count", "median_abs", "mean_abs", "std"), report.rows)
     print(f"decay_slope {report.slope!r}", file=sys.stderr)
     if args.witness:
@@ -316,6 +313,8 @@ def cmd_jacobian(args) -> int:
         raise ValueError(f"unknown activation {args.phi!r}; have {sorted(ACTIVATIONS)}")
     phi, phi_prime = ACTIVATIONS[args.phi]
     rho_list = [float(t) for t in args.rho_list.split(",")] if args.rho_list else None
+    if rho_list and any(rho != 1.0 for rho in rho_list):
+        raise ValueError("finite Jacobians use square layers: every --rho-list ratio must be 1")
     lim = jacobian_limit_moments(args.layers, phi, phi_prime, args.q1, args.kmax, rho_list)
     seeds = _seed_list(args)
 

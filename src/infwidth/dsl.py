@@ -335,12 +335,6 @@ def print_word_factors(groups: list[list[list[MatFactor | DiagFactor]]]) -> str:
         for j, mono in enumerate(group):
             if j:
                 lines.append("+")
-            for f in mono:
-                if isinstance(f, MatFactor):
-                    lines.append(f"mat {f.name}^T" if f.transposed else f"mat {f.name}")
-                else:
-                    lines.append(
-                        f"diag {','.join(f.vectors)} {exprs.format_expr(f.expr)}"
-                    )
+            lines.extend(f.key() for f in mono)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -194,9 +194,6 @@ class MatrixWord:
     def __mul__(self, other: "MatrixWord") -> "MatrixWord":
         return MatrixWord(self.factors + other.factors)
 
-    def power(self, k: int) -> "MatrixWord":
-        return MatrixWord(self.factors * k)
-
 
 def word_classes(program: Program, word: MatrixWord) -> tuple[str, str]:
     """(rows, cols) CDC representatives of the product; empty word is identity."""
@@ -256,26 +253,25 @@ def materialize(realization: Realization, word: MatrixWord, cap: int = EXACT_CAP
     return word_apply(realization, word, np.eye(n_cols))
 
 
-def _square_side(realization: Realization, word: MatrixWord) -> int:
-    rows, cols = word_classes(realization.program, word)
-    if not rows:
-        return 0  # empty word: identity
+def square_class(program: Program, word: MatrixWord) -> str:
+    """CDC representative a square word acts on; "" for the empty word."""
+    rows, cols = word_classes(program, word)
     if rows != cols:
-        raise ShapeMismatch(f"word is not square: rows {rows!r}, cols {cols!r}")
-    return realization.dims[rows]
+        raise ShapeMismatch(f"word {word.key()!r} is not square: rows {rows!r}, cols {cols!r}")
+    return rows
 
 
-def trace_probes(n: int, method: str | tuple[str, int], cap: int, probes: int) -> int:
+def trace_probes(n: int, method: str, cap: int, probes: int) -> int:
     """Gaussian probes for a normalized trace of side n; 0 means exact.
 
-    method: "exact" (dense, requires n <= cap), "hutch" or ("hutch", p) for
-    Gaussian probes, or "auto" to pick exact when the side fits under the cap.
+    method: "exact" (dense, requires n <= cap), "hutch" for `probes` Gaussian
+    probes, or "auto" to pick exact when the side fits under the cap.
     """
-    if isinstance(method, tuple):
-        method, probes = method
     if method == "auto":
         method = "exact" if n <= cap else "hutch"
     if method == "exact":
+        if n > cap:
+            raise CapExceeded(f"side {n} exceeds dense cap {cap}")
         return 0
     if method != "hutch":
         raise ValueError(f"unknown trace method {method!r}")
@@ -302,7 +298,7 @@ def probe_forms(apply, n: int, k: int, probes: int, seed: int, *labels) -> np.nd
 def trace_moment(
     realization: Realization,
     word: MatrixWord,
-    method: str | tuple[str, int] = "auto",
+    method: str = "auto",
     cap: int = EXACT_CAP,
     probes: int = HUTCHINSON_PROBES,
 ) -> tuple[float, float]:
@@ -314,15 +310,16 @@ def spectral_moments(
     realization: Realization,
     word: MatrixWord,
     k_max: int,
-    method: str | tuple[str, int] = "auto",
+    method: str = "auto",
     cap: int = EXACT_CAP,
     probes: int = HUTCHINSON_PROBES,
 ) -> list[tuple[float, float]]:
     """[(1/n) tr(word^r) for r = 1..k_max]; word must be square (and should
     be symmetric when interpreted as spectral moments)."""
-    n = _square_side(realization, word)
-    if n == 0:
+    side = square_class(realization.program, word)
+    if not side:
         return [(1.0, 0.0)] * k_max
+    n = realization.dims[side]
     p = trace_probes(n, method, cap, probes)
     if p == 0:
         m = materialize(realization, word, cap=cap)
@@ -347,10 +344,7 @@ def eig_spectrum(
     realization: Realization, word: MatrixWord, cap: int = EXACT_CAP
 ) -> np.ndarray:
     """Ascending eigenvalues of the materialized symmetric word."""
-    n = _square_side(realization, word)
-    if n == 0:
+    if not square_class(realization.program, word):
         raise ShapeMismatch("cannot take the spectrum of the empty word")
-    if n > cap:
-        raise CapExceeded(f"side {n} exceeds dense cap {cap}")
     m = materialize(realization, word, cap=cap)
     return np.linalg.eigvalsh(0.5 * (m + m.T))

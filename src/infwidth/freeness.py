@@ -30,10 +30,10 @@ from .finite import (
     instantiate,
     materialize,
     probe_forms,
+    square_class,
     trace_moment,
     trace_probes,
     word_apply,
-    word_classes,
 )
 from .numerics import gaussian_expect
 from .program import (
@@ -154,33 +154,12 @@ def cyclic_rotation(word: AlternatingWord, k: int) -> AlternatingWord:
 # ---------------------------------------------------------------------------
 
 
-def _poly_side(program: Program, poly: WordPoly) -> str:
-    side = None
-    for _, w in poly.terms:
-        rows, cols = word_classes(program, w)
-        if rows != cols:
-            raise ShapeMismatch(f"monomial {w.key()!r} is not square")
-        side = side or rows
-        if rows != side:
-            raise ShapeMismatch("polynomial terms act on different classes")
-    return side
-
-
-def _word_side(program: Program, word: AlternatingWord) -> str | None:
-    side_rep = None
-    for _, poly in word.factors:
-        side = _poly_side(program, poly)
-        side_rep = side_rep or side
-        if side != side_rep:
-            raise ShapeMismatch("alternating word factors act on different classes")
-    return side_rep
-
-
-def _poly_trace(realization, poly: WordPoly, method, cap, probes) -> float:
-    return math.fsum(
-        c * trace_moment(realization, w, method=method, cap=cap, probes=probes)[0]
-        for c, w in poly.terms
-    )
+def _word_side(program: Program, word: AlternatingWord) -> str:
+    """Class every monomial of the word acts on; "" for the empty word."""
+    sides = {square_class(program, w) for _, poly in word.factors for _, w in poly.terms}
+    if len(sides) > 1:
+        raise ShapeMismatch(f"alternating word factors act on different classes {sorted(sides)}")
+    return sides.pop() if sides else ""
 
 
 def _poly_apply(realization, poly: WordPoly, probe: np.ndarray) -> np.ndarray:
@@ -194,7 +173,7 @@ def _poly_apply(realization, poly: WordPoly, probe: np.ndarray) -> np.ndarray:
 def centered_trace(
     realization: Realization,
     word: AlternatingWord,
-    method: str | tuple[str, int] = "auto",
+    method: str = "auto",
     cap: int = FREENESS_EXACT_CAP,
     probes: int = FREENESS_PROBES,
 ) -> float:
@@ -204,28 +183,31 @@ def centered_trace(
     on the same realization.  Exact below the dense cap, Gaussian-probe
     estimated above it (method as in finite.trace_probes).
     """
-    side_rep = _word_side(realization.program, word)
-    if side_rep is None:
+    side = _word_side(realization.program, word)
+    if not side:
         return 1.0
-    n = realization.dims[side_rep]
+    n = realization.dims[side]
     p = trace_probes(n, method, cap, probes)
-
-    taus = [
-        _poly_trace(realization, poly, method, cap, probes) for _, poly in word.factors
-    ]
+    polys = [poly for _, poly in word.factors]
     if p == 0:
         eye = acc = np.eye(n)
-        for (_, poly), tau in zip(word.factors, taus):
-            acc = (_poly_apply(realization, poly, eye) - tau * eye) @ acc
+        for poly in polys:
+            m = _poly_apply(realization, poly, eye)
+            acc = (m - np.trace(m) / n * eye) @ acc
         return float(np.trace(acc)) / n
 
+    taus = [
+        math.fsum(c * trace_moment(realization, w, "hutch", cap, p)[0] for c, w in poly.terms)
+        for poly in polys
+    ]
+
     def apply(v):
-        for (_, poly), tau in zip(word.factors, taus):
+        for poly, tau in zip(polys, taus):
             v = _poly_apply(realization, poly, v) - tau * v
         return v
 
     forms = probe_forms(
-        apply, n, 1, p, realization.seed, "ctrace", "|".join(q.key() for _, q in word.factors)
+        apply, n, 1, p, realization.seed, "ctrace", "|".join(q.key() for q in polys)
     )
     return float(np.mean(forms[0]) / n)
 
@@ -243,8 +225,7 @@ def freeness_sweep(
     word: AlternatingWord,
     n_list: list[int],
     seeds: list[int],
-    method: str | tuple[str, int] = "auto",
-    cap: int = FREENESS_EXACT_CAP,
+    method: str = "auto",
     probes: int = FREENESS_PROBES,
 ) -> FreenessReport:
     if sorted(n_list) != list(n_list):
@@ -255,7 +236,7 @@ def freeness_sweep(
         vals = []
         for seed in seeds:
             r = instantiate(program, dims_for_scale(program, n), seed)
-            vals.append(abs(centered_trace(r, word, method=method, cap=cap, probes=probes)))
+            vals.append(abs(centered_trace(r, word, method=method, probes=probes)))
         vals_arr = np.array(vals)
         med = float(np.median(vals_arr))
         rows.append((n, len(seeds), med, float(vals_arr.mean()), float(vals_arr.std())))
@@ -282,8 +263,6 @@ class FipWitness:
     program: Program
     final_scalar: str  # limit must be 0 for alternating words
     tau_scalars: tuple[str, ...]
-    probe_vector: str
-    stage_vectors: tuple[str, ...]
 
 
 def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
@@ -301,9 +280,7 @@ def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
     while any(u.startswith(prefix) for u in used):
         prefix = "f" + prefix
 
-    side_rep = _word_side(base, word)
-    if side_rep is None:
-        side_rep = base.cdc_reps()[0] if base.cdc_reps() else "c"
+    side_rep = _word_side(base, word) or (base.cdc_reps()[0] if base.cdc_reps() else "c")
 
     decls: list = list(base.ratios) + list(base.matrices) + list(base.vectors)
     decls += list(base.covs) + list(base.ties) + list(base.scalars)
@@ -350,7 +327,6 @@ def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
         return out
 
     taus = []
-    stages = []
     prev = v0
     for i, (_, w) in enumerate(word.factors, start=1):
         applied = apply_chain(w, prev)
@@ -369,12 +345,11 @@ def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
                 (tau,),
             )
         )
-        stages.append(nxt)
         prev = nxt
 
     final = f"{prefix}out"
     decls.append(Moment(final, exprs.mul(exprs.x(0), exprs.x(1)), (v0, prev)))
-    return FipWitness(build_program(decls), final, tuple(taus), v0, tuple(stages))
+    return FipWitness(build_program(decls), final, tuple(taus))
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +443,12 @@ def jacobian_finite(
     seed: int,
     k_max: int,
     cap: int = 1024,
-    probes: int = FREENESS_PROBES,
 ) -> np.ndarray:
     """Empirical moments (1/n) tr (J^T J)^k of one finite realization."""
     prog = mlp_program(layers, phi, q1)
     r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
     word = jacobian_word(layers, phi_prime)
-    p = trace_probes(n, "auto", cap, probes)
+    p = trace_probes(n, "auto", cap, FREENESS_PROBES)
     if p == 0:
         j = materialize(r, word, cap=cap)
         s2 = np.linalg.svd(j, compute_uv=False) ** 2

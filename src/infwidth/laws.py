@@ -139,9 +139,6 @@ class FormalSeries:
         c += [0.0] * (order + 1 - len(c))
         return FormalSeries(tuple(c))
 
-    def __call__(self, z: float) -> float:
-        return math.fsum(c * z**k for k, c in enumerate(self.coeffs))
-
 
 def series(coeffs) -> FormalSeries:
     return FormalSeries(tuple(float(c) for c in coeffs))

@@ -101,6 +101,8 @@ class LimitState:
     def __init__(self, program: Program, n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
         self.program = program
         self.n_samples = int(n_samples)
+        if self.n_samples < 2:
+            raise ValueError(f"a limit ensemble needs at least 2 samples (got {self.n_samples})")
         self.seed = int(seed)
         self.cols: dict[str, np.ndarray] = {}
         self.gauss_cols: dict[str, np.ndarray] = {}
@@ -363,12 +365,14 @@ def build_replicated(
     seed: int = 0,
     replicas: int = 1,
 ) -> ReplicatedLimit:
-    """Split the sample budget over independent ensembles (see ReplicatedLimit)."""
+    """Split the sample budget over independent ensembles (see ReplicatedLimit).
+
+    Each replica gets n_samples // replicas samples, which must be at least 2.
+    """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    per = max(2, n_samples // replicas)
     states = [
-        build_limit(program, n_samples=per, seed=seed * 1_000_003 + r)
+        build_limit(program, n_samples=n_samples // replicas, seed=seed * 1_000_003 + r)
         for r in range(replicas)
     ]
     return ReplicatedLimit(states)

@@ -99,7 +99,7 @@ def test_criterion_2_marchenko_pastur():
         emp = np.zeros(4)
         for seed in range(8):
             r = instantiate(prog, dims_for_scale(prog, 2048), seed=SEED + seed)
-            vals = spectral_moments(r, word, 4, method=("hutch", 48))
+            vals = spectral_moments(r, word, 4, method="hutch", probes=48)
             emp += np.array([v[0] for v in vals]) / 8.0
         want = mp_moments(4, rho)
         ok = bool(np.all(np.abs(emp - want) <= 0.05 * np.abs(want)))

@@ -174,6 +174,9 @@ _GOLDEN = {
     "law_catalan_density": ["law", "catalan", "--density", "--rmax", "5"],
 }
 
+# Recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1
+# and OPENBLAS_NUM_THREADS=2 on x86_64; the BLAS thread count changes the
+# summation order, so free_auto and jacobian_dense differ with one thread.
 _GOLDEN_SHA = {
     "sim":
         "7e596467c0f70957dcc9b3ba78fbcc021750d4a32fd3ca847416be12be332980",
@@ -270,3 +273,39 @@ def test_free_rejects_fewer_than_two_probes(tmp_path, probes):
     lines = data.decode().splitlines()
     assert lines[0] == "error,kind,message"
     assert lines[1].startswith("error,ValueError,")
+
+
+def _error_row(data: bytes) -> str:
+    lines = data.decode().splitlines()
+    assert lines[0] == "error,kind,message"
+    assert len(lines) == 2
+    return lines[1]
+
+
+@pytest.mark.parametrize("method", ["exact", "hutchx", "hutch:", "auto:4"])
+def test_free_method_errors(tmp_path, method):
+    rc, data = _run(tmp_path, "free", "--program", "@fipbase", "--word", "@word_a",
+                    "--n", "600", "--method", method)
+    assert rc == 2
+    if method == "exact":  # the dense cap of centered traces is 512
+        assert _error_row(data) == "error,CapExceeded,side 600 exceeds dense cap 512"
+    else:
+        assert _error_row(data).startswith("error,ValueError,")
+
+
+@pytest.mark.parametrize("flags", [["--ensemble", "1"], ["--ensemble", "5", "--replicas", "8"]])
+def test_limit_rejects_ensembles_below_two_samples(tmp_path, flags):
+    rc, data = _run(tmp_path, "limit", "--program", "@atav", *flags)
+    assert rc == 2
+    assert _error_row(data).startswith("error,ValueError,a limit ensemble needs at least 2")
+
+
+def test_jacobian_rho_list_must_be_square(tmp_path):
+    base = ["jacobian", "--layers", "3", "--size", "64", "--seeds", "2"]
+    rc, data = _run(tmp_path, *base, "--rho-list", "0.5,0.5")
+    assert rc == 2
+    assert _error_row(data).startswith("error,ValueError,")
+    rc_sq, square = _run(tmp_path, *base, "--rho-list", "1,1")
+    rc_none, default = _run(tmp_path, *base)
+    assert rc_sq == rc_none == 0
+    assert square == default

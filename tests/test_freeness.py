@@ -102,6 +102,29 @@ def test_negative_control_matches_coordinatewise_oracle():
     assert abs(got) >= 0.15
 
 
+def test_exact_centered_trace_matches_dense_product():
+    # weighted two-monomial polynomial 0.5*W + 2*W^T alternating with a step
+    # diagonal, against tr prod(P_i - tau_i I) / n built directly in numpy
+    poly = WordPoly(
+        (
+            (0.5, MatrixWord((MatFactor("W"),))),
+            (2.0, MatrixWord((MatFactor("W", True),))),
+        )
+    )
+    word = alternating_word(poly, STEP_DIAG, poly, STEP_DIAG)
+    r = _real(200, 9)
+    w = r.matrices["W"]
+    n = w.shape[0]
+    mats = [0.5 * w + 2.0 * w.T, np.diag((r.vectors["xv"] > 0).astype(float))] * 2
+    acc = np.eye(n)
+    for m in mats:
+        acc = (m - np.trace(m) / n * np.eye(n)) @ acc
+    want = float(np.trace(acc)) / n
+    got = centered_trace(r, word, method="exact")
+    assert got == pytest.approx(want, rel=1e-12)
+    assert abs(want) > 1e-6
+
+
 def test_centered_trace_hutch_close_to_exact():
     r = _real(384, 7)
     word = corpus.load_word("word_a")
@@ -237,5 +260,5 @@ def test_jacobian_eigen_vs_hutch_paths():
     word = jacobian_word(2, dphi)
     jtj = _word_transpose(word) * word
     exact, _ = trace_moment(r, jtj, method="exact")
-    est, se = trace_moment(r, jtj, method=("hutch", 512))
+    est, se = trace_moment(r, jtj, method="hutch", probes=512)
     assert abs(est - exact) <= 4.0 * se

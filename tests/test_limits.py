@@ -339,6 +339,16 @@ def test_build_replicated_rejects_zero_replicas():
         build_replicated(corpus.load_program("atav"), n_samples=100, replicas=0)
 
 
+def test_limit_ensembles_need_two_samples_each():
+    atav = corpus.load_program("atav")
+    with pytest.raises(ValueError, match=r"at least 2 samples \(got 1\)"):
+        build_limit(atav, n_samples=1)
+    # 5 samples over 8 replicas leave none per replica
+    with pytest.raises(ValueError, match=r"at least 2 samples \(got 0\)"):
+        build_replicated(atav, n_samples=5, replicas=8)
+    assert len(build_replicated(atav, n_samples=16, replicas=8).states) == 8
+
+
 def test_replicated_diagnostics_cover_every_replica():
     prog = build_program(
         [
