@@ -19,7 +19,10 @@ The limit of a matmul output splits into two parts:
   the current input, and rho_applied is the limiting rows/cols ratio of the
   matrix as applied.  This pseudoinverse form needs no derivatives and is
   exact for non-differentiable nonlinearities as well.  A solve that drops
-  singular values is reported as a ``RankDeficientGram`` diagnostic.
+  singular values is reported as a ``RankDeficientGram`` diagnostic.  The
+  coefficients' delta-method stderr is computed only for a single ensemble,
+  the one case that reports it (replicas report their spread), in fixed row
+  blocks through one small reused buffer.
 
 Each family keeps its members' Gaussian parts as the columns of one
 preallocated ``(n_samples, capacity)`` store, capacity being the program's
@@ -51,6 +54,7 @@ from .numerics import pseudoinverse, pseudoinverse_rank, repair_psd, sample_init
 from .program import MatMul, Moment, Nonlin, Program
 
 DEFAULT_SAMPLES = 200_000
+STDERR_BLOCK_ROWS = 4096  # rows per block of the correction stderr pass
 
 __all__ = [
     "LimitState",
@@ -98,18 +102,22 @@ class LimitState:
     state is immutable by convention and safe to share.
     """
 
-    def __init__(self, program: Program, n_samples: int = DEFAULT_SAMPLES, seed: int = 0):
+    def __init__(self, program: Program, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
+                 *, _with_stderr: bool = True):
         self.program = program
         self.n_samples = int(n_samples)
         if self.n_samples < 2:
             raise ValueError(f"a limit ensemble needs at least 2 samples (got {self.n_samples})")
         self.seed = int(seed)
+        # False in replicas, which report their spread: correction stderrs are NaN
+        self._with_stderr = _with_stderr
         self.cols: dict[str, np.ndarray] = {}
         self.gauss_cols: dict[str, np.ndarray] = {}
         self.families: dict[tuple[str, bool], GaussianFamily] = {}
         self.scalar_limits: dict[str, tuple[float, float]] = {}
         self.correction_info: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
         self.diagnostics: list[str] = []
+        self.rank_deficient: dict[str, tuple[int, int]] = {}  # product -> (kept rank, k)
         self._init_ensemble()
 
     # -- construction ------------------------------------------------------
@@ -198,7 +206,8 @@ class LimitState:
     def _correction(self, instr: MatMul) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Coefficients of the correction part over earlier opposite inputs.
 
-        Returns (input names, coefficients, first-order standard errors).
+        Returns (input names, coefficients, first-order standard errors); the
+        standard errors are NaN in a state built without them.
         """
         opposite = self.families.get((instr.matrix, not instr.transposed))
         if opposite is None or len(opposite) == 0:
@@ -207,30 +216,59 @@ class LimitState:
         ys = tuple(opposite.inputs)
         h = opposite.store[:, :k]
         xcol = self.cols[instr.vin]
-        n = self.n_samples
-        b = h.T @ xcol / n
+        b = h.T @ xcol / self.n_samples
         rho_applied = self.program.matrix_ratio(instr.matrix, instr.transposed)
         cplus, rank, cutoff = pseudoinverse_rank(opposite.gram[:k, :k])
         if rank < k:
+            self.rank_deficient[instr.out] = (rank, k)
             self.diagnostics.append(
                 f"RankDeficientGram: {instr.out} kept rank {rank} of {k} (cutoff {cutoff:.3e})"
             )
         w = cplus @ b
-        coeffs = w / rho_applied
-        # delta-method stderr: per-sample influence r_j = h_j x - y_j (y . w) of
-        # both b and the Gram matrix, so std_j = sqrt((M^T Cov(r) M)_jj / n)
-        # with M = C^+T / rho_applied
-        yw = w[0] * self.cols[ys[0]]
-        for a, nm in zip(w[1:], ys[1:]):
-            yw += a * self.cols[nm]
-        r = np.multiply(h, xcol[:, None], out=np.empty((n, k), order="F"))
-        for rj, nm in zip(r.T, ys):
-            rj -= self.cols[nm] * yw
-        r -= r.mean(axis=0)
-        m = cplus.T / rho_applied
-        var = np.sum(m * ((r.T @ r) @ m), axis=0) / (n - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / n)
-        return ys, coeffs, stderr
+        # the delta-method stderr is reported only by a single ensemble
+        # (replicas report their spread), so only a single ensemble pays for it
+        if self._with_stderr:
+            stderr = self._correction_stderr(h, xcol, [self.cols[nm] for nm in ys], w,
+                                             cplus.T / rho_applied)
+        else:
+            stderr = np.full(k, np.nan)
+        return ys, w / rho_applied, stderr
+
+    def _correction_stderr(
+        self, h: np.ndarray, xcol: np.ndarray, ys: list[np.ndarray], w: np.ndarray,
+        m: np.ndarray,
+    ) -> np.ndarray:
+        """Delta-method stderr of the coefficients ``m.T @ b``, ``m = C^+T / rho``.
+
+        Sample s moves b and the Gram matrix by the influence
+        ``r_sj = h_sj x_s - y_sj (y_s . w)``, so ``std_j = sqrt((m^T Cov(r) m)_jj / n)``.
+        ``Cov(r) = (sum r^T r - n rbar rbar^T) / (n - 1)`` is summed over
+        fixed row blocks in one reused ``(block, k)`` buffer.  ``rbar = b - C w``
+        is the solve residual, close to 0, so this one-pass form loses no
+        precision to cancellation.
+        """
+        k = w.size
+        n = self.n_samples
+        rows = min(n, STDERR_BLOCK_ROWS)
+        buf = np.empty((rows, k), order="F")
+        yw = np.empty(rows)
+        tmp = np.empty(rows)
+        rtr = np.zeros((k, k))
+        rsum = np.zeros(k)
+        for s in range(0, n, rows):
+            e = min(s + rows, n)
+            r, ywb, t = buf[: e - s], yw[: e - s], tmp[: e - s]
+            np.multiply(ys[0][s:e], w[0], out=ywb)
+            for a, y in zip(w[1:], ys[1:]):
+                ywb += np.multiply(y[s:e], a, out=t)
+            np.multiply(h[s:e], xcol[s:e, None], out=r)
+            for rj, y in zip(r.T, ys):
+                rj -= np.multiply(y[s:e], ywb, out=t)
+            rtr += r.T @ r
+            rsum += r.sum(axis=0)
+        cov = (rtr - np.outer(rsum, rsum) / n) / (n - 1)
+        var = np.sum(m * (cov @ m), axis=0)
+        return np.sqrt(np.maximum(var, 0.0) / n)
 
     # -- instruction processing ---------------------------------------------
 
@@ -304,8 +342,11 @@ def build_limit(
     program: Program, n_samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> LimitState:
     """Process a whole program into its limit state."""
-    state = LimitState(program, n_samples=n_samples, seed=seed)
-    for instr in program.instructions:
+    return _process(LimitState(program, n_samples=n_samples, seed=seed))
+
+
+def _process(state: LimitState) -> LimitState:
+    for instr in state.program.instructions:
         state.advance(instr)
     return state
 
@@ -355,8 +396,23 @@ class ReplicatedLimit:
         return self.correction_info[gvar]
 
     def diagnostics(self) -> list[str]:
-        """Every replica's diagnostics in first-seen order, duplicates dropped."""
-        return list(dict.fromkeys(d for st in self.states for d in st.diagnostics))
+        """Every replica's diagnostics in first-seen order, duplicates dropped.
+
+        A rank-deficient solve is listed once per product, after the others,
+        with its lowest kept rank and the number of replicas that dropped a
+        singular value; each replica's message carries its own cutoff.
+        """
+        lines = dict.fromkeys(d for st in self.states for d in st.diagnostics
+                              if not d.startswith("RankDeficientGram"))
+        drops: dict[str, list[tuple[int, int]]] = {}
+        for st in self.states:
+            for g, rank_k in st.rank_deficient.items():
+                drops.setdefault(g, []).append(rank_k)
+        return list(lines) + [
+            f"RankDeficientGram: {g} kept rank {min(ranks)[0]} of {ranks[0][1]} at lowest; "
+            f"{len(ranks)} of {len(self.states)} replicas dropped a singular value"
+            for g, ranks in drops.items()
+        ]
 
 
 def build_replicated(
@@ -372,7 +428,8 @@ def build_replicated(
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     states = [
-        build_limit(program, n_samples=n_samples // replicas, seed=seed * 1_000_003 + r)
+        _process(LimitState(program, n_samples=n_samples // replicas,
+                            seed=seed * 1_000_003 + r, _with_stderr=replicas == 1))
         for r in range(replicas)
     ]
     return ReplicatedLimit(states)

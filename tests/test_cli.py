@@ -177,6 +177,9 @@ _GOLDEN = {
 # Recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1
 # and OPENBLAS_NUM_THREADS=2 on x86_64; the BLAS thread count changes the
 # summation order, so free_auto and jacobian_dense differ with one thread.
+# OpenBLAS uses no more threads than the CPUs it may run on, so the digests
+# need at least 2 usable CPUs: under `taskset -c 0` those two fail even with
+# OPENBLAS_NUM_THREADS=2.
 _GOLDEN_SHA = {
     "sim":
         "7e596467c0f70957dcc9b3ba78fbcc021750d4a32fd3ca847416be12be332980",

@@ -8,7 +8,7 @@ from infwidth import corpus, dsl
 from infwidth import exprs as E
 from infwidth.errors import NonPSDExtension, UnknownSymbol
 from infwidth.laws import catalan, semicircle_b_coeff
-from infwidth.limits import LimitState, build_limit, build_replicated
+from infwidth.limits import STDERR_BLOCK_ROWS, LimitState, build_limit, build_replicated
 from infwidth.numerics import hermite_pair_expectation, pseudoinverse
 from infwidth.program import (
     CovDecl,
@@ -302,11 +302,18 @@ m2 = moment x1^2 (z2)
 """
 
 
+def _no_stderr(*args):
+    raise AssertionError("a replicated build computed a correction stderr")
+
+
 @pytest.mark.parametrize("replicas", [1, 3])
-def test_replicated_equals_manual_pool_of_independent_builds(replicas):
+def test_replicated_equals_manual_pool_of_independent_builds(replicas, monkeypatch):
     prog = dsl.parse_program(_POOL_PROGRAM)
     n, seed = 6001, 4
-    rep = build_replicated(prog, n_samples=n, seed=seed, replicas=replicas)
+    with monkeypatch.context() as m:
+        if replicas > 1:  # replicas report their spread and never need the stderr
+            m.setattr(LimitState, "_correction_stderr", _no_stderr)
+        rep = build_replicated(prog, n_samples=n, seed=seed, replicas=replicas)
     states = [
         build_limit(prog, n_samples=max(2, n // replicas), seed=seed * 1_000_003 + r)
         for r in range(replicas)
@@ -330,6 +337,8 @@ def test_replicated_equals_manual_pool_of_independent_builds(replicas):
     np.testing.assert_array_equal(coeffs, want_c)
     np.testing.assert_array_equal(ses, want_se)
     assert rep.correction_info["y1"] == (ys, coeffs, ses)
+    # replicas leave their own correction stderr NaN
+    assert all(np.isnan(st.correction_info["y1"][2]).all() == (replicas > 1) for st in rep.states)
     with pytest.raises(UnknownSymbol):
         rep.correction_coeffs("z1")
 
@@ -378,6 +387,23 @@ _MIXED = ["x1 + x2", "tanh(x1 + x2)", "relu(x1) + x2", "x1 + x2",
           "clamp(x1 + x2, -2.0, 2.0)", "x1 + x2", "tanh(x1 + x2)", "relu(x1) + x2"]
 
 
+def test_single_ensemble_computes_the_stderr_once_per_correction_solve(monkeypatch):
+    prog = _chain(_MIXED)
+    calls = []
+    real = LimitState._correction_stderr
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(LimitState, "_correction_stderr", counted)
+    rep = build_replicated(prog, n_samples=3000, seed=2, replicas=1)
+    solves = [g for g, (ys, _, _) in rep.correction_info.items() if ys]
+    # every matmul but the first has a non-empty opposite family
+    assert len(calls) == len(solves) == 2 * len(_MIXED) - 1
+    assert all(np.isfinite(rep.correction_info[g][2]).all() for g in solves)
+
+
 def _reference_correction(st, instr):
     """The correction solve as first written: stacked copies of the columns, a
     Gram matrix from yc.T @ yc and the full N x k influence matrix."""
@@ -400,12 +426,27 @@ def _reference_correction(st, instr):
     return w / rho, infl.std(axis=0, ddof=1) / math.sqrt(n)
 
 
-@pytest.fixture(scope="module", params=["semicircle", "mixed8"])
+def _solved_id(case):
+    name, n = case
+    return name if n == 20_000 else f"{name}-{n}"
+
+
+@pytest.fixture(scope="module", params=[("semicircle", 20_000), ("mixed8", 20_000)],
+                ids=_solved_id)
 def solved_state(request):
-    prog = corpus.load_program("semicircle") if request.param == "semicircle" else _chain(_MIXED)
-    return build_limit(prog, n_samples=20_000, seed=8)
+    name, n = request.param
+    prog = _chain(_MIXED) if name == "mixed8" else corpus.load_program(name)
+    return build_limit(prog, n_samples=n, seed=8)
 
 
+# mp_two is rectangular (rho_applied != 1); the sample counts put the end of
+# the stderr's row blocks inside, at and one past a block boundary
+@pytest.mark.parametrize(
+    "solved_state",
+    [(name, n) for name in ("semicircle", "mixed8", "mp_two")
+     for n in (20_000, STDERR_BLOCK_ROWS - 1, 2 * STDERR_BLOCK_ROWS, 2 * STDERR_BLOCK_ROWS + 1)],
+    ids=_solved_id, indirect=True,
+)
 def test_correction_solve_matches_reference_formulas(solved_state):
     st = solved_state
     matmuls = [i for i in st.program.instructions if isinstance(i, MatMul)]
@@ -434,3 +475,18 @@ def test_rank_deficient_gram_is_reported():
     assert rank and all(" kept rank " in d and "(cutoff " in d for d in rank)
     atav = build_limit(corpus.load_program("atav"), n_samples=20_000, seed=0)
     assert not any(d.startswith("RankDeficientGram") for d in atav.diagnostics)
+
+
+def test_replicated_rank_deficiency_names_each_product_once():
+    rep = build_replicated(_chain(["x1 + x2"] * 16), n_samples=8 * 20_000, seed=0, replicas=8)
+    lines = [d for d in rep.diagnostics() if d.startswith("RankDeficientGram: ")]
+    products = [d.split()[1] for d in lines]
+    assert lines and len(products) == len(set(products))
+    for g in products:
+        ranks = [st.rank_deficient[g][0] for st in rep.states if g in st.rank_deficient]
+        k = rep.states[0].correction_info[g][1].size
+        assert f"RankDeficientGram: {g} kept rank {min(ranks)} of {k} at lowest; " \
+            f"{len(ranks)} of 8 replicas dropped a singular value" in lines
+    # every replica-level message is covered by its product's line
+    assert {d.split()[1] for st in rep.states for d in st.diagnostics
+            if d.startswith("RankDeficientGram")} == set(products)
