@@ -264,6 +264,8 @@ def cmd_law(args) -> int:
     if args.law == "mp" and (args.rho is None or args.rho <= 0):
         raise ValueError("mp law needs --rho > 0")
     if args.density and args.law != "catalan":
+        if args.points < 1:
+            raise ValueError(f"--points must be >= 1 (got {args.points})")
         xs = np.linspace(args.xmin, args.xmax, args.points)
         rows = [(float(v), laws.law_density(args.law, float(v), args.rho)[0]) for v in xs]
         atom = laws.law_density(args.law, 0.0, args.rho)[1]
@@ -271,6 +273,9 @@ def cmd_law(args) -> int:
             rows.append(("atom", atom))
         _write_csv(args.out, ("x", "density"), rows)
         return 0
+    rmin = 0 if args.law == "catalan" else 1
+    if args.rmax < rmin:
+        raise ValueError(f"{args.law} law needs --rmax >= {rmin} (got {args.rmax})")
     rows = []
     if args.law == "semicircle":
         for r in range(1, args.rmax + 1):

@@ -12,6 +12,8 @@ or with the Gaussian probe identity tr M = E z^T M z.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import warnings
 
@@ -32,6 +34,7 @@ from .program import MatMul, Moment, Nonlin, Program
 EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
 ELEMENT_CAP = 1 << 26  # largest dense allocation (entries) per object
 HUTCHINSON_PROBES = 32
+BLOCK_ENTRIES = 1 << 22  # entries per separately keyed block of a matrix draw
 
 
 def dims_for_scale(program: Program, n: int) -> dict[str, int]:
@@ -88,10 +91,20 @@ def instantiate(
     seed: int,
     element_cap: int = ELEMENT_CAP,
 ) -> Realization:
-    """Sample and execute a program; a pure function of (program, dims, seed)."""
+    """Sample and execute a program; a pure function of (program, dims, seed).
+
+    A matrix W : r x c has iid N(0, sigma2/c) entries, drawn in row blocks of
+    max(1, BLOCK_ENTRIES // c) rows.  Block 0 comes from the stream
+    (seed, "matrix", name) and block b >= 1 from (seed, "matrix", name, b),
+    so a matrix of at most BLOCK_ENTRIES entries is one block drawn from the
+    same stream as an unblocked draw.  The blocks of all matrices are filled
+    in parallel on the usable CPUs; each is a pure function of its key, so
+    the bytes do not depend on the number of threads.
+    """
     dims = resolve_dims(program, dims)
 
     matrices: dict[str, np.ndarray] = {}
+    blocks = []
     for m in program.matrices:
         r = dims[program.cdc_of_class[m.rows]]
         c = dims[program.cdc_of_class[m.cols]]
@@ -99,8 +112,12 @@ def instantiate(
             raise MemoryPolicyError(
                 f"matrix {m.name!r} would need {r}x{c} entries (cap {element_cap})"
             )
-        g = stream(seed, "matrix", m.name)
-        matrices[m.name] = g.standard_normal((r, c)) * math.sqrt(m.sigma2 / c)
+        w = matrices[m.name] = np.empty((r, c))
+        rows = max(1, BLOCK_ENTRIES // c)
+        for b, start in enumerate(range(0, r, rows)):
+            key = ("matrix", m.name, b) if b else ("matrix", m.name)
+            blocks.append((w[start:start + rows], math.sqrt(m.sigma2 / c), key))
+    _fill_blocks(seed, blocks)
 
     vectors: dict[str, np.ndarray] = {}
     for rep in program.cdc_reps():
@@ -128,6 +145,22 @@ def instantiate(
             scalars[ins.out] = float(np.mean(exprs.evaluate(ins.expr, cols, pars)))
 
     return Realization(program, seed, dims, matrices, vectors, scalars)
+
+
+def _fill_blocks(seed: int, blocks) -> None:
+    """Fill each (view, scale, key) block with scale * stream(seed, *key) normals."""
+    def fill(block):
+        view, scale, key = block
+        stream(seed, *key).standard_normal(out=view)
+        view *= scale
+
+    workers = min(len(blocks), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        for block in blocks:
+            fill(block)
+    else:  # Generator fills and in-place scaling release the GIL
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, blocks))
 
 
 def _scalar_reference_dim(program: Program, dims: dict[str, int]) -> int:

@@ -246,10 +246,11 @@ def freeness_sweep(
 
 
 def _loglog_slope(ns, vals) -> float:
+    """Least-squares slope of log(vals) on log(ns); NaN below two distinct sizes."""
     xs = np.log(np.asarray(ns, dtype=np.float64))
     ys = np.log(np.maximum(np.asarray(vals, dtype=np.float64), 1e-300))
-    if xs.size < 2:
-        return 0.0
+    if np.unique(xs).size < 2:
+        return math.nan
     return float(np.polyfit(xs, ys, 1)[0])
 
 

@@ -33,6 +33,14 @@ def test_workers_do_not_change_output(tmp_path):
     assert b1 == b8
 
 
+def test_workers_do_not_change_multi_block_draws(tmp_path):
+    # W : 2100 x 2100 is drawn in two separately keyed row blocks
+    base = ["sim", "--program", "@semicircle", "--n", "2100", "--seeds", "2"]
+    _, b1 = _run(tmp_path, *base, "--workers", "1")
+    _, b2 = _run(tmp_path, *base, "--workers", "2")
+    assert b1 == b2
+
+
 def test_verify_workers_identical_and_exit_code(tmp_path):
     base = ["verify", "--program", "@atav", "--n", "64,256", "--seeds", "4",
             "--ensemble", "20000"]
@@ -172,6 +180,10 @@ _GOLDEN = {
     "law_mp_density": ["law", "mp", "--rho", "0.5", "--density", "--xmin", "0",
                        "--xmax", "3", "--points", "31"],
     "law_catalan_density": ["law", "catalan", "--density", "--rmax", "5"],
+    # recorded when matrices started to be drawn in separately keyed row
+    # blocks; W : 2100 x 2100 is two blocks
+    "sim_multiblock": ["sim", "--program", "@semicircle", "--n", "2100", "--seeds", "2",
+                       "--test", "x1 * x2:z0,z2"],
 }
 
 # Recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1
@@ -207,6 +219,8 @@ _GOLDEN_SHA = {
         "e169f1f59d57e0f7499bccdcba5cca6b5e0fc49619d5dcd01fbc1d6083c42041",
     "law_catalan_density":
         "af3cde3e60f85390c78c3bc6ed03bb92a9052215efef1a34d776234e1dd0daa9",
+    "sim_multiblock":
+        "87caf5884228a669792b842ce13ff12e8af374a1df0328f4a420825073d1e08e",
 }
 
 
@@ -312,3 +326,35 @@ def test_jacobian_rho_list_must_be_square(tmp_path):
     rc_none, default = _run(tmp_path, *base)
     assert rc_sq == rc_none == 0
     assert square == default
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalan", "--rmax", "-1"],
+    ["semicircle", "--rmax", "0"],
+    ["mp", "--rho", "0.5", "--rmax", "0"],
+    ["semicircle", "--density", "--points", "0"],
+    ["mp", "--rho", "2", "--density", "--points", "0"],
+])
+def test_law_rejects_empty_tables(tmp_path, argv):
+    rc, data = _run(tmp_path, "law", *argv)
+    assert rc == 2
+    assert _error_row(data).startswith("error,ValueError,")
+
+
+def test_law_smallest_tables(tmp_path):
+    rc, data = _run(tmp_path, "law", "catalan", "--rmax", "0")
+    assert rc == 0
+    assert data.decode().splitlines() == ["law,param,r,value", "catalan,,0,1.0"]
+    rc, data = _run(tmp_path, "law", "semicircle", "--density", "--xmin", "0", "--points", "1")
+    assert rc == 0
+    assert data.decode().splitlines()[0] == "x,density"
+    assert len(data.decode().splitlines()) == 2
+
+
+def test_free_single_size_has_no_decay_slope(tmp_path, capsys):
+    capsys.readouterr()
+    rc, data = _run(tmp_path, "free", "--program", "@fipbase", "--word", "@word_a",
+                    "--n", "64", "--seeds", "2")
+    assert rc == 0
+    assert len(data.decode().splitlines()) == 2
+    assert capsys.readouterr().err == "decay_slope nan\n"

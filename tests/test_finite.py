@@ -1,5 +1,7 @@
 import math
+import os
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from infwidth.errors import (
     ShapeMismatch,
 )
 from infwidth.finite import (
+    BLOCK_ENTRIES,
     DiagFactor,
     MatFactor,
     MatrixWord,
@@ -29,11 +32,13 @@ from infwidth.finite import (
     word_apply,
 )
 from infwidth.laws import mp_atom, mp_density
+from infwidth.numerics import stream
 from infwidth.program import (
     MatMul,
     MatrixDecl,
     Moment,
     Nonlin,
+    RatioDecl,
     VectorDecl,
     build_program,
 )
@@ -324,3 +329,66 @@ def test_moment_instruction_and_scalar_params():
     r = instantiate(prog, {"c": 1000}, seed=2)
     assert r.scalars["m2"] == pytest.approx(float(np.mean(r.vectors["v"] ** 2)))
     assert np.allclose(r.vectors["z"], r.scalars["m2"] * r.vectors["v"])
+
+
+# ---------------------------------------------------------------------------
+# Matrix draws in separately keyed row blocks
+# ---------------------------------------------------------------------------
+
+
+def _block_reference(seed, name, r, c, sigma2):
+    """The documented layout, drawn block by block on one thread."""
+    rows = max(1, BLOCK_ENTRIES // c)
+    parts = []
+    for b, start in enumerate(range(0, r, rows)):
+        labels = ("matrix", name, b) if b else ("matrix", name)
+        parts.append(stream(seed, *labels).standard_normal((min(rows, r - start), c)))
+    return np.concatenate(parts) * math.sqrt(sigma2 / c)
+
+
+def _two_matrix_program(ratio=1.0):
+    """W : m x n and V : n x n, with n = ratio * m."""
+    return build_program(
+        [
+            RatioDecl("n", ratio),
+            MatrixDecl("W", "m", "n", 0.5),
+            MatrixDecl("V", "n", "n", 2.0),
+            VectorDecl("v", "n"),
+            MatMul("x", "W", False, "v"),
+        ]
+    )
+
+
+def test_matrix_of_one_block_keeps_the_unblocked_draw():
+    prog = _two_matrix_program(2.0)
+    r, c = 1024, 2048  # W has BLOCK_ENTRIES / 2 entries, V exactly BLOCK_ENTRIES
+    real = instantiate(prog, {"m": r, "n": c}, seed=13)
+    w = stream(13, "matrix", "W").standard_normal((r, c)) * math.sqrt(0.5 / c)
+    v = stream(13, "matrix", "V").standard_normal((c, c)) * math.sqrt(2.0 / c)
+    assert np.array_equal(real.matrices["W"], w)
+    assert np.array_equal(real.matrices["V"], v)
+
+
+@pytest.mark.parametrize("m, ratio", [(2100, 1.0), (1500, 2.0)])
+def test_multi_block_matrix_matches_sequential_reference(m, ratio):
+    # 2100 and 3000 columns do not divide BLOCK_ENTRIES, so each matrix ends
+    # in a partial block
+    prog = _two_matrix_program(ratio)
+    n = round(ratio * m)
+    real = instantiate(prog, {"m": m, "n": n}, seed=5)
+    assert n * n > BLOCK_ENTRIES and BLOCK_ENTRIES % n
+    assert np.array_equal(real.matrices["W"], _block_reference(5, "W", m, n, 0.5))
+    assert np.array_equal(real.matrices["V"], _block_reference(5, "V", n, n, 2.0))
+    assert np.array_equal(real.vectors["x"], real.matrices["W"] @ real.vectors["v"])
+
+
+def test_block_draws_do_not_depend_on_threads(monkeypatch):
+    prog, dims = _two_matrix_program(), {"m": 2100, "n": 2100}
+    alone = instantiate(prog, dims, seed=9)
+    with ThreadPoolExecutor(2) as pool:
+        pair = list(pool.map(lambda _: instantiate(prog, dims, seed=9), range(2)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu = instantiate(prog, dims, seed=9)
+    for other in pair + [one_cpu]:
+        for name in ("W", "V"):
+            assert np.array_equal(other.matrices[name], alone.matrices[name])

@@ -31,6 +31,7 @@ from infwidth.freeness import (
     mlp_forward_variances,
     mlp_program,
     monomial,
+    _loglog_slope,
     _word_transpose,
 )
 from infwidth.laws import mp_moments
@@ -139,6 +140,12 @@ def test_freeness_sweep_free_word_decays():
     meds = [row[2] for row in report.rows]
     assert meds[-1] < meds[0]
     assert report.slope < -0.5
+
+
+def test_loglog_slope_needs_two_distinct_sizes():
+    assert math.isnan(_loglog_slope([64], [0.1]))
+    assert math.isnan(_loglog_slope([64, 64], [0.1, 0.2]))
+    assert _loglog_slope([64, 256], [0.1, 0.05]) == pytest.approx(-0.5)
 
 
 def test_freeness_sweep_negative_control_flat():
