@@ -13,6 +13,7 @@ from .errors import (
     CapExceeded,
     DimClassConflict,
     DuplicateSymbol,
+    NonFiniteEstimate,
     NonInvertibleSeries,
     NonPSDExtension,
     NotAlternating,

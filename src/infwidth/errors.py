@@ -41,6 +41,10 @@ class NonPSDExtension(Exception):
     """A covariance extension is too far from positive semidefinite to repair."""
 
 
+class NonFiniteEstimate(Exception):
+    """A Monte-Carlo limit estimate or its standard error is not finite."""
+
+
 class NonInvertibleSeries(Exception):
     """Series has no compositional inverse (or a moment sequence has m1 = 0)."""
 

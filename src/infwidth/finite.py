@@ -5,8 +5,9 @@ initial vector drawn at the assigned dimensions from its own deterministic
 stream, then all instructions executed in order.  On top of realizations this
 module evaluates coordinate averages, applies matrix words (products of
 program matrices and diagonal matrices of bounded coordinatewise images)
-without materializing them, and estimates normalized traces either exactly
-or with the Gaussian probe identity tr M = E z^T M z.
+without materializing them, and estimates normalized traces either exactly,
+from power traces of the dense word, or with the Gaussian probe identity
+tr M = E z^T M z.
 """
 
 from __future__ import annotations
@@ -251,14 +252,18 @@ def word_classes(program: Program, word: MatrixWord) -> tuple[str, str]:
     return rows, cols
 
 
+def _diag(realization: Realization, f: DiagFactor, n: int) -> np.ndarray:
+    """The n diagonal entries of a diagonal factor."""
+    cols = tuple(realization.vectors[v] for v in f.vectors)
+    d = np.asarray(exprs.evaluate(f.expr, cols), dtype=np.float64)
+    return np.full(n, float(d)) if d.ndim == 0 else d
+
+
 def _apply_factor(realization: Realization, f: WordFactor, probe: np.ndarray) -> np.ndarray:
     if isinstance(f, MatFactor):
         w = realization.matrices[f.name]
         return (w.T if f.transposed else w) @ probe
-    cols = tuple(realization.vectors[v] for v in f.vectors)
-    d = np.asarray(exprs.evaluate(f.expr, cols), dtype=np.float64)
-    if d.ndim == 0:
-        d = np.full(probe.shape[0], float(d))
+    d = _diag(realization, f, probe.shape[0])
     return d[:, None] * probe if probe.ndim == 2 else d * probe
 
 
@@ -277,13 +282,31 @@ def word_apply(realization: Realization, word: MatrixWord, probe: np.ndarray) ->
 
 
 def materialize(realization: Realization, word: MatrixWord, cap: int = EXACT_CAP) -> np.ndarray:
+    """The word as a fresh dense matrix, equal to word_apply(realization, word, I).
+
+    No product with the identity is formed: the diagonal factors applied
+    first are folded into one vector d, the first matrix factor is scaled
+    column-wise by d, and the remaining factors are applied to that.  An
+    all-diagonal word is Diag(d).  Only the sign of zero entries can differ
+    from the identity product.
+    """
     rows, cols = word_classes(realization.program, word)
     if not rows:  # empty product: identity on an unknown class is not materializable
         raise ShapeMismatch("cannot materialize the empty word")
     n_rows, n_cols = realization.dims[rows], realization.dims[cols]
     if max(n_rows, n_cols) > cap:
         raise CapExceeded(f"side {max(n_rows, n_cols)} exceeds dense cap {cap}")
-    return word_apply(realization, word, np.eye(n_cols))
+    factors = word.factors[::-1]  # in order of application
+    d = np.ones(n_cols)
+    for i, f in enumerate(factors):
+        if isinstance(f, MatFactor):
+            w = realization.matrices[f.name]
+            out = np.multiply(w.T if f.transposed else w, d, order="C")
+            for g in factors[i + 1:]:
+                out = _apply_factor(realization, g, out)
+            return out
+        d = _diag(realization, f, n_cols) * d
+    return np.diag(d)
 
 
 def square_class(program: Program, word: MatrixWord) -> str:
@@ -311,6 +334,25 @@ def trace_probes(n: int, method: str, cap: int, probes: int) -> int:
     if probes < 2:
         raise ValueError(f"Gaussian-probe traces need at least 2 probes, got {probes}")
     return probes
+
+
+def power_traces(m: np.ndarray, k_max: int) -> list[float]:
+    """[tr(m^k) for k = 1..k_max] from the powers P_a = m^a, a <= ceil(k_max/2).
+
+    tr(m^(2a)) is the sum of P_a * P_a^T and tr(m^(2a+1)) the sum of
+    P_a * P_(a+1)^T, so this takes ceil(k_max/2) - 1 matrix products and
+    keeps at most two powers besides m.
+    """
+    out = [float(np.trace(m))][:k_max]
+    cur = m
+    for k in range(2, k_max + 1):
+        if k % 2:
+            nxt = cur @ m
+            out.append(float(np.einsum("ij,ji->", cur, nxt)))
+            cur = nxt
+        else:
+            out.append(float(np.einsum("ij,ji->", cur, cur)))
+    return out
 
 
 def probe_forms(apply, n: int, k: int, probes: int, seed: int, *labels) -> np.ndarray:
@@ -356,13 +398,7 @@ def spectral_moments(
     p = trace_probes(n, method, cap, probes)
     if p == 0:
         m = materialize(realization, word, cap=cap)
-        out = []
-        acc = m
-        for r in range(k_max):
-            if r:
-                acc = acc @ m
-            out.append((float(np.trace(acc)) / n, 0.0))
-        return out
+        return [(t / n, 0.0) for t in power_traces(m, k_max)]
     forms = probe_forms(
         lambda v: word_apply(realization, word, v), n, k_max, p,
         realization.seed, "hutch", word.key(),

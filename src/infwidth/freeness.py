@@ -8,8 +8,9 @@ the collections are asymptotically free.  This module measures those traces
 over size sweeps, constructs an equivalent scalar program whose final
 moment has the same limit (so the limit engine can check it symbolically),
 and runs the deep-net Jacobian singular-value pipeline: empirical moments
-of J^T J against the free multiplicative convolution of the per-layer
-square-derivative laws with Marchenko-Pastur factors.
+of J^T J, from power traces of the dense Gram matrix or from alternating
+J/J^T probe applications, against the free multiplicative convolution of
+the per-layer square-derivative laws with Marchenko-Pastur factors.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from .finite import (
     dims_for_scale,
     instantiate,
     materialize,
+    power_traces,
     probe_forms,
     square_class,
     trace_moment,
     trace_probes,
     word_apply,
 )
-from .numerics import gaussian_expect
+from .numerics import gaussian_expect, stream
 from .program import (
     MatMul,
     MatrixDecl,
@@ -162,10 +164,11 @@ def _word_side(program: Program, word: AlternatingWord) -> str:
     return sides.pop() if sides else ""
 
 
-def _poly_apply(realization, poly: WordPoly, probe: np.ndarray) -> np.ndarray:
+def _poly_sum(poly: WordPoly, apply) -> np.ndarray:
+    """Sum of c * apply(w) over the polynomial's terms c * w."""
     out = None
     for c, w in poly.terms:
-        term = c * word_apply(realization, w, probe)
+        term = c * apply(w)
         out = term if out is None else out + term
     return out
 
@@ -190,10 +193,11 @@ def centered_trace(
     p = trace_probes(n, method, cap, probes)
     polys = [poly for _, poly in word.factors]
     if p == 0:
-        eye = acc = np.eye(n)
+        acc = None
         for poly in polys:
-            m = _poly_apply(realization, poly, eye)
-            acc = (m - np.trace(m) / n * eye) @ acc
+            m = _poly_sum(poly, lambda w: materialize(realization, w, cap=cap))
+            m[np.diag_indices(n)] -= np.trace(m) / n
+            acc = m if acc is None else m @ acc
         return float(np.trace(acc)) / n
 
     taus = [
@@ -203,7 +207,7 @@ def centered_trace(
 
     def apply(v):
         for poly, tau in zip(polys, taus):
-            v = _poly_apply(realization, poly, v) - tau * v
+            v = _poly_sum(poly, lambda w: word_apply(realization, w, v)) - tau * v
         return v
 
     forms = probe_forms(
@@ -452,11 +456,16 @@ def jacobian_finite(
     p = trace_probes(n, "auto", cap, FREENESS_PROBES)
     if p == 0:
         j = materialize(r, word, cap=cap)
-        s2 = np.linalg.svd(j, compute_uv=False) ** 2
-        return np.array([float(np.mean(s2**k)) for k in range(1, k_max + 1)])
-    jtj = _word_transpose(word) * word
-    forms = probe_forms(lambda v: word_apply(r, jtj, v), n, k_max, p, seed, "jacobian", word.key())
-    return np.array([float(np.mean(f) / n) for f in forms])
+        return np.array(power_traces(j.T @ j, k_max)) / n
+    # z^T (J^T J)^k z = |x_k|^2 for x_0 = z and x_k = J x_{k-1} (k odd) or
+    # J^T x_{k-1} (k even), so each moment costs one word application
+    halves = (word, _word_transpose(word))
+    x = stream(seed, "jacobian", word.key()).standard_normal((n, p))
+    out = np.empty(k_max)
+    for k in range(k_max):
+        x = word_apply(r, halves[k % 2], x)
+        out[k] = np.mean(np.einsum("ip,ip->p", x, x)) / n
+    return out
 
 
 def _word_transpose(word: MatrixWord) -> MatrixWord:

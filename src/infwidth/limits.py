@@ -47,6 +47,7 @@ from . import exprs
 from .errors import (
     ArityMismatch,
     DimClassConflict,
+    NonFiniteEstimate,
     NonPSDExtension,
     UnknownSymbol,
 )
@@ -284,7 +285,7 @@ class LimitState:
         if isinstance(instr, Nonlin):
             self.cols[instr.out] = vals
         else:
-            self.scalar_limits[instr.out] = self._mean_stderr(vals)
+            self.scalar_limits[instr.out] = self._mean_stderr(vals, f"moment {instr.out}")
         return self
 
     def _advance_matmul(self, instr: MatMul):
@@ -307,14 +308,21 @@ class LimitState:
 
     # -- queries -------------------------------------------------------------
 
-    def _mean_stderr(self, vals: np.ndarray) -> tuple[float, float]:
-        """Ensemble mean and single-ensemble stderr; a constant has stderr 0."""
+    def _mean_stderr(self, vals: np.ndarray, what: str) -> tuple[float, float]:
+        """Ensemble mean and single-ensemble stderr of the statistic `what`.
+
+        A constant has stderr 0.  Raises NonFiniteEstimate when the mean or
+        the stderr is not finite.
+        """
         if vals.ndim == 0:
-            return float(vals), 0.0
-        return (
-            float(np.mean(vals)),
-            float(np.std(vals, ddof=1) / math.sqrt(self.n_samples)),
-        )
+            mean, se = float(vals), 0.0
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(np.mean(vals))
+                se = float(np.std(vals, ddof=1) / math.sqrt(self.n_samples))
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise NonFiniteEstimate(f"{what} has a non-finite estimate: mean {mean}, stderr {se}")
+        return mean, se
 
     def expect(self, test: exprs.Expr, vectors: list[str]) -> tuple[float, float]:
         """Monte-Carlo mean and stderr of test over the given limit variables."""
@@ -324,7 +332,10 @@ class LimitState:
         if exprs.n_inputs(test) > len(vectors):
             raise ArityMismatch("test expression arity exceeds vector count")
         cols = tuple(self.cols[nm] for nm in vectors)
-        return self._mean_stderr(np.asarray(exprs.evaluate(test, cols), dtype=np.float64))
+        vals = np.asarray(exprs.evaluate(test, cols), dtype=np.float64)
+        return self._mean_stderr(
+            vals, f"expectation of {exprs.format_expr(test)} over {','.join(vectors)}"
+        )
 
     def scalar_limit(self, name: str) -> tuple[float, float]:
         if name not in self.scalar_limits:

@@ -110,6 +110,35 @@ def test_error_produces_csv_row_and_rc2(tmp_path):
     assert data.decode().splitlines()[0] == "error,kind,message"
 
 
+# x1^400 of a standard Gaussian overflows the squares inside the stderr
+_OVERFLOW_PROGRAM = """\
+matrix W : c x c var 1
+vector v : c
+h = matmul W v
+"""
+_OVERFLOW_MOMENT = "y = nonlin x1^400 (h)\ns = moment x1 (y)\n"
+
+
+@pytest.mark.parametrize("body,argv,message", [
+    (_OVERFLOW_MOMENT, ["limit", "--ensemble", "20000", "--test", "x1:y"],
+     "moment s has a non-finite estimate: mean 2.7"),
+    (_OVERFLOW_MOMENT, ["verify", "--n", "32", "--seeds", "1", "--ensemble", "20000",
+                        "--test", "x1:y"],
+     "moment s has a non-finite estimate: mean 2.7"),
+    ("", ["limit", "--ensemble", "20000", "--replicas", "2", "--test", "x1^400:h"],
+     "expectation of x1^400 over h has a non-finite estimate"),
+])
+def test_non_finite_limit_estimate_is_a_named_error(tmp_path, body, argv, message):
+    prog = tmp_path / "overflow.ntp"
+    prog.write_text(_OVERFLOW_PROGRAM + body)
+    rc, data = _run(tmp_path, argv[0], "--program", str(prog), *argv[1:])
+    assert rc == 2
+    lines = data.decode().splitlines()
+    assert lines[0] == "error,kind,message"
+    assert lines[1].startswith(f'error,NonFiniteEstimate,"{message}')
+    assert len(lines) == 2
+
+
 def test_canon_roundtrip(tmp_path):
     src = tmp_path / "p.ntp"
     src.write_text("vector   v :  c\nm = moment   x1^2   (v)\n")
@@ -153,7 +182,9 @@ m2 = moment x1^2 (z2)
 # are not powers of two catch a change of normalisation order.  limit_r4 and
 # free_hutch_witness were re-recorded when the correction solve started to
 # read its Gram matrix from the family's incremental dot products: their
-# values moved by at most 1e-12 stderr.
+# values moved by at most 1e-12 stderr.  jacobian_dense and jacobian_probe
+# were re-recorded when the Jacobian moments stopped using an SVD and J^T J
+# probe products: their empirical moments moved by at most 1.1e-15 relative.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -208,9 +239,9 @@ _GOLDEN_SHA = {
     "free_auto":
         "fdfcf16a0a4cc95d3b9cdcc31f7145f1ebc7076a158138fcf55ebaf7433d7731",
     "jacobian_dense":
-        "f2f8fba31b1b430c059e2cc9c825971b81f16f73949fef8094cc8acaaf7297c1",
+        "ab7aeac5f0d03711ba82903ff58ee34dd51554f3445ac1aaae8aeb7a4a92a6dd",
     "jacobian_probe":
-        "9d533cf8649ce5aaab05a3c6a6b18042705bebbbe6e1ccb35e26851f8d82789a",
+        "d7b7b415e8dbf26bff148b38d087eaad5b6d915586babff297dd44a04e047484",
     "law_mp":
         "9d52187d5a837d983bb71a1643de3389b117c4dba60f9bdf35da534786fa49b9",
     "law_semicircle_density":

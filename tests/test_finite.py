@@ -25,12 +25,14 @@ from infwidth.finite import (
     empirical_average,
     instantiate,
     materialize,
+    power_traces,
     resolve_dims,
     spectral_moments,
     trace_moment,
     trace_probes,
     word_apply,
 )
+from infwidth.freeness import ACTIVATIONS, jacobian_word, mlp_program
 from infwidth.laws import mp_atom, mp_density
 from infwidth.numerics import stream
 from infwidth.program import (
@@ -273,6 +275,68 @@ def test_trace_exact_equals_eigensum():
     assert moments[0] == (tr, 0.0)
     for k, (m, _) in enumerate(moments, start=1):
         assert m == pytest.approx(float(np.sum(eigs**k)) / 200, rel=1e-8)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_power_traces_match_eigenvalue_power_sums(symmetric):
+    a = np.random.default_rng(3).standard_normal((12, 12)) / math.sqrt(12)
+    m = a + a.T if symmetric else a + 0.3 * np.eye(12)
+    eigs = np.linalg.eigvals(m)
+    for k_max in range(1, 8):  # odd and even tails
+        got = power_traces(m, k_max)
+        assert len(got) == k_max
+        for k, t in enumerate(got, start=1):
+            want = float(np.sum(eigs**k).real)
+            assert t == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def _jacobian_realization(n: int, seed: int):
+    phi, dphi = ACTIVATIONS["relu"]
+    prog = mlp_program(3, phi, 1.0)
+    return instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed), jacobian_word(3, dphi)
+
+
+def _rect_realization():
+    prog = build_program([
+        RatioDecl("n", 2.0),
+        MatrixDecl("A", "m", "n", 1.0),
+        VectorDecl("v", "m"),
+        MatMul("u", "A", True, "v"),
+    ])
+    return instantiate(prog, {"m": 8, "n": 16}, seed=3)
+
+
+def _materialize_cases():
+    r, jac = _jacobian_realization(24, 1)
+    step = lambda v: DiagFactor((v,), E.step(E.x(0)))  # noqa: E731
+    half = DiagFactor(("h1",), E.const(-0.5))  # scalar image, negative: signed zeros
+    rect = _rect_realization()
+    sign = DiagFactor(("v",), E.sub(E.step(E.x(0)), E.const(0.5)))
+    return {
+        "diagonal_first": (r, jac),
+        "matrix_first": (r, MatrixWord((step("h3"), MatFactor("W3"), MatFactor("W2")))),
+        "transpose_first": (r, MatrixWord((MatFactor("W2", True), step("h2"),
+                                           MatFactor("W3", True)))),
+        "all_diagonal": (r, MatrixWord((step("h1"), half, step("x1")))),
+        "rectangular_transpose": (rect, MatrixWord((MatFactor("A", True), sign))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_materialize_cases()))
+def test_materialize_equals_identity_product(case):
+    r, word = _materialize_cases()[case]
+    dense = materialize(r, word)
+    assert np.array_equal(dense, word_apply(r, word, np.eye(dense.shape[1])))
+    assert dense.flags.c_contiguous
+    assert not any(np.shares_memory(dense, w) for w in r.matrices.values())
+
+
+def test_materialize_errors():
+    r, jac = _jacobian_realization(24, 1)
+    with pytest.raises(ShapeMismatch, match="cannot materialize the empty word"):
+        materialize(r, MatrixWord(()))
+    with pytest.raises(CapExceeded, match="side 24 exceeds dense cap 16"):
+        materialize(r, jac, cap=16)
 
 
 def test_trace_probes_takes_method_names_only():

@@ -12,7 +12,10 @@ from infwidth.finite import (
     MatrixWord,
     dims_for_scale,
     instantiate,
+    materialize,
+    probe_forms,
     trace_moment,
+    word_apply,
 )
 from infwidth.freeness import (
     ACTIVATIONS,
@@ -31,6 +34,7 @@ from infwidth.freeness import (
     mlp_forward_variances,
     mlp_program,
     monomial,
+    FREENESS_PROBES,
     _loglog_slope,
     _word_transpose,
 )
@@ -269,3 +273,30 @@ def test_jacobian_eigen_vs_hutch_paths():
     exact, _ = trace_moment(r, jtj, method="exact")
     est, se = trace_moment(r, jtj, method="hutch", probes=512)
     assert abs(est - exact) <= 4.0 * se
+
+
+def _jacobian_case(phi_name, layers, n, seed):
+    phi, dphi = ACTIVATIONS[phi_name]
+    prog = mlp_program(layers, phi, 1.0)
+    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
+    return (phi, dphi), r, jacobian_word(layers, dphi)
+
+
+@pytest.mark.parametrize("phi_name,layers", [("relu", 4), ("tanh", 3)])
+def test_jacobian_dense_moments_match_singular_values(phi_name, layers):
+    (phi, dphi), r, word = _jacobian_case(phi_name, layers, 96, 4)
+    s2 = np.linalg.svd(materialize(r, word), compute_uv=False) ** 2
+    want = np.array([np.mean(s2**k) for k in range(1, 8)])
+    got = jacobian_finite(layers, 96, phi, dphi, 1.0, 4, 7)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("phi_name,layers", [("relu", 4), ("tanh", 3)])
+def test_jacobian_probe_moments_match_gram_probe_forms(phi_name, layers):
+    (phi, dphi), r, word = _jacobian_case(phi_name, layers, 80, 6)
+    jtj = _word_transpose(word) * word
+    forms = probe_forms(lambda v: word_apply(r, jtj, v), 80, 5, FREENESS_PROBES, 6,
+                        "jacobian", word.key())
+    want = forms.mean(axis=1) / 80
+    got = jacobian_finite(layers, 80, phi, dphi, 1.0, 6, 5, cap=64)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
