@@ -322,7 +322,8 @@ def _materialize_cases():
     }
 
 
-@pytest.mark.parametrize("case", sorted(_materialize_cases()))
+@pytest.mark.parametrize("case", ["diagonal_first", "matrix_first", "transpose_first",
+                                  "all_diagonal", "rectangular_transpose"])
 def test_materialize_equals_identity_product(case):
     r, word = _materialize_cases()[case]
     dense = materialize(r, word)
