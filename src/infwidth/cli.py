@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("free", help="centered alternating-word trace sweep")
     p.add_argument("--program", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--method", default="auto", help="exact, hutch:p, or auto")
+    p.add_argument("--method", default="auto", help="auto, exact, hutch or hutch:p")
     p.add_argument("--witness", action="store_true",
                    help="also run the limit of the equivalent scalar program")
     _add_common(p, ensemble=True, sweep=True)

@@ -38,7 +38,7 @@ class MemoryPolicyError(Exception):
 
 
 class NonPSDExtension(Exception):
-    """A covariance extension is too far from positive semidefinite to repair."""
+    """A covariance extension's conditional variance is negative beyond roundoff."""
 
 
 class NonFiniteEstimate(Exception):

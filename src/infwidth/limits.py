@@ -14,23 +14,30 @@ The limit of a matmul output splits into two parts:
   sampled by Gaussian conditioning on the existing family columns.
 * a *correction part*, a linear combination of the inputs of earlier
   opposite-direction products by the same matrix.  The coefficients solve
-  ``a = rho_applied^-1 C^+ b`` where C is the Gram matrix of those inputs'
+  ``a = rho_applied^-1 C^-1 b`` where C is the Gram matrix of those inputs'
   limit variables, b holds the cross-moments of their Gaussian parts with
   the current input, and rho_applied is the limiting rows/cols ratio of the
-  matrix as applied.  This pseudoinverse form needs no derivatives and is
-  exact for non-differentiable nonlinearities as well.  A solve that drops
-  singular values is reported as a ``RankDeficientGram`` diagnostic.  The
-  coefficients' delta-method stderr is computed only for a single ensemble,
-  the one case that reports it (replicas report their spread), in fixed row
-  blocks through one small reused buffer.
+  matrix as applied.  This form needs no derivatives and is exact for
+  non-differentiable nonlinearities as well.  The coefficients'
+  delta-method stderr is computed only for a single ensemble, the one case
+  that reports it (replicas report their spread), in fixed row blocks
+  through one small reused buffer.
+
+Both parts solve against one Gram matrix, that of the family's inputs, and
+each family keeps it as an incremental Cholesky factor ``L``.  A new member's
+whitened cross-moments ``l = L_K^-1 g_K`` give its conditional mean weights
+``L_K^-T l`` and its pivot ``sqrt(g_kk - |l|^2)``; its conditional variance
+is ``var_scale`` times the pivot squared.  A member whose conditional
+variance vanishes (``DegenerateGVar``) is a deterministic image of earlier
+members and gets no pivot, so ``K`` lists the others and ``L_K`` is
+invertible.  The correction reads ``a_K = L_K^-T L_K^-1 b_K / rho_applied``
+and is 0 on a dependent input, whose share the earlier inputs carry.  On a
+full-rank Gram matrix this is ``C^+ b``.
 
 Each family keeps its members' Gaussian parts as the columns of one
 preallocated ``(n_samples, capacity)`` store, capacity being the program's
-number of products by that matrix in that direction, and the Gram matrix of
-its inputs, filled one row per member from the same dot products that give
-the new member's covariance row.  Conditioning and correction solves read
-slices of both, so no column is ever copied into a stacked matrix and no
-Gram matrix is recomputed.
+number of products by that matrix in that direction, so no column is ever
+copied into a stacked matrix and no Gram matrix is formed or refactored.
 
 Scalars produced by moment instructions converge to the ensemble mean of
 the expression over the children's limit samples.  Replicas split the sample
@@ -51,7 +58,7 @@ from .errors import (
     NonPSDExtension,
     UnknownSymbol,
 )
-from .numerics import pseudoinverse, pseudoinverse_rank, repair_psd, sample_init_block, stream
+from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 DEFAULT_SAMPLES = 200_000
@@ -70,9 +77,11 @@ class GaussianFamily:
     """All products by one matrix in one direction, with their joint covariance.
 
     The members' Gaussian parts are the columns of one preallocated
-    Fortran-order ``(n_samples, capacity)`` store, and the family keeps the
-    Gram matrix ``E[x_i x_j]`` of its inputs, so ``cov == var_scale * gram``.
-    Both fill in place as members are appended.
+    Fortran-order ``(n_samples, capacity)`` store.  The Gram matrix
+    ``E[x_i x_j]`` of the inputs is kept as its lower-triangular Cholesky
+    factor, one row per member; a degenerate member has a zero pivot and a
+    zero column, and ``kept`` lists the others, so ``cov == var_scale * L L^T``
+    and ``L[K, K]`` is invertible.  Both fill in place as members are appended.
     """
 
     def __init__(
@@ -84,15 +93,25 @@ class GaussianFamily:
         self.inputs: list[str] = []  # matmul input names, introduction order
         self.outputs: list[str] = []  # product names
         self.store = np.empty((n_samples, capacity), order="F")
-        self.gram = np.empty((capacity, capacity))
+        self.factor = np.zeros((capacity, capacity))
+        self.kept: list[int] = []  # members with a pivot
 
     def __len__(self) -> int:
         return len(self.inputs)
 
     @property
     def cov(self) -> np.ndarray:
-        k = len(self)
-        return self.var_scale * self.gram[:k, :k]
+        low = self.factor[: len(self), : len(self)]
+        return self.var_scale * (low @ low.T)
+
+    def kept_factor(self) -> np.ndarray:
+        """The invertible triangular factor ``L_K`` of the kept members' Gram matrix.
+
+        Solves against it use ``numpy.linalg`` only: a triangular solver from
+        a package that bundles its own OpenBLAS starts a second BLAS thread
+        pool, which contends with numpy's on few cores.
+        """
+        return self.factor[np.ix_(self.kept, self.kept)]
 
 
 class LimitState:
@@ -118,7 +137,6 @@ class LimitState:
         self.scalar_limits: dict[str, tuple[float, float]] = {}
         self.correction_info: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
         self.diagnostics: list[str] = []
-        self.rank_deficient: dict[str, tuple[int, int]] = {}  # product -> (kept rank, k)
         self._init_ensemble()
 
     # -- construction ------------------------------------------------------
@@ -165,43 +183,37 @@ class LimitState:
         gram_row = np.asarray(gram_row, dtype=np.float64)
         if gram_row.shape != (k,):
             raise ArityMismatch(f"Gram row has length {gram_row.size}, family has {k}")
-        cov_row = family.var_scale * gram_row
         variance = family.var_scale * gram_diag
         if variance < 0:
             raise NonPSDExtension(f"negative variance {variance} for {label}")
 
-        aug = np.zeros((k + 1, k + 1))
-        aug[:k, :k] = family.cov
-        aug[:k, k] = aug[k, :k] = cov_row
-        aug[k, k] = variance
-        wmin = float(np.linalg.eigvalsh(aug)[0])
-        if wmin < -1e-6 * max(variance, 1e-12):
+        kept = family.kept
+        low = family.kept_factor()
+        whitened = np.linalg.solve(low, gram_row[kept])  # l = L_K^-1 g_K
+        pivot2 = gram_diag - float(whitened @ whitened)
+        cond_var = family.var_scale * pivot2
+        if cond_var < -1e-6 * max(variance, 1e-12):
             raise NonPSDExtension(
-                f"extension for {label} is not PSD-repairable (min eig {wmin:.3e})"
+                f"extension for {label} is not PSD (conditional variance {cond_var:.3e})"
             )
 
         xi = stream(self.seed, "fresh", family.matrix, family.transposed, k).standard_normal(
             self.n_samples
         )
+        weights = np.zeros(k)
+        weights[kept] = np.linalg.solve(low.T, whitened)
         col = family.store[:, k]
-        if k == 0:
-            col[:] = 0.0
-            cond_var = variance
-        else:
-            base = repair_psd(family.cov, rel_tol=1e-9)
-            w = pseudoinverse(base) @ cov_row
-            np.matmul(family.store[:, :k], w, out=col)
-            cond_var = variance - float(cov_row @ w)
+        np.matmul(family.store[:, :k], weights, out=col)
+        family.factor[k, kept] = whitened
         if cond_var <= 1e-10 * max(variance, 1e-30):
             self.diagnostics.append(
                 f"DegenerateGVar: {label} has vanishing conditional variance; "
                 "its Gaussian part is a deterministic image of earlier members"
             )
-            cond_var = max(cond_var, 0.0)
-        col += math.sqrt(max(cond_var, 0.0)) * xi
-
-        family.gram[k, :k] = family.gram[:k, k] = gram_row
-        family.gram[k, k] = gram_diag
+        else:
+            family.factor[k, k] = math.sqrt(pivot2)
+            kept.append(k)
+            col += math.sqrt(cond_var) * xi
         return col
 
     def _correction(self, instr: MatMul) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -219,18 +231,17 @@ class LimitState:
         xcol = self.cols[instr.vin]
         b = h.T @ xcol / self.n_samples
         rho_applied = self.program.matrix_ratio(instr.matrix, instr.transposed)
-        cplus, rank, cutoff = pseudoinverse_rank(opposite.gram[:k, :k])
-        if rank < k:
-            self.rank_deficient[instr.out] = (rank, k)
-            self.diagnostics.append(
-                f"RankDeficientGram: {instr.out} kept rank {rank} of {k} (cutoff {cutoff:.3e})"
-            )
-        w = cplus @ b
+        # C^-1 = L_K^-T L_K^-1 on the kept inputs and 0 on the dependent ones
+        kept = opposite.kept
+        linv = np.linalg.solve(opposite.kept_factor(), np.eye(len(kept)))
+        w = np.zeros(k)
+        w[kept] = linv.T @ (linv @ b[kept])
         # the delta-method stderr is reported only by a single ensemble
         # (replicas report their spread), so only a single ensemble pays for it
         if self._with_stderr:
-            stderr = self._correction_stderr(h, xcol, [self.cols[nm] for nm in ys], w,
-                                             cplus.T / rho_applied)
+            m = np.zeros((k, k))
+            m[np.ix_(kept, kept)] = linv.T @ linv / rho_applied
+            stderr = self._correction_stderr(h, xcol, [self.cols[nm] for nm in ys], w, m)
         else:
             stderr = np.full(k, np.nan)
         return ys, w / rho_applied, stderr
@@ -239,7 +250,7 @@ class LimitState:
         self, h: np.ndarray, xcol: np.ndarray, ys: list[np.ndarray], w: np.ndarray,
         m: np.ndarray,
     ) -> np.ndarray:
-        """Delta-method stderr of the coefficients ``m.T @ b``, ``m = C^+T / rho``.
+        """Delta-method stderr of the coefficients ``m.T @ b``, ``m = C^-1 / rho``.
 
         Sample s moves b and the Gram matrix by the influence
         ``r_sj = h_sj x_s - y_sj (y_s . w)``, so ``std_j = sqrt((m^T Cov(r) m)_jj / n)``.
@@ -407,23 +418,8 @@ class ReplicatedLimit:
         return self.correction_info[gvar]
 
     def diagnostics(self) -> list[str]:
-        """Every replica's diagnostics in first-seen order, duplicates dropped.
-
-        A rank-deficient solve is listed once per product, after the others,
-        with its lowest kept rank and the number of replicas that dropped a
-        singular value; each replica's message carries its own cutoff.
-        """
-        lines = dict.fromkeys(d for st in self.states for d in st.diagnostics
-                              if not d.startswith("RankDeficientGram"))
-        drops: dict[str, list[tuple[int, int]]] = {}
-        for st in self.states:
-            for g, rank_k in st.rank_deficient.items():
-                drops.setdefault(g, []).append(rank_k)
-        return list(lines) + [
-            f"RankDeficientGram: {g} kept rank {min(ranks)[0]} of {ranks[0][1]} at lowest; "
-            f"{len(ranks)} of {len(self.states)} replicas dropped a singular value"
-            for g, ranks in drops.items()
-        ]
+        """Every replica's diagnostics in first-seen order, duplicates dropped."""
+        return list(dict.fromkeys(d for st in self.states for d in st.diagnostics))
 
 
 def build_replicated(

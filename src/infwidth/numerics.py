@@ -1,4 +1,8 @@
-"""Numerical utilities: pseudoinverse, PSD repair, Hermite expansions, RNG streams."""
+"""Numerical utilities: pseudoinverse, PSD repair, Hermite expansions, RNG streams.
+
+The pseudoinverse is a public reference for the limit engine's Cholesky
+solves; PSD repair checks and factors declared initial covariances.
+"""
 
 from __future__ import annotations
 
@@ -19,19 +23,13 @@ def pseudoinverse(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     Singular values below ``rel_tol * max_singular_value`` are treated as
     exact zeros, so the result is stable on rank-deficient input.
     """
-    return pseudoinverse_rank(m, rel_tol)[0]
-
-
-def pseudoinverse_rank(m: np.ndarray, rel_tol: float = 1e-12) -> tuple[np.ndarray, int, float]:
-    """(pseudoinverse, number of singular values kept, cutoff) from one SVD."""
     m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
-        return m.T.copy(), 0, 0.0
+        return m.T.copy()
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    cutoff = rel_tol * (s[0] if s.size else 0.0)
-    keep = s > cutoff
+    keep = s > rel_tol * s[0]
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T, int(np.count_nonzero(keep)), float(cutoff)
+    return (vt.T * inv) @ u.T
 
 
 def repair_psd(sym: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:

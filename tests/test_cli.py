@@ -1,10 +1,14 @@
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infwidth
 from infwidth.cli import build_parser, run, sweep_passes
 
 
@@ -179,12 +183,13 @@ m2 = moment x1^2 (z2)
 
 # sha256 of CSV bytes + NUL + stderr, recorded before the trace estimators,
 # initial-vector samplers and finite cell runners were merged.  Sizes that
-# are not powers of two catch a change of normalisation order.  limit_r4 and
-# free_hutch_witness were re-recorded when the correction solve started to
-# read its Gram matrix from the family's incremental dot products: their
-# values moved by at most 1e-12 stderr.  jacobian_dense and jacobian_probe
-# were re-recorded when the Jacobian moments stopped using an SVD and J^T J
-# probe products: their empirical moments moved by at most 1.1e-15 relative.
+# are not powers of two catch a change of normalisation order.  jacobian_dense
+# and jacobian_probe were re-recorded when the Jacobian moments stopped using
+# an SVD and J^T J probe products: their empirical moments moved by at most
+# 1.1e-15 relative.  limit_r1, limit_r4, verify and free_hutch_witness were
+# re-recorded when the limit engine replaced its pseudoinverse solves by one
+# Cholesky factor per Gaussian family: their values moved by at most 3.4e-13
+# stderr.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -219,23 +224,24 @@ _GOLDEN = {
 
 # Recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1
 # and OPENBLAS_NUM_THREADS=2 on x86_64; the BLAS thread count changes the
-# summation order, so free_auto and jacobian_dense differ with one thread.
-# OpenBLAS uses no more threads than the CPUs it may run on, so the digests
-# need at least 2 usable CPUs: under `taskset -c 0` those two fail even with
+# summation order, so free_auto differs with one thread; limit_r4, verify and
+# jacobian_dense are checked to give the same bytes with one thread.  OpenBLAS
+# uses no more threads than the CPUs it may run on, so the digests need at
+# least 2 usable CPUs: under `taskset -c 0` free_auto fails even with
 # OPENBLAS_NUM_THREADS=2.
 _GOLDEN_SHA = {
     "sim":
         "7e596467c0f70957dcc9b3ba78fbcc021750d4a32fd3ca847416be12be332980",
     "limit_r1":
-        "d38badf3d3e2ccf1f436de5aaa8e0fe7fcefd6d6d149cb38dda76cbba07ed0e7",
+        "11a85feb7257e7b63ffbef8fffe2f15cb8ffcc3f0d47c8fb8493d025abca09f5",
     "limit_r4":
-        "e8c4d52772067524f421e040f5da5624a680016c7ae7467506a3f7ca20ae4400",
+        "f7cfe8e04592c69844b4713261ac803448a090ffe167f4143a2b937780158dde",
     "verify":
-        "bbd8ff98859edd6d31796614ee4d53f90c9e335c4d458393a7001bde9f3bb14e",
+        "7562576c9b97e8747f7c5420a889def3d1db5de6edbd70efdb2980a354a6edec",
     "free_exact":
         "2ec80de934d6fb71eaeec298e984c7605835ab3e6a956e827ab3ddfea7554be8",
     "free_hutch_witness":
-        "3aab7fafe7dbcd53200ecd5059cd8d2ae8c9a00efa4c922488b6340c387706d3",
+        "1e175708598f3eade7813489260c79cdcc336e0ffe7445ee2410b25cae9653ff",
     "free_auto":
         "fdfcf16a0a4cc95d3b9cdcc31f7145f1ebc7076a158138fcf55ebaf7433d7731",
     "jacobian_dense":
@@ -255,16 +261,36 @@ _GOLDEN_SHA = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN))
-def test_golden_bytes(tmp_path, capsys, name):
+def _golden_argv(tmp_path, name):
     prog = tmp_path / "golden.ntp"
     prog.write_text(_GOLDEN_PROGRAM)
-    argv = [a.format(prog=prog) for a in _GOLDEN[name]]
+    return [a.format(prog=prog) for a in _GOLDEN[name]]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_bytes(tmp_path, capsys, name):
+    argv = _golden_argv(tmp_path, name)
     capsys.readouterr()
     rc, data = _run(tmp_path, *argv)
     assert rc == 0
     digest = hashlib.sha256(data + b"\0" + capsys.readouterr().err.encode()).hexdigest()
     assert digest == _GOLDEN_SHA[name]
+
+
+@pytest.mark.parametrize("name", ["limit_r4", "verify", "jacobian_dense"])
+def test_golden_bytes_do_not_depend_on_blas_threads(tmp_path, capsys, name):
+    argv = _golden_argv(tmp_path, name)
+    capsys.readouterr()
+    rc, data = _run(tmp_path, *argv)
+    assert rc == 0
+    in_process = data + b"\0" + capsys.readouterr().err.encode()
+    src = str(Path(infwidth.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "one_thread.csv"
+    proc = subprocess.run([sys.executable, "-m", "infwidth.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, check=True)
+    assert out.read_bytes() + b"\0" + proc.stderr == in_process
 
 
 def test_law_mp_density_needs_rho(tmp_path):

@@ -469,24 +469,61 @@ def test_family_gram_and_column_store(solved_state):
         assert all(np.shares_memory(st.gauss_cols[nm], family.store) for nm in family.outputs)
 
 
-def test_rank_deficient_gram_is_reported():
-    st = build_limit(_chain(["x1 + x2"] * 16), n_samples=20_000, seed=0)
-    rank = [d for d in st.diagnostics if d.startswith("RankDeficientGram: ")]
-    assert rank and all(" kept rank " in d and "(cutoff " in d for d in rank)
-    atav = build_limit(corpus.load_program("atav"), n_samples=20_000, seed=0)
-    assert not any(d.startswith("RankDeficientGram") for d in atav.diagnostics)
+def _affine_chain_coefficients(depth, sigma2=0.5):
+    """Exact correction coefficients of ``_chain(["x1 + x2"] * depth)``, by product.
+
+    Each z_i is a linear form over z0 and the products' Gaussian parts.  The
+    coefficient of x_i (y_i) on z_j is sigma2 / rho (rho = 1) times the
+    coefficient of the Gaussian part of y_{j+1} (x_{j+1}) in z_{i-1}.
+    """
+    forms = [{"z0": 1.0}]
+    want = {}
+    for i in range(1, depth + 1):
+        z = {}
+        # x_i corrects over the inputs z_0..z_{i-2} of y_1..y_{i-1}; y_i, which
+        # comes after x_i, over the inputs z_0..z_{i-1} of x_1..x_i
+        for out, opp, k in (("x", "y", i - 1), ("y", "x", i)):
+            coeffs = [sigma2 * forms[i - 1].get(f"{opp}{j + 1}", 0.0) for j in range(k)]
+            want[f"{out}{i}"] = np.array(coeffs)
+            for form, a in [({f"{out}{i}": 1.0}, 1.0), *zip(forms, coeffs)]:
+                for key, c in form.items():
+                    z[key] = z.get(key, 0.0) + a * c
+        forms.append(z)
+    return want
 
 
-def test_replicated_rank_deficiency_names_each_product_once():
-    rep = build_replicated(_chain(["x1 + x2"] * 16), n_samples=8 * 20_000, seed=0, replicas=8)
-    lines = [d for d in rep.diagnostics() if d.startswith("RankDeficientGram: ")]
-    products = [d.split()[1] for d in lines]
-    assert lines and len(products) == len(set(products))
-    for g in products:
-        ranks = [st.rank_deficient[g][0] for st in rep.states if g in st.rank_deficient]
-        k = rep.states[0].correction_info[g][1].size
-        assert f"RankDeficientGram: {g} kept rank {min(ranks)} of {k} at lowest; " \
-            f"{len(ranks)} of 8 replicas dropped a singular value" in lines
-    # every replica-level message is covered by its product's line
-    assert {d.split()[1] for st in rep.states for d in st.diagnostics
-            if d.startswith("RankDeficientGram")} == set(products)
+@pytest.mark.parametrize("seed", range(4))
+def test_affine_chain_coefficients_match_exact_oracle(seed):
+    # the chain's Gram matrix is the semicircle Hankel matrix, condition 2.9e12
+    # at depth 16: every coefficient must still agree with the exact value
+    st = build_limit(_chain(["x1 + x2"] * 16), n_samples=20_000, seed=seed)
+    z = []
+    for g, exact in _affine_chain_coefficients(16).items():
+        ys, coeffs, ses = st.correction_coeffs(g)
+        assert len(ys) == exact.size, g
+        z.extend((coeffs - exact) / ses)
+    z = np.array(z)
+    assert z.size == 2 * sum(range(16)) + 16
+    assert np.max(np.abs(z)) <= 4.0
+    assert math.sqrt(np.mean(z**2)) <= 1.5
+    assert not st.diagnostics
+
+
+def test_dependent_input_gets_zero_coefficient():
+    # W v twice: the second input is an exact copy, so the first carries the sum
+    prog = dsl.parse_program(
+        "matrix W : c x c var 1.0\nvector v : c\n"
+        "g1 = matmul W v\ng2 = matmul W v\n"
+        "u = nonlin tanh(x1) + x1 (g1)\nh = matmul W^T u\n"
+    )
+    st = build_limit(prog, n_samples=20_000, seed=5)
+    ys, coeffs, ses = st.correction_coeffs("h")
+    assert ys == ("v", "v")
+    assert coeffs[1] == 0.0 and ses[1] == 0.0
+    assert coeffs[0] > 0.0 and ses[0] > 0.0
+    # the pseudoinverse splits the same sum evenly over the two copies
+    want, _ = _reference_correction(st, prog.instructions[-1])
+    assert abs(coeffs[0] - want.sum()) <= 1e-10
+    correction = st.cols["h"] - st.gauss_cols["h"]
+    np.testing.assert_allclose(correction, (want[0] + want[1]) * st.cols["v"], rtol=0, atol=1e-10)
+    assert any(d.startswith("DegenerateGVar: g2 ") for d in st.diagnostics)
