@@ -15,6 +15,7 @@ from .errors import (
     DuplicateSymbol,
     NonFiniteEstimate,
     NonInvertibleSeries,
+    NonPSDCovariance,
     NonPSDExtension,
     NotAlternating,
     ParseError,

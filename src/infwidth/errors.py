@@ -25,6 +25,10 @@ class DimClassConflict(ProgramError):
     pass
 
 
+class NonPSDCovariance(ProgramError, ValueError):
+    """A class's declared initial covariance has a NaN or a negative eigenvalue beyond roundoff."""
+
+
 class ShapeMismatch(Exception):
     """Word factors or probes do not compose."""
 

@@ -121,8 +121,8 @@ def instantiate(
     _fill_blocks(seed, blocks)
 
     vectors: dict[str, np.ndarray] = {}
-    for rep in program.cdc_reps():
-        vectors.update(sample_init_block(seed, "vector", *program.init_block(rep), dims[rep]))
+    for rep, block in program.init_blocks.items():
+        vectors.update(sample_init_block(seed, "vector", *block, dims[rep]))
 
     scalars: dict[str, float] = {}
     n_ref = _scalar_reference_dim(program, dims)
@@ -174,12 +174,7 @@ def _scalar_reference_dim(program: Program, dims: dict[str, int]) -> int:
 
 def empirical_average(realization: Realization, test: exprs.Expr, vectors: list[str]) -> float:
     """Exact coordinate average (1/n) sum_a test(v1_a, ..., vk_a)."""
-    prog = realization.program
-    reps = {prog.cdc(nm) for nm in vectors}
-    if len(reps) > 1:
-        raise DimClassConflict(f"test vectors span several classes: {sorted(reps)}")
-    if exprs.n_inputs(test) > len(vectors):
-        raise ArityMismatch("test expression arity exceeds vector count")
+    realization.program.check_average(test, vectors)
     cols = tuple(realization.vectors[nm] for nm in vectors)
     return float(np.mean(exprs.evaluate(test, cols)))
 

@@ -53,7 +53,6 @@ import numpy as np
 from . import exprs
 from .errors import (
     ArityMismatch,
-    DimClassConflict,
     NonFiniteEstimate,
     NonPSDExtension,
     UnknownSymbol,
@@ -142,10 +141,8 @@ class LimitState:
     # -- construction ------------------------------------------------------
 
     def _init_ensemble(self):
-        for rep in self.program.cdc_reps():
-            self.cols.update(sample_init_block(
-                self.seed, "init", *self.program.init_block(rep), self.n_samples
-            ))
+        for block in self.program.init_blocks.values():
+            self.cols.update(sample_init_block(self.seed, "init", *block, self.n_samples))
         for s in self.program.scalars:
             self.scalar_limits[s.name] = (s.limit, 0.0)
 
@@ -337,11 +334,7 @@ class LimitState:
 
     def expect(self, test: exprs.Expr, vectors: list[str]) -> tuple[float, float]:
         """Monte-Carlo mean and stderr of test over the given limit variables."""
-        reps = {self.program.cdc(nm) for nm in vectors}
-        if len(reps) > 1:
-            raise DimClassConflict(f"test vectors span several classes: {sorted(reps)}")
-        if exprs.n_inputs(test) > len(vectors):
-            raise ArityMismatch("test expression arity exceeds vector count")
+        self.program.check_average(test, vectors)
         cols = tuple(self.cols[nm] for nm in vectors)
         vals = np.asarray(exprs.evaluate(test, cols), dtype=np.float64)
         return self._mean_stderr(

@@ -1,7 +1,9 @@
-"""Numerical utilities: pseudoinverse, PSD repair, Hermite expansions, RNG streams.
+"""Numerical utilities: pseudoinverse, PSD factors, Hermite expansions, RNG streams.
 
 The pseudoinverse is a public reference for the limit engine's Cholesky
-solves; PSD repair checks and factors declared initial covariances.
+solves.  ``psd_factor`` checks and factors a declared initial covariance
+once, when the program is built; ``sample_init_block`` draws from that
+factor and does no linear algebra beyond one product.
 """
 
 from __future__ import annotations
@@ -32,34 +34,23 @@ def pseudoinverse(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def repair_psd(sym: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
-    """Symmetrize and clip slightly negative eigenvalues to zero.
+PSD_REL_TOL = 1e-10  # eigenvalues down to -PSD_REL_TOL * scale count as roundoff
 
-    Eigenvalues in ``[-rel_tol * scale, 0)`` are clipped (scale is the
-    largest absolute eigenvalue); anything more negative raises ValueError
-    because the matrix is not a numerically-perturbed covariance.
+
+def psd_factor(cov: np.ndarray) -> np.ndarray:
+    """A matrix L with L @ L.T == cov (non-empty, symmetric), from one ``eigh``.
+
+    Eigenvalues in ``[-PSD_REL_TOL * scale, 0)`` are roundoff and clipped to
+    zero (scale is the largest absolute eigenvalue); anything more negative,
+    or NaN, raises ValueError because the matrix is not a covariance.
     """
-    sym = np.asarray(sym, dtype=np.float64)
-    if sym.size == 0:
-        return sym.copy()
-    sym = 0.5 * (sym + sym.T)
-    w, v = np.linalg.eigh(sym)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0:
-        return np.zeros_like(sym)
-    if w[0] < -rel_tol * scale:
+    w, v = np.linalg.eigh(np.asarray(cov, dtype=np.float64))
+    scale = float(np.abs(w).max())
+    if not w[0] >= -PSD_REL_TOL * scale:
         raise ValueError(
             f"matrix is not PSD within tolerance: min eigenvalue {w[0]:.3e}, "
             f"scale {scale:.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.T
-
-
-def gaussian_factor(cov: np.ndarray) -> np.ndarray:
-    """A matrix L with L @ L.T == cov (eigen factorization, PSD input)."""
-    cov = repair_psd(cov, rel_tol=1e-9)
-    w, v = np.linalg.eigh(cov)
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -80,17 +71,15 @@ def stream(seed: int, *labels) -> np.random.Generator:
 
 
 def sample_init_block(
-    seed: int, label: str, names, mean: np.ndarray, cov: np.ndarray, n: int
+    seed: int, label: str, names, mean: np.ndarray, factor: np.ndarray, n: int
 ) -> dict[str, np.ndarray]:
-    """n iid draws of the initial vectors `names` ~ N(mean, cov), one column each.
+    """n iid draws of the initial vectors `names` ~ N(mean, L L^T), one column each.
 
-    The block is mean + gauss @ L.T with L L^T = cov, where the gauss column
+    The block is mean + gauss @ L.T with L = factor, where the gauss column
     of each name comes from its own stream (seed, label, name).
     """
-    if not names:
-        return {}
     gauss = np.column_stack([stream(seed, label, nm).standard_normal(n) for nm in names])
-    block = mean[None, :] + gauss @ gaussian_factor(cov).T
+    block = mean[None, :] + gauss @ factor.T
     return {nm: np.ascontiguousarray(block[:, j]) for j, nm in enumerate(names)}
 
 

@@ -24,8 +24,10 @@ from .errors import (
     ArityMismatch,
     DimClassConflict,
     DuplicateSymbol,
+    NonPSDCovariance,
     UndeclaredSymbol,
 )
+from .numerics import psd_factor
 
 # ---------------------------------------------------------------------------
 # Declarations and instructions
@@ -93,22 +95,18 @@ class ScalarRule:
     den: exprs.Expr | None = None
 
     def value(self, n: int) -> float:
-        u = 1.0 / float(n)
+        return self._at(1.0 / float(n), "vanished")
+
+    def limit(self) -> float:
+        return self._at(0.0, "vanishes in the limit")
+
+    def _at(self, u: float, vanishing: str) -> float:
         top = float(exprs.evaluate(self.num, (u,)))
         if self.den is None:
             return top
         bot = float(exprs.evaluate(self.den, (u,)))
         if bot == 0.0:
-            raise ZeroDivisionError("scalar rule denominator vanished")
-        return top / bot
-
-    def limit(self) -> float:
-        top = float(exprs.evaluate(self.num, (0.0,)))
-        if self.den is None:
-            return top
-        bot = float(exprs.evaluate(self.den, (0.0,)))
-        if bot == 0.0:
-            raise ZeroDivisionError("scalar rule denominator vanishes in the limit")
+            raise ZeroDivisionError(f"scalar rule denominator {vanishing}")
         return top / bot
 
 
@@ -144,6 +142,7 @@ class Moment:
 
 
 Instruction = MatMul | Nonlin | Moment
+InitBlock = tuple[tuple[str, ...], np.ndarray, np.ndarray]
 Declaration = MatrixDecl | VectorDecl | CovDecl | RatioDecl | TieDecl | ScalarDecl
 
 
@@ -190,6 +189,8 @@ class Program:
     cdc_of_class: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
     class_ratio: Mapping[str, float] = field(default_factory=dict, compare=False, repr=False)
     gvars: frozenset[str] = field(default_factory=frozenset, compare=False, repr=False)
+    # (names, mean, factor L with L L^T = covariance) of each class's initial vectors
+    init_blocks: Mapping[str, InitBlock] = field(default_factory=dict, compare=False, repr=False)
 
     # -- lookups ----------------------------------------------------------
     def matrix(self, name: str) -> MatrixDecl:
@@ -236,25 +237,13 @@ class Program:
         c = self.class_ratio[self.cdc_of_class[m.cols]]
         return c / r if transposed else r / c
 
-    def init_block(self, rep: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """Names, mean vector and covariance of the initial vectors in a CDC."""
-        names = tuple(v.name for v in self.vectors if self.cdc(v.name) == rep)
-        mean = np.array([self.vector_decl(n).mean for n in names])
-        cov = np.zeros((len(names), len(names)))
-        for i, n in enumerate(names):
-            cov[i, i] = self.vector_decl(n).var
-        pos = {n: i for i, n in enumerate(names)}
-        for c in self.covs:
-            if c.a in pos and c.b in pos:
-                cov[pos[c.a], pos[c.b]] = c.cov
-                cov[pos[c.b], pos[c.a]] = c.cov
-        return names, mean, cov
-
-    def vector_decl(self, name: str) -> VectorDecl:
-        for v in self.vectors:
-            if v.name == name:
-                return v
-        raise UndeclaredSymbol(f"initial vector {name!r} not declared")
+    def check_average(self, test: exprs.Expr, vectors) -> None:
+        """Raise unless the coordinate average of test over vectors is defined."""
+        reps = {self.cdc(nm) for nm in vectors}
+        if len(reps) > 1:
+            raise DimClassConflict(f"test vectors span several classes: {sorted(reps)}")
+        if exprs.n_inputs(test) > len(vectors):
+            raise ArityMismatch("test expression arity exceeds vector count")
 
 
 def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
@@ -411,7 +400,7 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
         i.out for i in instrs if isinstance(i, MatMul)
     )
 
-    prog = Program(
+    return Program(
         matrices=tuple(matrices),
         vectors=tuple(vectors),
         scalars=tuple(scalars),
@@ -423,15 +412,37 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
         cdc_of_class=cdc_of_class,
         class_ratio=class_ratio,
         gvars=gvars,
+        init_blocks=_init_blocks(vectors, covs, cdc_of_class),
     )
-    # validate the per-CDC initial covariance blocks eagerly (PSD repair)
-    from .numerics import repair_psd
 
-    for rep in prog.cdc_reps():
-        names, _, cov = prog.init_block(rep)
-        if names:
-            repair_psd(cov, rel_tol=1e-10)
-    return prog
+
+def _init_blocks(vectors, covs, cdc_of_class) -> dict[str, InitBlock]:
+    """(names, mean, L) of each class's initial vectors, L L^T their declared covariance.
+
+    Factoring is the PSD check.  The arrays are read-only because a Program
+    is shared across threads.
+    """
+    blocks: dict[str, InitBlock] = {}
+    for rep in sorted(set(cdc_of_class.values())):
+        decls = [v for v in vectors if cdc_of_class[v.dim] == rep]
+        if not decls:
+            continue
+        names = tuple(v.name for v in decls)
+        pos = {n: i for i, n in enumerate(names)}
+        mean = np.array([v.mean for v in decls], dtype=np.float64)
+        cov = np.diag(np.array([v.var for v in decls], dtype=np.float64))
+        for c in covs:
+            if c.a in pos and c.b in pos:
+                cov[pos[c.a], pos[c.b]] = cov[pos[c.b], pos[c.a]] = c.cov
+        try:
+            factor = psd_factor(cov)
+        except ValueError as exc:
+            raise NonPSDCovariance(
+                f"initial covariance of {', '.join(names)} in class {rep!r}: {exc}"
+            ) from None
+        mean.flags.writeable = factor.flags.writeable = False
+        blocks[rep] = (names, mean, factor)
+    return blocks
 
 
 def compute_cdc(program: Program) -> dict[str, frozenset[str]]:

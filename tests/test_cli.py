@@ -114,6 +114,16 @@ def test_error_produces_csv_row_and_rc2(tmp_path):
     assert data.decode().splitlines()[0] == "error,kind,message"
 
 
+def test_non_psd_covariance_is_a_named_error(tmp_path):
+    prog = tmp_path / "bad.ntp"
+    prog.write_text("vector v : a\nvector w : a\ncov v w 2.0\n")
+    rc, data = _run(tmp_path, "limit", "--program", str(prog))
+    assert rc == 2
+    assert data.decode().splitlines()[1].startswith(
+        'error,NonPSDCovariance,"initial covariance of v, w in class \'a\': matrix is not PSD'
+    )
+
+
 # x1^400 of a standard Gaussian overflows the squares inside the stderr
 _OVERFLOW_PROGRAM = """\
 matrix W : c x c var 1

@@ -13,7 +13,7 @@ from infwidth.numerics import (
     hermite_matrix,
     hermite_pair_expectation,
     pseudoinverse,
-    repair_psd,
+    psd_factor,
     stream,
 )
 
@@ -55,15 +55,15 @@ def test_pinv_random_rank_deficient_penrose():
         assert penrose_holds(a, ap, 1e-10)
 
 
-def test_repair_psd_clips_tiny_negatives():
+def test_psd_factor_clips_tiny_negatives():
     m = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
-    fixed = repair_psd(m, rel_tol=1e-9)
-    assert np.linalg.eigvalsh(fixed)[0] >= -1e-15
+    factor = psd_factor(m)
+    assert np.linalg.eigvalsh(factor @ factor.T)[0] >= -1e-15
 
 
-def test_repair_psd_rejects_indefinite():
+def test_psd_factor_rejects_indefinite():
     with pytest.raises(ValueError):
-        repair_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), rel_tol=1e-9)
+        psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_stream_determinism_and_independence():

@@ -9,8 +9,11 @@ from infwidth.errors import (
     ArityMismatch,
     DimClassConflict,
     DuplicateSymbol,
+    NonPSDCovariance,
     UndeclaredSymbol,
 )
+from infwidth.finite import instantiate
+from infwidth.limits import build_replicated
 from infwidth.program import (
     CovDecl,
     MatMul,
@@ -198,7 +201,7 @@ def test_init_block_psd_repair_accepts_near_psd():
             CovDecl("v", "w", 1.0 + 1e-14),
         ]
     )
-    names, mean, cov = prog.init_block(prog.cdc("v"))
+    names, mean, factor = prog.init_blocks[prog.cdc("v")]
     assert set(names) == {"v", "w"}
 
 
@@ -207,6 +210,43 @@ def test_init_block_rejects_far_from_psd():
         build_program(
             [VectorDecl("v", "a"), VectorDecl("w", "a"), CovDecl("v", "w", 2.0)]
         )
+
+
+@pytest.mark.parametrize("cov", [2.0, float("nan")])
+def test_non_psd_covariance_names_the_vectors_and_class(cov):
+    with pytest.raises(NonPSDCovariance, match=r"^initial covariance of v, w in class 'a': "):
+        build_program(
+            [VectorDecl("v", "a"), VectorDecl("u", "b"), VectorDecl("w", "a"),
+             CovDecl("v", "w", cov)]
+        )
+
+
+def test_init_blocks_factor_each_class_once_and_sampling_does_not_refactor(monkeypatch):
+    prog = build_program(
+        [
+            MatrixDecl("W", "a", "a", 1.0),
+            VectorDecl("v", "a", mean=1.0, var=2),
+            VectorDecl("w", "a", var=0.5),
+            CovDecl("v", "w", 0.25),
+            VectorDecl("s", "b", var=4),
+            VectorDecl("t", "b", var=0.25),
+            MatMul("x", "W", False, "v"),
+        ]
+    )
+    assert list(prog.init_blocks) == ["a", "b"]
+    names, mean, factor = prog.init_blocks["a"]
+    assert names == ("v", "w") and mean.tolist() == [1.0, 0.0]
+    assert np.abs(factor @ factor.T - [[2.0, 0.25], [0.25, 0.5]]).max() <= 1e-12
+    _, _, diag = prog.init_blocks["b"]
+    assert np.array_equal(diag @ diag.T, np.diag([4.0, 0.25]))
+    assert not (mean.flags.writeable or factor.flags.writeable)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called while sampling")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    instantiate(prog, {"a": 8, "b": 8}, seed=0)
+    build_replicated(prog, n_samples=64, seed=0, replicas=2)
 
 
 def test_scalar_rule_limit_validation():
