@@ -107,8 +107,9 @@ class GaussianFamily:
         """The invertible triangular factor ``L_K`` of the kept members' Gram matrix.
 
         Solves against it use ``numpy.linalg`` only: a triangular solver from
-        a package that bundles its own OpenBLAS starts a second BLAS thread
-        pool, which contends with numpy's on few cores.
+        a package that bundles its own OpenBLAS (such as scipy, which limit
+        runs do not load at all) starts a second BLAS thread pool, which
+        contends with numpy's on few cores.
         """
         return self.factor[np.ix_(self.kept, self.kept)]
 

@@ -4,16 +4,21 @@ The pseudoinverse is a public reference for the limit engine's Cholesky
 solves.  ``psd_factor`` checks and factors a declared initial covariance
 once, when the program is built; ``sample_init_block`` draws from that
 factor and does no linear algebra beyond one product.
+
+``gauss_hermite_nodes`` is the only user of scipy: it imports
+``scipy.special`` on its first call, so importing this module (and every
+command but ``jacobian``) never loads scipy.  Its nodes are cached per
+order and returned as read-only arrays shared by all callers.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
 
 import numpy as np
-from scipy import special
 
 from . import exprs
 from .errors import TruncationWarning
@@ -90,14 +95,23 @@ def sample_init_block(
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and probability weights for E over a standard normal.
 
     scipy's Golub-Welsch implementation stays stable at the high orders
-    needed to integrate discontinuous functions accurately.
+    needed to integrate discontinuous functions accurately.  scipy is
+    imported here, on first use, to keep it off the import path.  The
+    result is computed once per order and shared, so both arrays are
+    read-only.
     """
+    from scipy import special
+
     xs, ws = special.roots_hermitenorm(order)
-    return xs, ws / _SQRT_2PI
+    ws = ws / _SQRT_2PI
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
 
 
 def gaussian_expect(f, var: float = 1.0, order: int = 200) -> float:

@@ -14,6 +14,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -42,8 +43,8 @@ class MatrixDecl:
     sigma2: float  # per-entry variance numerator; entries ~ N(0, sigma2/cols_dim)
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError(f"matrix {self.name}: sigma2 must be positive")
+        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
+            raise ValueError(f"matrix {self.name}: sigma2 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ class VectorDecl:
     var: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ValueError(f"vector {self.name}: mean must be finite")
         if self.var < 0:
             raise ValueError(f"vector {self.name}: variance must be >= 0")
 
@@ -75,8 +78,8 @@ class RatioDecl:
     ratio: float
 
     def __post_init__(self):
-        if not self.ratio > 0:
-            raise ValueError(f"class {self.dim}: ratio must be positive")
+        if not (self.ratio > 0 and math.isfinite(self.ratio)):
+            raise ValueError(f"class {self.dim}: ratio must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,10 @@ class ScalarDecl:
     name: str
     limit: float
     rule: ScalarRule | None = None  # None means the constant sequence
+
+    def __post_init__(self):
+        if not math.isfinite(self.limit):
+            raise ValueError(f"scalar {self.name}: limit must be finite")
 
 
 @dataclass(frozen=True)

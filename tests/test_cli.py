@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -303,6 +304,38 @@ def test_golden_bytes_do_not_depend_on_blas_threads(tmp_path, capsys, name):
     assert out.read_bytes() + b"\0" + proc.stderr == in_process
 
 
+_SCIPY_PROBE = """
+import json, sys
+from infwidth.cli import run
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert run(argv) == 0, argv
+    loaded.append("scipy.special" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_jacobian_imports_scipy(tmp_path):
+    out = str(tmp_path / "out.csv")
+    commands = [
+        ["sim", "--program", "@atav", "--n", "32", "--seeds", "2", "--test", "x1 * x2:v,x"],
+        ["limit", "--program", "@atav", "--ensemble", "200", "--test", "x1 * x2:v,x"],
+        ["verify", "--program", "@atav", "--n", "32", "--seeds", "2", "--ensemble", "200",
+         "--test", "x1 * x2:v,x"],
+        ["free", "--program", "@fipbase", "--word", "@word_a", "--n", "32,64", "--seeds", "2",
+         "--witness", "--ensemble", "200"],
+        ["law", "mp", "--rho", "0.5", "--rmax", "3"],
+        ["jacobian", "--layers", "2", "--size", "32", "--kmax", "2"],
+    ]
+    src = str(Path(infwidth.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = json.dumps([[*cmd, "--out", out] for cmd in commands])
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [False] * 5 + [True]
+
+
 def test_law_mp_density_needs_rho(tmp_path):
     rc, data = _run(tmp_path, "law", "mp", "--density")
     assert rc == 2
@@ -375,6 +408,15 @@ def test_free_method_errors(tmp_path, method):
         assert _error_row(data) == "error,CapExceeded,side 600 exceeds dense cap 512"
     else:
         assert _error_row(data).startswith("error,ValueError,")
+
+
+def test_sim_rejects_non_finite_mean(tmp_path):
+    prog = tmp_path / "nan_mean.ntp"
+    prog.write_text("vector v : a mean nan\n")
+    rc, data = _run(tmp_path, "sim", "--program", str(prog), "--n", "8", "--seeds", "1",
+                    "--test", "x1:v")
+    assert rc == 2
+    assert _error_row(data) == "error,ValueError,vector v: mean must be finite"
 
 
 @pytest.mark.parametrize("flags", [["--ensemble", "1"], ["--ensemble", "5", "--replicas", "8"]])

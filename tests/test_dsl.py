@@ -50,6 +50,20 @@ def test_build_errors_surface_from_source():
         )
 
 
+@pytest.mark.parametrize("line, message", [
+    ("vector v : c mean nan", "vector v: mean must be finite"),
+    ("vector v : c mean inf", "vector v: mean must be finite"),
+    ("vector v : c mean -inf", "vector v: mean must be finite"),
+    ("scalar th limit nan", "scalar th: limit must be finite"),
+    ("scalar th limit inf", "scalar th: limit must be finite"),
+    ("matrix W : c x c var inf", "matrix W: sigma2 must be positive and finite"),
+    ("class c ratio inf", "class c: ratio must be positive and finite"),
+])
+def test_non_finite_declaration_numbers_are_rejected(line, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dsl.parse_program(line + "\n")
+
+
 def test_scalar_rule_roundtrip():
     text = "scalar th limit 0.0 rule u / (1.0 + u)\nvector v : c\n"
     prog = dsl.parse_program(text)

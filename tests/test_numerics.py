@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from infwidth import exprs as E
 from infwidth.errors import TruncationWarning
@@ -81,6 +82,23 @@ def test_gauss_hermite_basics():
     assert ws.sum() == pytest.approx(1.0, abs=1e-12)
     assert float(ws @ xs**2) == pytest.approx(1.0, abs=1e-12)
     assert gaussian_expect(lambda z: z**4, var=2.0) == pytest.approx(12.0, rel=1e-10)
+
+
+def test_gauss_hermite_nodes_are_cached_and_read_only():
+    xs, ws = gauss_hermite_nodes(200)
+    again = gauss_hermite_nodes(200)
+    assert again[0] is xs and again[1] is ws
+    for arr in (xs, ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    want_xs, want_ws = special.roots_hermitenorm(200)
+    assert np.array_equal(xs, want_xs)
+    assert np.array_equal(ws, want_ws / math.sqrt(2.0 * math.pi))
+    misses = gauss_hermite_nodes.cache_info().misses
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        hermite_pair_expectation(E.step(E.x(0)), E.tanh(E.x(0)), 0.5, trunc=80)
+    assert gauss_hermite_nodes.cache_info().misses - misses <= 1
 
 
 def test_hermite_matrix_orthonormal():
