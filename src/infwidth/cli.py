@@ -317,6 +317,8 @@ def cmd_jacobian(args) -> int:
     if args.phi not in ACTIVATIONS:
         raise ValueError(f"unknown activation {args.phi!r}; have {sorted(ACTIVATIONS)}")
     phi, phi_prime = ACTIVATIONS[args.phi]
+    if args.kmax < 1:
+        raise ValueError(f"jacobian needs --kmax >= 1 (got {args.kmax})")
     rho_list = [float(t) for t in args.rho_list.split(",")] if args.rho_list else None
     if rho_list and any(rho != 1.0 for rho in rho_list):
         raise ValueError("finite Jacobians use square layers: every --rho-list ratio must be 1")

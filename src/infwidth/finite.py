@@ -2,18 +2,22 @@
 
 A Realization is one concrete sample of a program: every declared matrix and
 initial vector drawn at the assigned dimensions from its own deterministic
-stream, then all instructions executed in order.  On top of realizations this
-module evaluates coordinate averages, applies matrix words (products of
-program matrices and diagonal matrices of bounded coordinatewise images)
-without materializing them, and estimates normalized traces either exactly,
-from power traces of the dense word, or with the Gaussian probe identity
-tr M = E z^T M z.
+stream, then all instructions executed in order.  A matrix of more than
+BLOCK_ENTRIES entries is not drawn: each of its products is sampled from its
+exact law given the earlier ones (ProductSampler), and the matrix itself is
+formed only when a word needs it (Realization.matrix).  On top of
+realizations this module evaluates coordinate averages, applies matrix words
+(products of program matrices and diagonal matrices of bounded coordinatewise
+images) without materializing them, and estimates normalized traces either
+exactly, from power traces of the dense word, or with the Gaussian probe
+identity tr M = E z^T M z.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import warnings
@@ -33,9 +37,14 @@ from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
-ELEMENT_CAP = 1 << 26  # largest dense allocation (entries) per object
+# largest dense matrix (entries): checked when instantiate draws a matrix and
+# when Realization.matrix forms a larger one; products never allocate a matrix
+ELEMENT_CAP = 1 << 26
 HUTCHINSON_PROBES = 32
-BLOCK_ENTRIES = 1 << 22  # entries per separately keyed block of a matrix draw
+# entries per separately keyed block of a matrix draw; larger matrices are
+# sampled through their products only
+BLOCK_ENTRIES = 1 << 22
+DEPENDENT_TOL = 1e-12  # relative residual below which an input adds no direction
 
 
 def dims_for_scale(program: Program, n: int) -> dict[str, int]:
@@ -74,9 +83,90 @@ def resolve_dims(program: Program, dims: dict[str, int]) -> dict[str, int]:
     return out
 
 
+class ProductSampler:
+    """Products of one W : r x c with iid N(0, sigma2/c) entries, W never drawn.
+
+    The sampler keeps orthonormal bases Q_X of the inputs of W x and Q_Y of
+    the inputs of W^T y (rows of `q`, Gram-Schmidt with one
+    re-orthogonalisation pass) and their images Z_X = W Q_X and
+    Z_Y = W^T Q_Y (rows of `z`).  Given those, W is its conditional mean
+    Z_X Q_X^T + Q_Y Z_Y^T P_X^perp plus P_Y^perp W~ P_X^perp for a fresh W~,
+    so with alpha = Q_X^T x and x^perp = P_X^perp x
+
+        W x = Z_X alpha + Q_Y Z_Y^T x^perp + sqrt(sigma2/c) |x^perp| P_Y^perp g
+
+    is an exact draw given every earlier product (W^T y likewise, with the
+    roles swapped).  The t-th fresh g comes from the stream
+    (seed, "matrix", name, "product", t), counted over both directions.  An
+    input with |x^perp| <= DEPENDENT_TOL |x| draws no g and adds no
+    direction.  Each product costs O((r + c) k) for k earlier directions.
+    """
+
+    def __init__(self, seed: int, name: str, rows: int, cols: int, sigma2: float):
+        self.seed, self.name, self.shape = seed, name, (rows, cols)
+        self.scale = math.sqrt(sigma2 / cols)
+        # index 0: inputs of W x (length cols), index 1: inputs of W^T y
+        self.q = [np.empty((0, cols)), np.empty((0, rows))]
+        self.z = [np.empty((0, rows)), np.empty((0, cols))]
+        self.draws = 0
+
+    def apply(self, v: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """W v, or W^T v, sampled given every earlier product."""
+        side = int(transposed)
+        q_in, q_out, z_out = self.q[side], self.q[1 - side], self.z[1 - side]
+        alpha, rest = _split(q_in, v)
+        out = alpha @ self.z[side]
+        norm = float(np.linalg.norm(rest))
+        if norm <= DEPENDENT_TOL * float(np.linalg.norm(v)):
+            return out
+        u = rest / norm
+        g = stream(self.seed, "matrix", self.name, "product", self.draws).standard_normal(
+            q_out.shape[1]
+        )
+        self.draws += 1
+        image = (z_out @ u) @ q_out + self.scale * _split(q_out, g)[1]
+        self.q[side] = np.vstack([q_in, u])
+        self.z[side] = np.vstack([self.z[side], image])
+        return out + norm * image
+
+    def dense(self) -> np.ndarray:
+        """One W consistent with every product: the conditional mean plus
+        P_Y^perp W~ P_X^perp, with W~ drawn in the keyed blocks of a dense
+        draw, so a matrix with no products is that draw bit for bit."""
+        w = np.empty(self.shape)
+        _fill_blocks(self.seed, _matrix_blocks(w, self.name, self.scale))
+        (qx, qy), (zx, zy) = self.q, self.z
+        if len(qx) + len(qy) == 0:
+            return w
+        # W = W~ + D_X Q_X^T + Q_Y E_Y^T with D_X = Z_X - W~ Q_X and
+        # E_Y = P_X^perp (Z_Y - W~^T Q_Y): one rank-k update, in row blocks
+        d_x = zx.T - w @ qx.T
+        e_y = _split(qx, zy.T - w.T @ qy.T)[1]
+        left, right = np.hstack([d_x, qy.T]), np.vstack([qx, e_y.T])
+        rows = max(1, BLOCK_ENTRIES // self.shape[1])
+        for start in range(0, self.shape[0], rows):
+            w[start:start + rows] += left[start:start + rows] @ right
+        return w
+
+
+def _split(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q v, v - q^T q v) for orthonormal rows q, with one re-orthogonalisation pass."""
+    alpha = q @ v
+    rest = v - q.T @ alpha
+    again = q @ rest
+    rest -= q.T @ again
+    return alpha + again, rest
+
+
 @dataclass(frozen=True)
 class Realization:
-    """One finite-size sample of a program; immutable and thread-shareable."""
+    """One finite-size sample of a program; immutable and thread-shareable.
+
+    `matrices` holds the matrices that were drawn densely (at most
+    BLOCK_ENTRIES entries); `samplers` holds the larger ones, known through
+    their products.  Read any matrix with `matrix(name)`: it forms a large
+    one on first use, subject to `element_cap`, and caches it read-only.
+    """
 
     program: Program
     seed: int
@@ -84,6 +174,31 @@ class Realization:
     matrices: dict[str, np.ndarray] = field(repr=False)
     vectors: dict[str, np.ndarray] = field(repr=False)
     scalars: dict[str, float]
+    samplers: dict[str, ProductSampler] = field(default_factory=dict, repr=False)
+    element_cap: int = ELEMENT_CAP
+    _formed: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def matrix(self, name: str) -> np.ndarray:
+        """The dense matrix `name`, formed (once, under a lock) if it was not drawn."""
+        if name in self.matrices:
+            return self.matrices[name]
+        with self._lock:
+            if name not in self._formed:
+                sampler = self.samplers[name]
+                r, c = sampler.shape
+                if r * c > self.element_cap:
+                    raise MemoryPolicyError(
+                        f"matrix {name!r} would need {r}x{c} entries (cap {self.element_cap})"
+                    )
+                w = sampler.dense()
+                w.flags.writeable = False
+                self._formed[name] = w
+            return self._formed[name]
 
 
 def instantiate(
@@ -94,30 +209,34 @@ def instantiate(
 ) -> Realization:
     """Sample and execute a program; a pure function of (program, dims, seed).
 
-    A matrix W : r x c has iid N(0, sigma2/c) entries, drawn in row blocks of
-    max(1, BLOCK_ENTRIES // c) rows.  Block 0 comes from the stream
-    (seed, "matrix", name) and block b >= 1 from (seed, "matrix", name, b),
-    so a matrix of at most BLOCK_ENTRIES entries is one block drawn from the
-    same stream as an unblocked draw.  The blocks of all matrices are filled
-    in parallel on the usable CPUs; each is a pure function of its key, so
-    the bytes do not depend on the number of threads.
+    A matrix W : r x c has iid N(0, sigma2/c) entries.  One of at most
+    BLOCK_ENTRIES entries is drawn here, from the stream (seed, "matrix",
+    name), with all such draws filled in parallel on the usable CPUs; above
+    element_cap it raises MemoryPolicyError.  A larger W is not drawn: a
+    ProductSampler samples each of its products exactly, and
+    Realization.matrix forms W only on request, checking element_cap then,
+    in row blocks of max(1, BLOCK_ENTRIES // c) rows: block 0 from
+    (seed, "matrix", name), block b >= 1 from (seed, "matrix", name, b).
+    Every stream is a pure function of its key, so the bytes do not depend
+    on the number of threads.
     """
     dims = resolve_dims(program, dims)
 
     matrices: dict[str, np.ndarray] = {}
+    samplers: dict[str, ProductSampler] = {}
     blocks = []
     for m in program.matrices:
         r = dims[program.cdc_of_class[m.rows]]
         c = dims[program.cdc_of_class[m.cols]]
+        if r * c > BLOCK_ENTRIES:
+            samplers[m.name] = ProductSampler(seed, m.name, r, c, m.sigma2)
+            continue
         if r * c > element_cap:
             raise MemoryPolicyError(
                 f"matrix {m.name!r} would need {r}x{c} entries (cap {element_cap})"
             )
         w = matrices[m.name] = np.empty((r, c))
-        rows = max(1, BLOCK_ENTRIES // c)
-        for b, start in enumerate(range(0, r, rows)):
-            key = ("matrix", m.name, b) if b else ("matrix", m.name)
-            blocks.append((w[start:start + rows], math.sqrt(m.sigma2 / c), key))
+        blocks += _matrix_blocks(w, m.name, math.sqrt(m.sigma2 / c))
     _fill_blocks(seed, blocks)
 
     vectors: dict[str, np.ndarray] = {}
@@ -131,9 +250,12 @@ def instantiate(
 
     for ins in program.instructions:
         if isinstance(ins, MatMul):
-            w = matrices[ins.matrix]
             v = vectors[ins.vin]
-            vectors[ins.out] = (w.T if ins.transposed else w) @ v
+            if ins.matrix in samplers:
+                vectors[ins.out] = samplers[ins.matrix].apply(v, ins.transposed)
+            else:
+                w = matrices[ins.matrix]
+                vectors[ins.out] = (w.T if ins.transposed else w) @ v
         elif isinstance(ins, Nonlin):
             cols = tuple(vectors[nm] for nm in ins.inputs)
             pars = tuple(scalars[nm] for nm in ins.params)
@@ -145,7 +267,16 @@ def instantiate(
             pars = tuple(scalars[nm] for nm in ins.params)
             scalars[ins.out] = float(np.mean(exprs.evaluate(ins.expr, cols, pars)))
 
-    return Realization(program, seed, dims, matrices, vectors, scalars)
+    return Realization(program, seed, dims, matrices, vectors, scalars, samplers, element_cap)
+
+
+def _matrix_blocks(w: np.ndarray, name: str, scale: float) -> list:
+    """(view, scale, key) row blocks of max(1, BLOCK_ENTRIES // c) rows of w."""
+    rows = max(1, BLOCK_ENTRIES // w.shape[1])
+    return [
+        (w[start:start + rows], scale, ("matrix", name, b) if b else ("matrix", name))
+        for b, start in enumerate(range(0, w.shape[0], rows))
+    ]
 
 
 def _fill_blocks(seed: int, blocks) -> None:
@@ -256,7 +387,7 @@ def _diag(realization: Realization, f: DiagFactor, n: int) -> np.ndarray:
 
 def _apply_factor(realization: Realization, f: WordFactor, probe: np.ndarray) -> np.ndarray:
     if isinstance(f, MatFactor):
-        w = realization.matrices[f.name]
+        w = realization.matrix(f.name)
         return (w.T if f.transposed else w) @ probe
     d = _diag(realization, f, probe.shape[0])
     return d[:, None] * probe if probe.ndim == 2 else d * probe
@@ -295,7 +426,7 @@ def materialize(realization: Realization, word: MatrixWord, cap: int = EXACT_CAP
     d = np.ones(n_cols)
     for i, f in enumerate(factors):
         if isinstance(f, MatFactor):
-            w = realization.matrices[f.name]
+            w = realization.matrix(f.name)
             out = np.multiply(w.T if f.transposed else w, d, order="C")
             for g in factors[i + 1:]:
                 out = _apply_factor(realization, g, out)
@@ -331,22 +462,27 @@ def trace_probes(n: int, method: str, cap: int, probes: int) -> int:
     return probes
 
 
-def power_traces(m: np.ndarray, k_max: int) -> list[float]:
+def power_traces(m: np.ndarray, k_max: int, symmetric: bool = False) -> list[float]:
     """[tr(m^k) for k = 1..k_max] from the powers P_a = m^a, a <= ceil(k_max/2).
 
     tr(m^(2a)) is the sum of P_a * P_a^T and tr(m^(2a+1)) the sum of
     P_a * P_(a+1)^T, so this takes ceil(k_max/2) - 1 matrix products and
-    keeps at most two powers besides m.
+    keeps at most two powers besides m.  For a symmetric m (say a Gram
+    matrix from a.T @ a, which is exactly symmetric) pass symmetric=True:
+    the powers are symmetric too, and the sums become contiguous inner
+    products instead of reads of one operand transposed.  Both are numpy
+    loops, not BLAS, so the sums do not depend on the BLAS thread count.
     """
+    inner = "ij,ij->" if symmetric else "ij,ji->"
     out = [float(np.trace(m))][:k_max]
     cur = m
     for k in range(2, k_max + 1):
         if k % 2:
             nxt = cur @ m
-            out.append(float(np.einsum("ij,ji->", cur, nxt)))
+            out.append(float(np.einsum(inner, cur, nxt)))
             cur = nxt
         else:
-            out.append(float(np.einsum("ij,ji->", cur, cur)))
+            out.append(float(np.einsum(inner, cur, cur)))
     return out
 
 

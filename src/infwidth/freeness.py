@@ -456,7 +456,7 @@ def jacobian_finite(
     p = trace_probes(n, "auto", cap, FREENESS_PROBES)
     if p == 0:
         j = materialize(r, word, cap=cap)
-        return np.array(power_traces(j.T @ j, k_max)) / n
+        return np.array(power_traces(j.T @ j, k_max, symmetric=True)) / n
     # z^T (J^T J)^k z = |x_k|^2 for x_0 = z and x_k = J x_{k-1} (k odd) or
     # J^T x_{k-1} (k even), so each moment costs one word application
     halves = (word, _word_transpose(word))

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 import infwidth
 from infwidth.cli import build_parser, run, sweep_passes
+from infwidth.laws import semicircle_moment
 
 
 def _run(tmp_path, *argv):
@@ -200,7 +203,9 @@ m2 = moment x1^2 (z2)
 # 1.1e-15 relative.  limit_r1, limit_r4, verify and free_hutch_witness were
 # re-recorded when the limit engine replaced its pseudoinverse solves by one
 # Cholesky factor per Gaussian family: their values moved by at most 3.4e-13
-# stderr.
+# stderr.  jacobian_dense was re-recorded when the power traces of the
+# symmetric Gram matrix became contiguous inner products: its empirical
+# moments moved by at most 1.1e-15 relative.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -227,8 +232,9 @@ _GOLDEN = {
     "law_mp_density": ["law", "mp", "--rho", "0.5", "--density", "--xmin", "0",
                        "--xmax", "3", "--points", "31"],
     "law_catalan_density": ["law", "catalan", "--density", "--rmax", "5"],
-    # recorded when matrices started to be drawn in separately keyed row
-    # blocks; W : 2100 x 2100 is two blocks
+    # W : 2100 x 2100 has more than 2^22 entries, so its products are
+    # sampled without drawing it; re-recorded when they stopped being
+    # products with a dense draw
     "sim_multiblock": ["sim", "--program", "@semicircle", "--n", "2100", "--seeds", "2",
                        "--test", "x1 * x2:z0,z2"],
 }
@@ -256,7 +262,7 @@ _GOLDEN_SHA = {
     "free_auto":
         "fdfcf16a0a4cc95d3b9cdcc31f7145f1ebc7076a158138fcf55ebaf7433d7731",
     "jacobian_dense":
-        "ab7aeac5f0d03711ba82903ff58ee34dd51554f3445ac1aaae8aeb7a4a92a6dd",
+        "03d025ad21bcc7733745a651bd2dc3c98714c0043e5d36d382d5bee659d4a12f",
     "jacobian_probe":
         "d7b7b415e8dbf26bff148b38d087eaad5b6d915586babff297dd44a04e047484",
     "law_mp":
@@ -268,7 +274,7 @@ _GOLDEN_SHA = {
     "law_catalan_density":
         "af3cde3e60f85390c78c3bc6ed03bb92a9052215efef1a34d776234e1dd0daa9",
     "sim_multiblock":
-        "87caf5884228a669792b842ce13ff12e8af374a1df0328f4a420825073d1e08e",
+        "ceb03762c2043ce132cd108b0c247524e2301f05926b9bf91e704fcb0775dd2f",
 }
 
 
@@ -435,6 +441,35 @@ def test_jacobian_rho_list_must_be_square(tmp_path):
     rc_none, default = _run(tmp_path, *base)
     assert rc_sq == rc_none == 0
     assert square == default
+
+
+def _near_semicircle(row, value_key):
+    # the z0 z_k averages of @semicircle tend to the k-th semicircle moment
+    want = semicircle_moment(int(row["stat"].rpartition(",z")[2]))
+    return abs(float(row[value_key]) - want) <= 0.05 * max(1.0, want)
+
+
+def test_sim_and_verify_run_at_n_1e5(tmp_path):
+    # W : 10^5 x 10^5 is never drawn; its products are sampled exactly
+    rc, data = _run(tmp_path, "sim", "--program", "@semicircle", "--n", "100000",
+                    "--seeds", "2")
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(data.decode())))
+    assert len(rows) == 8 and all(_near_semicircle(r, "value") for r in rows)
+    rc, data = _run(tmp_path, "verify", "--program", "@semicircle", "--n", "4096,100000",
+                    "--seeds", "2", "--ensemble", "20000", "--replicas", "2")
+    assert rc == 0
+    rows = [r for r in csv.DictReader(io.StringIO(data.decode())) if r["n"] == "100000"]
+    assert len(rows) == 4 and all(r["verdict"] == "pass" for r in rows)
+    assert all(_near_semicircle(r, "empirical") for r in rows)
+
+
+@pytest.mark.parametrize("kmax", [0, -3])
+def test_jacobian_rejects_kmax_below_one(tmp_path, kmax):
+    rc, data = _run(tmp_path, "jacobian", "--layers", "2", "--size", "16",
+                    "--kmax", str(kmax))
+    assert rc == 2
+    assert _error_row(data) == f"error,ValueError,jacobian needs --kmax >= 1 (got {kmax})"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,6 +21,7 @@ from infwidth.finite import (
     DiagFactor,
     MatFactor,
     MatrixWord,
+    ProductSampler,
     dims_for_scale,
     eig_spectrum,
     empirical_average,
@@ -92,8 +94,16 @@ def test_memory_policy_cap():
     prog = build_program(
         [MatrixDecl("W", "c", "c", 1.0), VectorDecl("v", "c"), MatMul("x", "W", False, "v")]
     )
+    with pytest.raises(MemoryPolicyError):  # a dense draw is checked when it is drawn
+        instantiate(prog, {"c": 64}, seed=0, element_cap=1 << 10)
+    # a matrix above BLOCK_ENTRIES is sampled through its products, and
+    # checked against the cap only when a word needs it formed
+    r = instantiate(prog, {"c": 4096}, seed=0, element_cap=1 << 20)
+    assert "W" not in r.matrices
     with pytest.raises(MemoryPolicyError):
-        instantiate(prog, {"c": 4096}, seed=0, element_cap=1 << 20)
+        r.matrix("W")
+    with pytest.raises(MemoryPolicyError):
+        word_apply(r, MatrixWord((MatFactor("W"),)), r.vectors["v"])
 
 
 def test_dims_must_cover_and_agree():
@@ -283,11 +293,14 @@ def test_power_traces_match_eigenvalue_power_sums(symmetric):
     m = a + a.T if symmetric else a + 0.3 * np.eye(12)
     eigs = np.linalg.eigvals(m)
     for k_max in range(1, 8):  # odd and even tails
-        got = power_traces(m, k_max)
-        assert len(got) == k_max
-        for k, t in enumerate(got, start=1):
-            want = float(np.sum(eigs**k).real)
-            assert t == pytest.approx(want, rel=1e-10, abs=1e-12)
+        variants = [power_traces(m, k_max)]
+        if symmetric:  # contiguous inner products, valid for symmetric m only
+            variants.append(power_traces(m, k_max, symmetric=True))
+        for got in variants:
+            assert len(got) == k_max
+            for k, t in enumerate(got, start=1):
+                want = float(np.sum(eigs**k).real)
+                assert t == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def _jacobian_realization(n: int, seed: int):
@@ -442,18 +455,111 @@ def test_multi_block_matrix_matches_sequential_reference(m, ratio):
     n = round(ratio * m)
     real = instantiate(prog, {"m": m, "n": n}, seed=5)
     assert n * n > BLOCK_ENTRIES and BLOCK_ENTRIES % n
-    assert np.array_equal(real.matrices["W"], _block_reference(5, "W", m, n, 0.5))
-    assert np.array_equal(real.matrices["V"], _block_reference(5, "V", n, n, 2.0))
-    assert np.array_equal(real.vectors["x"], real.matrices["W"] @ real.vectors["v"])
+    # V has no products, so forming it is the dense draw bit for bit; W is
+    # formed consistent with its one sampled product
+    assert np.array_equal(real.matrix("V"), _block_reference(5, "V", n, n, 2.0))
+    x = real.vectors["x"]
+    assert np.linalg.norm(real.matrix("W") @ real.vectors["v"] - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_block_draws_do_not_depend_on_threads(monkeypatch):
     prog, dims = _two_matrix_program(), {"m": 2100, "n": 2100}
-    alone = instantiate(prog, dims, seed=9)
+
+    def formed(real):  # W has a product, V has none
+        return [real.matrix(name) for name in ("W", "V")]
+
+    alone = formed(instantiate(prog, dims, seed=9))
     with ThreadPoolExecutor(2) as pool:
-        pair = list(pool.map(lambda _: instantiate(prog, dims, seed=9), range(2)))
+        pair = list(pool.map(lambda _: formed(instantiate(prog, dims, seed=9)), range(2)))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one_cpu = instantiate(prog, dims, seed=9)
+    one_cpu = formed(instantiate(prog, dims, seed=9))
     for other in pair + [one_cpu]:
-        for name in ("W", "V"):
-            assert np.array_equal(other.matrices[name], alone.matrices[name])
+        for got, want in zip(other, alone):
+            assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Matrix-free products above BLOCK_ENTRIES
+# ---------------------------------------------------------------------------
+
+
+def _product_features(program, dims, seed, matrix_free):
+    """Coordinate 0 of every product of one run, with each matrix either drawn
+    densely by instantiate or behind a ProductSampler."""
+    real = instantiate(program, dims, seed)
+    vectors = {v.name: real.vectors[v.name] for v in program.vectors}
+    samplers = {
+        m.name: ProductSampler(seed, m.name, dims[program.cdc_of_class[m.rows]],
+                               dims[program.cdc_of_class[m.cols]], m.sigma2)
+        for m in program.matrices
+    }
+    out = []
+    for ins in program.instructions:
+        if isinstance(ins, MatMul):
+            v = vectors[ins.vin]
+            if matrix_free:
+                vectors[ins.out] = samplers[ins.matrix].apply(v, ins.transposed)
+            else:
+                w = real.matrices[ins.matrix]
+                vectors[ins.out] = (w.T if ins.transposed else w) @ v
+            out.append(vectors[ins.out][0])
+        else:
+            cols = tuple(vectors[nm] for nm in ins.inputs)
+            vectors[ins.out] = np.asarray(E.evaluate(ins.expr, cols), dtype=np.float64)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name, n", [("semicircle", 4), ("mp_two", 3)])
+def test_product_sampler_matches_dense_law(name, n):
+    # at a size this small every product is far from its limit, so the
+    # sampled products must reproduce the dense draws' finite-n law: the
+    # means and the second moments of coordinate 0 of all products
+    prog = corpus.load_program(name)
+    dims = dims_for_scale(prog, n)
+    seeds = range(3000)
+    sides = [np.array([_product_features(prog, dims, s, free) for s in seeds])
+             for free in (False, True)]
+
+    def moments(f):
+        pairs = np.einsum("si,sj->sij", f, f).reshape(len(f), -1)
+        both = np.hstack([f, pairs])
+        return both.mean(axis=0), both.std(axis=0, ddof=1) / math.sqrt(len(f))
+
+    (m_dense, se_dense), (m_free, se_free) = moments(sides[0]), moments(sides[1])
+    z = np.abs(m_dense - m_free) / np.hypot(se_dense, se_free)
+    assert float(np.max(z)) <= 4.0
+
+
+@pytest.mark.parametrize("name, n", [("semicircle", 2100), ("mp_two", 1500)])
+def test_formed_matrix_reproduces_every_product(monkeypatch, name, n):
+    prog = corpus.load_program(name)
+    real = instantiate(prog, dims_for_scale(prog, n), seed=4)
+    (mat,) = [m.name for m in prog.matrices]
+    assert mat in real.samplers and not real.matrices
+    w = real.matrix(mat)
+    for ins in prog.instructions:
+        if isinstance(ins, MatMul):
+            want = real.vectors[ins.out]
+            got = (w.T if ins.transposed else w) @ real.vectors[ins.vin]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    again = instantiate(prog, dims_for_scale(prog, n), seed=4)
+    assert np.array_equal(again.matrix(mat), w)
+
+
+def test_matrix_is_formed_once_for_all_threads():
+    # more threads than CPUs and frequent switches: a lost update of the
+    # cache would hand different threads different arrays
+    prog = _two_matrix_program()
+    real = instantiate(prog, {"m": 2100, "n": 2100}, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(real.matrix, name) for name in ("W", "V") * 4]
+            formed = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(w is real.matrix("W") for w in formed[0::2])
+    assert all(v is real.matrix("V") for v in formed[1::2])
+    assert not real.matrix("W").flags.writeable
