@@ -483,30 +483,33 @@ def test_block_draws_do_not_depend_on_threads(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _product_features(program, dims, seed, matrix_free):
-    """Coordinate 0 of every product of one run, with each matrix either drawn
-    densely by instantiate or behind a ProductSampler."""
+def _product_features(program, dims, seed):
+    """Coordinate 0 of every product of one run, with the matrices drawn
+    densely by instantiate and with each behind a ProductSampler."""
     real = instantiate(program, dims, seed)
-    vectors = {v.name: real.vectors[v.name] for v in program.vectors}
     samplers = {
         m.name: ProductSampler(seed, m.name, dims[program.cdc_of_class[m.rows]],
                                dims[program.cdc_of_class[m.cols]], m.sigma2)
         for m in program.matrices
     }
-    out = []
-    for ins in program.instructions:
-        if isinstance(ins, MatMul):
-            v = vectors[ins.vin]
-            if matrix_free:
-                vectors[ins.out] = samplers[ins.matrix].apply(v, ins.transposed)
+    sides = []
+    for matrix_free in (False, True):
+        vectors = {v.name: real.vectors[v.name] for v in program.vectors}
+        features = []
+        for ins in program.instructions:
+            if isinstance(ins, MatMul):
+                v = vectors[ins.vin]
+                if matrix_free:
+                    vectors[ins.out] = samplers[ins.matrix].apply(v, ins.transposed)
+                else:
+                    w = real.matrices[ins.matrix]
+                    vectors[ins.out] = (w.T if ins.transposed else w) @ v
+                features.append(vectors[ins.out][0])
             else:
-                w = real.matrices[ins.matrix]
-                vectors[ins.out] = (w.T if ins.transposed else w) @ v
-            out.append(vectors[ins.out][0])
-        else:
-            cols = tuple(vectors[nm] for nm in ins.inputs)
-            vectors[ins.out] = np.asarray(E.evaluate(ins.expr, cols), dtype=np.float64)
-    return np.array(out)
+                cols = tuple(vectors[nm] for nm in ins.inputs)
+                vectors[ins.out] = np.asarray(E.evaluate(ins.expr, cols), dtype=np.float64)
+        sides.append(features)
+    return sides
 
 
 @pytest.mark.parametrize("name, n", [("semicircle", 4), ("mp_two", 3)])
@@ -516,16 +519,14 @@ def test_product_sampler_matches_dense_law(name, n):
     # means and the second moments of coordinate 0 of all products
     prog = corpus.load_program(name)
     dims = dims_for_scale(prog, n)
-    seeds = range(3000)
-    sides = [np.array([_product_features(prog, dims, s, free) for s in seeds])
-             for free in (False, True)]
+    runs = np.array([_product_features(prog, dims, s) for s in range(3000)])
 
     def moments(f):
         pairs = np.einsum("si,sj->sij", f, f).reshape(len(f), -1)
         both = np.hstack([f, pairs])
         return both.mean(axis=0), both.std(axis=0, ddof=1) / math.sqrt(len(f))
 
-    (m_dense, se_dense), (m_free, se_free) = moments(sides[0]), moments(sides[1])
+    (m_dense, se_dense), (m_free, se_free) = moments(runs[:, 0]), moments(runs[:, 1])
     z = np.abs(m_dense - m_free) / np.hypot(se_dense, se_free)
     assert float(np.max(z)) <= 4.0
 
