@@ -196,7 +196,7 @@ def sweep_passes(gap_first: float, gap_last: float, stderr_last: float,
 
 
 def consistency_table(program: Program, tests, sizes: list[int], seeds: list[int],
-                      state, workers: int = 1, tol: float = 0.05):
+                      state, workers: int, tol: float):
     """Empirical averages vs limit expectations over a size sweep.
 
     Returns (rows, all_pass) where each row is (stat, n, empirical, limit,
@@ -263,6 +263,9 @@ def cmd_verify(args) -> int:
 def cmd_law(args) -> int:
     if args.law == "mp" and (args.rho is None or args.rho <= 0):
         raise ValueError("mp law needs --rho > 0")
+    for flag, value in (("--rho", args.rho), ("--xmin", args.xmin), ("--xmax", args.xmax)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"law needs a finite {flag} (got {value})")
     if args.density and args.law != "catalan":
         if args.points < 1:
             raise ValueError(f"--points must be >= 1 (got {args.points})")

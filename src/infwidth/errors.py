@@ -38,7 +38,7 @@ class CapExceeded(Exception):
 
 
 class MemoryPolicyError(Exception):
-    """Instantiation would allocate more than the configured element cap."""
+    """Forming a matrix would allocate more than ELEMENT_CAP entries."""
 
 
 class NonPSDExtension(Exception):

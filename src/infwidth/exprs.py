@@ -320,14 +320,13 @@ def _fmt_child(e: Expr, parent_prec: int, right: bool) -> str:
 
 
 class _Lexer:
-    def __init__(self, text: str, line: int = 1, col_offset: int = 0):
+    def __init__(self, text: str, line: int = 1):
         self.text = text
         self.pos = 0
         self.line = line
-        self.col_offset = col_offset
 
     def error(self, msg: str):
-        raise ParseError(msg, self.line, self.pos + 1 + self.col_offset)
+        raise ParseError(msg, self.line, self.pos + 1)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -374,8 +373,8 @@ class _Lexer:
         return t[start:self.pos]
 
 
-def parse_expr(text: str, line: int = 1, col_offset: int = 0) -> Expr:
-    lex = _Lexer(text, line, col_offset)
+def parse_expr(text: str, line: int = 1) -> Expr:
+    lex = _Lexer(text, line)
     e = _parse_sum(lex)
     if not lex.at_end():
         lex.error("unexpected trailing input in expression")

@@ -37,8 +37,8 @@ from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
-# largest dense matrix (entries): checked when instantiate draws a matrix and
-# when Realization.matrix forms a larger one; products never allocate a matrix
+# largest dense matrix (entries), checked when Realization.matrix forms one;
+# instantiate draws at most BLOCK_ENTRIES per matrix, and products allocate none
 ELEMENT_CAP = 1 << 26
 HUTCHINSON_PROBES = 32
 # entries per separately keyed block of a matrix draw; larger matrices are
@@ -165,7 +165,7 @@ class Realization:
     `matrices` holds the matrices that were drawn densely (at most
     BLOCK_ENTRIES entries); `samplers` holds the larger ones, known through
     their products.  Read any matrix with `matrix(name)`: it forms a large
-    one on first use, subject to `element_cap`, and caches it read-only.
+    one on first use, subject to ELEMENT_CAP, and caches it read-only.
     """
 
     program: Program
@@ -175,7 +175,6 @@ class Realization:
     vectors: dict[str, np.ndarray] = field(repr=False)
     scalars: dict[str, float]
     samplers: dict[str, ProductSampler] = field(default_factory=dict, repr=False)
-    element_cap: int = ELEMENT_CAP
     _formed: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -191,9 +190,9 @@ class Realization:
             if name not in self._formed:
                 sampler = self.samplers[name]
                 r, c = sampler.shape
-                if r * c > self.element_cap:
+                if r * c > ELEMENT_CAP:
                     raise MemoryPolicyError(
-                        f"matrix {name!r} would need {r}x{c} entries (cap {self.element_cap})"
+                        f"matrix {name!r} would need {r}x{c} entries (cap {ELEMENT_CAP})"
                     )
                 w = sampler.dense()
                 w.flags.writeable = False
@@ -201,22 +200,17 @@ class Realization:
             return self._formed[name]
 
 
-def instantiate(
-    program: Program,
-    dims: dict[str, int],
-    seed: int,
-    element_cap: int = ELEMENT_CAP,
-) -> Realization:
+def instantiate(program: Program, dims: dict[str, int], seed: int) -> Realization:
     """Sample and execute a program; a pure function of (program, dims, seed).
 
     A matrix W : r x c has iid N(0, sigma2/c) entries.  One of at most
     BLOCK_ENTRIES entries is drawn here, from the stream (seed, "matrix",
-    name), with all such draws filled in parallel on the usable CPUs; above
-    element_cap it raises MemoryPolicyError.  A larger W is not drawn: a
-    ProductSampler samples each of its products exactly, and
-    Realization.matrix forms W only on request, checking element_cap then,
-    in row blocks of max(1, BLOCK_ENTRIES // c) rows: block 0 from
-    (seed, "matrix", name), block b >= 1 from (seed, "matrix", name, b).
+    name), with all such draws filled in parallel on the usable CPUs.  A
+    larger W is not drawn: a ProductSampler samples each of its products
+    exactly, and Realization.matrix forms W only on request, checking
+    ELEMENT_CAP then, in row blocks of max(1, BLOCK_ENTRIES // c) rows:
+    block 0 from (seed, "matrix", name), block b >= 1 from
+    (seed, "matrix", name, b).
     Every stream is a pure function of its key, so the bytes do not depend
     on the number of threads.
     """
@@ -231,10 +225,6 @@ def instantiate(
         if r * c > BLOCK_ENTRIES:
             samplers[m.name] = ProductSampler(seed, m.name, r, c, m.sigma2)
             continue
-        if r * c > element_cap:
-            raise MemoryPolicyError(
-                f"matrix {m.name!r} would need {r}x{c} entries (cap {element_cap})"
-            )
         w = matrices[m.name] = np.empty((r, c))
         blocks += _matrix_blocks(w, m.name, math.sqrt(m.sigma2 / c))
     _fill_blocks(seed, blocks)
@@ -267,7 +257,7 @@ def instantiate(
             pars = tuple(scalars[nm] for nm in ins.params)
             scalars[ins.out] = float(np.mean(exprs.evaluate(ins.expr, cols, pars)))
 
-    return Realization(program, seed, dims, matrices, vectors, scalars, samplers, element_cap)
+    return Realization(program, seed, dims, matrices, vectors, scalars, samplers)
 
 
 def _matrix_blocks(w: np.ndarray, name: str, scale: float) -> list:
@@ -505,11 +495,10 @@ def trace_moment(
     realization: Realization,
     word: MatrixWord,
     method: str = "auto",
-    cap: int = EXACT_CAP,
     probes: int = HUTCHINSON_PROBES,
 ) -> tuple[float, float]:
     """Normalized trace (1/n) tr(word) with a standard error (see trace_probes)."""
-    return spectral_moments(realization, word, 1, method, cap, probes)[0]
+    return spectral_moments(realization, word, 1, method, probes)[0]
 
 
 def spectral_moments(
@@ -517,18 +506,17 @@ def spectral_moments(
     word: MatrixWord,
     k_max: int,
     method: str = "auto",
-    cap: int = EXACT_CAP,
     probes: int = HUTCHINSON_PROBES,
 ) -> list[tuple[float, float]]:
-    """[(1/n) tr(word^r) for r = 1..k_max]; word must be square (and should
-    be symmetric when interpreted as spectral moments)."""
+    """[(1/n) tr(word^r) for r = 1..k_max] (see trace_probes, cap EXACT_CAP);
+    word must be square (and should be symmetric to read as spectral moments)."""
     side = square_class(realization.program, word)
     if not side:
         return [(1.0, 0.0)] * k_max
     n = realization.dims[side]
-    p = trace_probes(n, method, cap, probes)
+    p = trace_probes(n, method, EXACT_CAP, probes)
     if p == 0:
-        m = materialize(realization, word, cap=cap)
+        m = materialize(realization, word)
         return [(t / n, 0.0) for t in power_traces(m, k_max)]
     forms = probe_forms(
         lambda v: word_apply(realization, word, v), n, k_max, p,

@@ -201,7 +201,7 @@ def centered_trace(
         return float(np.trace(acc)) / n
 
     taus = [
-        math.fsum(c * trace_moment(realization, w, "hutch", cap, p)[0] for c, w in poly.terms)
+        math.fsum(c * trace_moment(realization, w, "hutch", p)[0] for c, w in poly.terms)
         for poly in polys
     ]
 
@@ -372,23 +372,23 @@ ACTIVATIONS: dict[str, tuple[exprs.Expr, exprs.Expr]] = {
 }
 
 
-def mlp_forward_variances(phi: exprs.Expr, q1: float, layers: int, order: int = 200) -> list[float]:
+def mlp_forward_variances(phi: exprs.Expr, q1: float, layers: int) -> list[float]:
     """Per-layer preactivation variances q_1..q_L of a wide feedforward stack."""
-    if q1 <= 0:
-        raise ValueError("q1 must be positive")
+    if not (q1 > 0 and math.isfinite(q1)):
+        raise ValueError("q1 must be positive and finite")
     qs = [float(q1)]
     for _ in range(layers - 1):
-        qs.append(gaussian_expect(lambda z: exprs.evaluate(phi, (z,)) ** 2, var=qs[-1], order=order))
+        qs.append(gaussian_expect(lambda z: exprs.evaluate(phi, (z,)) ** 2, var=qs[-1]))
     return qs
 
 
-def d_squared_moments(phi_prime: exprs.Expr, q: float, k_max: int, order: int = 200) -> np.ndarray:
+def d_squared_moments(phi_prime: exprs.Expr, q: float, k_max: int) -> np.ndarray:
     """Moments m_k = E phi'(sqrt(q) xi)^(2k) of the squared derivative law."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not (q > 0 and math.isfinite(q)):
+        raise ValueError("q must be positive and finite")
     return np.array(
         [
-            gaussian_expect(lambda z: exprs.evaluate(phi_prime, (z,)) ** (2 * k), var=q, order=order)
+            gaussian_expect(lambda z: exprs.evaluate(phi_prime, (z,)) ** (2 * k), var=q)
             for k in range(1, k_max + 1)
         ]
     )

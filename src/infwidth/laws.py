@@ -58,8 +58,8 @@ def mp_moment(r: int, rho: float, method: str = "explicit") -> float:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise ValueError("rho must be positive and finite")
     if method == "explicit":
         total = 0.0
         for k in range(0, (r - 1) // 2 + 1):
@@ -171,29 +171,19 @@ def series_compose(f: FormalSeries, g: FormalSeries, order: int) -> FormalSeries
 def series_comp_inverse(f: FormalSeries, order: int) -> FormalSeries:
     """Compositional inverse: g with f(g(z)) = z, requires c0 = 0, c1 != 0.
 
-    Newton iteration on series (order doubles each step).
+    Lagrange inversion: g_n = [z^(n-1)] h(z)^n / n with h = z / f(z), so
+    one loop of series products builds every coefficient.
     """
     if f[0] != 0.0:
         raise NonInvertibleSeries("compositional inverse needs zero constant term")
     if f[1] == 0.0:
         raise NonInvertibleSeries("compositional inverse needs a nonzero linear term")
-    g = series([0.0, 1.0 / f[1]])
-    current = 1
-    while current < order:
-        current = min(2 * current, order)
-        fg = series_compose(f.truncate(current), g.truncate(current), current)
-        # error e(z) = f(g(z)) - z; update g <- g - e / f'(g)
-        err = [fg[i] - (1.0 if i == 1 else 0.0) for i in range(current + 1)]
-        fprime = series(
-            [k * f[k] for k in range(1, f.order + 1)] or [0.0]
-        )
-        fpg = series_compose(fprime.truncate(current), g.truncate(current), current)
-        inv_fpg = _series_reciprocal(fpg, current)
-        corr = series_mul(series(err), inv_fpg, current)
-        g = series(
-            [g[i] - corr[i] for i in range(current + 1)]
-        )
-    return g.truncate(order)
+    h = _series_reciprocal(series(f.coeffs[1:]), order - 1)
+    out, power = [0.0], series([1.0])
+    for n in range(1, order + 1):
+        power = series_mul(power, h, order - 1)
+        out.append(power[n - 1] / n)
+    return FormalSeries(tuple(out))
 
 
 def _series_reciprocal(f: FormalSeries, order: int) -> FormalSeries:

@@ -24,17 +24,17 @@ from . import exprs
 from .errors import TruncationWarning
 
 
-def pseudoinverse(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def pseudoinverse(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rel_tol * max_singular_value`` are treated as
+    Singular values below ``1e-12 * max_singular_value`` are treated as
     exact zeros, so the result is stable on rank-deficient input.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
         return m.T.copy()
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > rel_tol * s[0]
+    keep = s > 1e-12 * s[0]
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 
@@ -114,9 +114,9 @@ def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
-def gaussian_expect(f, var: float = 1.0, order: int = 200) -> float:
-    """E f(z) for z ~ N(0, var) by Gauss-Hermite quadrature."""
-    xs, ws = gauss_hermite_nodes(order)
+def gaussian_expect(f, var: float = 1.0) -> float:
+    """E f(z) for z ~ N(0, var) by Gauss-Hermite quadrature at order 200."""
+    xs, ws = gauss_hermite_nodes(200)
     vals = np.asarray(f(math.sqrt(var) * xs), dtype=np.float64)
     if vals.ndim == 0:
         return float(vals)  # constant integrand

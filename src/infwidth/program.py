@@ -57,8 +57,8 @@ class VectorDecl:
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise ValueError(f"vector {self.name}: mean must be finite")
-        if self.var < 0:
-            raise ValueError(f"vector {self.name}: variance must be >= 0")
+        if not (self.var >= 0 and math.isfinite(self.var)):
+            raise ValueError(f"vector {self.name}: variance must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

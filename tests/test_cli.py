@@ -205,7 +205,9 @@ m2 = moment x1^2 (z2)
 # Cholesky factor per Gaussian family: their values moved by at most 3.4e-13
 # stderr.  jacobian_dense was re-recorded when the power traces of the
 # symmetric Gram matrix became contiguous inner products: its empirical
-# moments moved by at most 1.1e-15 relative.
+# moments moved by at most 1.1e-15 relative.  jacobian_dense and
+# jacobian_probe were re-recorded when series inversion moved from Newton
+# to Lagrange: their limit moments moved by at most 6.6e-16 relative.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -262,9 +264,9 @@ _GOLDEN_SHA = {
     "free_auto":
         "fdfcf16a0a4cc95d3b9cdcc31f7145f1ebc7076a158138fcf55ebaf7433d7731",
     "jacobian_dense":
-        "03d025ad21bcc7733745a651bd2dc3c98714c0043e5d36d382d5bee659d4a12f",
+        "587eefc31c2b0897d2fff4339cbfa3e0f6210dff2dbbaf2b4911f6345e2888e7",
     "jacobian_probe":
-        "d7b7b415e8dbf26bff148b38d087eaad5b6d915586babff297dd44a04e047484",
+        "9373cdc93b68c616e7e0bd40e9afa39d9c818a4d21d66ff659c91e301e9a848b",
     "law_mp":
         "9d52187d5a837d983bb71a1643de3389b117c4dba60f9bdf35da534786fa49b9",
     "law_semicircle_density":
@@ -472,12 +474,23 @@ def test_jacobian_rejects_kmax_below_one(tmp_path, kmax):
     assert _error_row(data) == f"error,ValueError,jacobian needs --kmax >= 1 (got {kmax})"
 
 
+@pytest.mark.parametrize("q1", ["0", "nan", "inf"])
+def test_jacobian_rejects_q1_not_positive_finite(tmp_path, q1):
+    rc, data = _run(tmp_path, "jacobian", "--layers", "2", "--size", "16", "--q1", q1)
+    assert rc == 2
+    assert _error_row(data) == "error,ValueError,q1 must be positive and finite"
+
+
 @pytest.mark.parametrize("argv", [
     ["catalan", "--rmax", "-1"],
     ["semicircle", "--rmax", "0"],
     ["mp", "--rho", "0.5", "--rmax", "0"],
     ["semicircle", "--density", "--points", "0"],
     ["mp", "--rho", "2", "--density", "--points", "0"],
+    ["mp", "--rho", "nan"],
+    ["mp", "--rho", "inf"],
+    ["semicircle", "--density", "--xmin", "nan"],
+    ["semicircle", "--density", "--xmax", "inf"],
 ])
 def test_law_rejects_empty_tables(tmp_path, argv):
     rc, data = _run(tmp_path, "law", *argv)

@@ -54,6 +54,8 @@ def test_build_errors_surface_from_source():
     ("vector v : c mean nan", "vector v: mean must be finite"),
     ("vector v : c mean inf", "vector v: mean must be finite"),
     ("vector v : c mean -inf", "vector v: mean must be finite"),
+    ("vector v : c var inf", "vector v: variance must be >= 0 and finite"),
+    ("vector v : c var nan", "vector v: variance must be >= 0 and finite"),
     ("scalar th limit nan", "scalar th: limit must be finite"),
     ("scalar th limit inf", "scalar th: limit must be finite"),
     ("matrix W : c x c var inf", "matrix W: sigma2 must be positive and finite"),

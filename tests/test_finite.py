@@ -2,6 +2,7 @@ import math
 import os
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +19,7 @@ from infwidth.errors import (
 )
 from infwidth.finite import (
     BLOCK_ENTRIES,
+    ELEMENT_CAP,
     DiagFactor,
     MatFactor,
     MatrixWord,
@@ -94,16 +96,22 @@ def test_memory_policy_cap():
     prog = build_program(
         [MatrixDecl("W", "c", "c", 1.0), VectorDecl("v", "c"), MatMul("x", "W", False, "v")]
     )
-    with pytest.raises(MemoryPolicyError):  # a dense draw is checked when it is drawn
-        instantiate(prog, {"c": 64}, seed=0, element_cap=1 << 10)
-    # a matrix above BLOCK_ENTRIES is sampled through its products, and
-    # checked against the cap only when a word needs it formed
-    r = instantiate(prog, {"c": 4096}, seed=0, element_cap=1 << 20)
+    # W : 8193 x 8193 is above ELEMENT_CAP; its product is sampled without
+    # drawing it, and the cap is checked when a word needs it formed
+    n = 8193
+    assert n * n > ELEMENT_CAP
+    r = instantiate(prog, {"c": n}, seed=0)
     assert "W" not in r.matrices
-    with pytest.raises(MemoryPolicyError):
-        r.matrix("W")
-    with pytest.raises(MemoryPolicyError):
-        word_apply(r, MatrixWord((MatFactor("W"),)), r.vectors["v"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryPolicyError):
+            r.matrix("W")
+        with pytest.raises(MemoryPolicyError):
+            word_apply(r, MatrixWord((MatFactor("W"),)), r.vectors["v"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # W would take 8 n^2 bytes
 
 
 def test_dims_must_cover_and_agree():

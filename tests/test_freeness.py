@@ -235,6 +235,9 @@ def test_d_squared_moments():
     se = float(np.std((1 - np.tanh(z) ** 2) ** 2) / math.sqrt(z.size))
     quad = d_squared_moments(dtanh, 1.0, 1)[0]
     assert abs(quad - mc) <= 3.0 * se
+    for q in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^q must be positive and finite$"):
+            d_squared_moments(dtanh, q, 2)
 
 
 def test_jacobian_limit_identity_is_mp_power():

@@ -109,6 +109,12 @@ def test_mp_moment_values():
     assert mp_moment(3, 1.0) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+def test_mp_moment_rejects_rho_not_positive_finite(rho):
+    with pytest.raises(ValueError, match="^rho must be positive and finite$"):
+        mp_moment(2, rho)
+
+
 def test_mp_explicit_vs_recurrence():
     for rho in (0.25, 0.5, 1.0, 2.0, 4.0):
         for r in range(1, 21):
