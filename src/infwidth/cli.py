@@ -285,7 +285,10 @@ def cmd_law(args) -> int:
             rows.append(("semicircle", "", r, laws.semicircle_moment(r)))
     elif args.law == "mp":
         for r in range(1, args.rmax + 1):
-            rows.append(("mp", args.rho, r, laws.mp_moment(r, args.rho)))
+            try:
+                rows.append(("mp", args.rho, r, laws.mp_moment(r, args.rho)))
+            except ValueError as exc:
+                raise ValueError(f"--rho {args.rho} is too large for the mp law: {exc}") from None
         rows.append(("mp", args.rho, "atom", laws.mp_atom(args.rho)))
     elif args.law == "catalan":
         for r in range(0, args.rmax + 1):

@@ -1,11 +1,12 @@
 """Finite-size sampling and execution of programs, plus matrix-word statistics.
 
-A Realization is one concrete sample of a program: every declared matrix and
-initial vector drawn at the assigned dimensions from its own deterministic
-stream, then all instructions executed in order.  A matrix of more than
-BLOCK_ENTRIES entries is not drawn: each of its products is sampled from its
-exact law given the earlier ones (ProductSampler), and the matrix itself is
-formed only when a word needs it (Realization.matrix).  On top of
+A Realization is one concrete sample of a program: every initial vector
+drawn at the assigned dimensions from its own deterministic stream, then all
+instructions executed in order.  A matrix is not drawn: each of its products
+is sampled from its exact law given the earlier ones (ProductSampler), and
+the matrix itself is formed only when a word needs it (Realization.matrix).
+A caller that reads matrices whole (the Jacobian) names them, and those are
+drawn before execution instead.  On top of
 realizations this module evaluates coordinate averages, applies matrix words
 (products of program matrices and diagonal matrices of bounded coordinatewise
 images) without materializing them, and estimates normalized traces either
@@ -20,6 +21,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable
 import warnings
 
 import numpy as np
@@ -37,12 +39,12 @@ from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
-# largest dense matrix (entries), checked when Realization.matrix forms one;
-# instantiate draws at most BLOCK_ENTRIES per matrix, and products allocate none
+# largest dense matrix (entries), checked before a named matrix is drawn
+# and when Realization.matrix forms one; products allocate none
 ELEMENT_CAP = 1 << 26
 HUTCHINSON_PROBES = 32
-# entries per separately keyed block of a matrix draw; larger matrices are
-# sampled through their products only
+# entries per separately keyed row block of a dense draw, each block filled
+# on its own thread
 BLOCK_ENTRIES = 1 << 22
 DEPENDENT_TOL = 1e-12  # relative residual below which an input adds no direction
 
@@ -162,10 +164,10 @@ def _split(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Realization:
     """One finite-size sample of a program; immutable and thread-shareable.
 
-    `matrices` holds the matrices that were drawn densely (at most
-    BLOCK_ENTRIES entries); `samplers` holds the larger ones, known through
-    their products.  Read any matrix with `matrix(name)`: it forms a large
-    one on first use, subject to ELEMENT_CAP, and caches it read-only.
+    `matrices` holds the matrices that instantiate was asked to draw whole;
+    `samplers` holds the others, known through their products.  Read any
+    matrix with `matrix(name)`: it forms a sampled one on first use, subject
+    to ELEMENT_CAP, and caches it read-only.
     """
 
     program: Program
@@ -189,32 +191,31 @@ class Realization:
         with self._lock:
             if name not in self._formed:
                 sampler = self.samplers[name]
-                r, c = sampler.shape
-                if r * c > ELEMENT_CAP:
-                    raise MemoryPolicyError(
-                        f"matrix {name!r} would need {r}x{c} entries (cap {ELEMENT_CAP})"
-                    )
+                _check_cap(name, *sampler.shape)
                 w = sampler.dense()
                 w.flags.writeable = False
                 self._formed[name] = w
             return self._formed[name]
 
 
-def instantiate(program: Program, dims: dict[str, int], seed: int) -> Realization:
-    """Sample and execute a program; a pure function of (program, dims, seed).
+def instantiate(
+    program: Program, dims: dict[str, int], seed: int, dense: Iterable[str] = ()
+) -> Realization:
+    """Sample and execute a program; a pure function of (program, dims, seed, dense).
 
-    A matrix W : r x c has iid N(0, sigma2/c) entries.  One of at most
-    BLOCK_ENTRIES entries is drawn here, from the stream (seed, "matrix",
-    name), with all such draws filled in parallel on the usable CPUs.  A
-    larger W is not drawn: a ProductSampler samples each of its products
-    exactly, and Realization.matrix forms W only on request, checking
-    ELEMENT_CAP then, in row blocks of max(1, BLOCK_ENTRIES // c) rows:
-    block 0 from (seed, "matrix", name), block b >= 1 from
+    A matrix W : r x c has iid N(0, sigma2/c) entries.  W is not drawn: a
+    ProductSampler samples each of its products exactly, and
+    Realization.matrix forms W only on request.  The matrices named in
+    `dense` are drawn here instead, after an ELEMENT_CAP check, all of them
+    filled in parallel on the usable CPUs.  A dense draw, and the W~ of a
+    formed matrix, come in row blocks of max(1, BLOCK_ENTRIES // c) rows:
+    block 0 from the stream (seed, "matrix", name), block b >= 1 from
     (seed, "matrix", name, b).
     Every stream is a pure function of its key, so the bytes do not depend
     on the number of threads.
     """
     dims = resolve_dims(program, dims)
+    dense = set(dense)
 
     matrices: dict[str, np.ndarray] = {}
     samplers: dict[str, ProductSampler] = {}
@@ -222,9 +223,10 @@ def instantiate(program: Program, dims: dict[str, int], seed: int) -> Realizatio
     for m in program.matrices:
         r = dims[program.cdc_of_class[m.rows]]
         c = dims[program.cdc_of_class[m.cols]]
-        if r * c > BLOCK_ENTRIES:
+        if m.name not in dense:
             samplers[m.name] = ProductSampler(seed, m.name, r, c, m.sigma2)
             continue
+        _check_cap(m.name, r, c)
         w = matrices[m.name] = np.empty((r, c))
         blocks += _matrix_blocks(w, m.name, math.sqrt(m.sigma2 / c))
     _fill_blocks(seed, blocks)
@@ -258,6 +260,13 @@ def instantiate(program: Program, dims: dict[str, int], seed: int) -> Realizatio
             scalars[ins.out] = float(np.mean(exprs.evaluate(ins.expr, cols, pars)))
 
     return Realization(program, seed, dims, matrices, vectors, scalars, samplers)
+
+
+def _check_cap(name: str, r: int, c: int) -> None:
+    if r * c > ELEMENT_CAP:
+        raise MemoryPolicyError(
+            f"matrix {name!r} would need {r}x{c} entries (cap {ELEMENT_CAP})"
+        )
 
 
 def _matrix_blocks(w: np.ndarray, name: str, scale: float) -> list:

@@ -449,9 +449,13 @@ def jacobian_finite(
     k_max: int,
     cap: int = 1024,
 ) -> np.ndarray:
-    """Empirical moments (1/n) tr (J^T J)^k of one finite realization."""
+    """Empirical moments (1/n) tr (J^T J)^k of one finite realization.
+
+    Every word application reads whole W_l, so they are drawn densely, in
+    parallel, rather than formed one at a time from their products."""
     prog = mlp_program(layers, phi, q1)
-    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
+    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed,
+                    dense=[m.name for m in prog.matrices])
     word = jacobian_word(layers, phi_prime)
     p = trace_probes(n, "auto", cap, FREENESS_PROBES)
     if p == 0:

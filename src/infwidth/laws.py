@@ -54,30 +54,37 @@ def mp_moment(r: int, rho: float, method: str = "explicit") -> float:
     "explicit" evaluates the closed Catalan sum
         M_r = sum_k rho^k (1+rho)^(r-1-2k) binom(r-1, 2k) C_k;
     "recurrence" uses M_1 = 1, M_s = rho * sum_{q=1}^{s-2} M_q M_{s-1-q}
-    + (1+rho) M_{s-1}.  Both agree to machine precision.
+    + (1+rho) M_{s-1}.  Both agree to machine precision.  M_r grows like
+    rho^(r-1), so a moment beyond the float range raises ValueError.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError("rho must be positive and finite")
-    if method == "explicit":
-        total = 0.0
-        for k in range(0, (r - 1) // 2 + 1):
-            total += (
-                rho**k
-                * (1.0 + rho) ** (r - 1 - 2 * k)
-                * math.comb(r - 1, 2 * k)
-                * catalan(k)
-            )
-        return total
-    if method == "recurrence":
-        m = [1.0]
-        for s in range(2, r + 1):
-            val = (1.0 + rho) * m[s - 2]
-            val += rho * math.fsum(m[q - 1] * m[s - 2 - q] for q in range(1, s - 1))
-            m.append(val)
-        return m[r - 1]
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("explicit", "recurrence"):
+        raise ValueError(f"unknown method {method!r}")
+    try:  # float powers and fsum raise on overflow, products give inf
+        if method == "explicit":
+            total = 0.0
+            for k in range(0, (r - 1) // 2 + 1):
+                total += (
+                    rho**k
+                    * (1.0 + rho) ** (r - 1 - 2 * k)
+                    * math.comb(r - 1, 2 * k)
+                    * catalan(k)
+                )
+        else:
+            m = [1.0]
+            for s in range(2, r + 1):
+                val = (1.0 + rho) * m[s - 2]
+                val += rho * math.fsum(m[q - 1] * m[s - 2 - q] for q in range(1, s - 1))
+                m.append(val)
+            total = m[r - 1]
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"mp law moment M_{r} at rho = {rho!r} exceeds the float range")
+    return total
 
 
 def mp_moments(k_max: int, rho: float) -> np.ndarray:

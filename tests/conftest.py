@@ -1,8 +1,13 @@
-"""Shared generators for fuzz/property tests."""
+"""Shared generators for fuzz/property tests, and the reference matrix draw."""
 
+import math
 import random
 
+import numpy as np
+
 from infwidth import exprs as E
+from infwidth.finite import BLOCK_ENTRIES
+from infwidth.numerics import stream
 from infwidth.program import (
     CovDecl,
     MatMul,
@@ -116,3 +121,13 @@ def random_program(rng: random.Random):
                 decls.append(Moment(out, expr, ins, pars))
                 scalars.append(out)
     return build_program(decls)
+
+
+def block_reference(seed, name, r, c, sigma2):
+    """The documented dense draw of a matrix, block by block on one thread."""
+    rows = max(1, BLOCK_ENTRIES // c)
+    parts = []
+    for b, start in enumerate(range(0, r, rows)):
+        labels = ("matrix", name, b) if b else ("matrix", name)
+        parts.append(stream(seed, *labels).standard_normal((min(rows, r - start), c)))
+    return np.concatenate(parts) * math.sqrt(sigma2 / c)

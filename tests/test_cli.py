@@ -6,13 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import infwidth
+from infwidth import cli
 from infwidth.cli import build_parser, run, sweep_passes
+from infwidth.finite import ELEMENT_CAP
 from infwidth.laws import semicircle_moment
 
 
@@ -42,7 +45,7 @@ def test_workers_do_not_change_output(tmp_path):
 
 
 def test_workers_do_not_change_multi_block_draws(tmp_path):
-    # W : 2100 x 2100 is drawn in two separately keyed row blocks
+    # W : 2100 x 2100 spans two keyed row blocks; sim samples its products
     base = ["sim", "--program", "@semicircle", "--n", "2100", "--seeds", "2"]
     _, b1 = _run(tmp_path, *base, "--workers", "1")
     _, b2 = _run(tmp_path, *base, "--workers", "2")
@@ -207,7 +210,11 @@ m2 = moment x1^2 (z2)
 # symmetric Gram matrix became contiguous inner products: its empirical
 # moments moved by at most 1.1e-15 relative.  jacobian_dense and
 # jacobian_probe were re-recorded when series inversion moved from Newton
-# to Lagrange: their limit moments moved by at most 6.6e-16 relative.
+# to Lagrange: their limit moments moved by at most 6.6e-16 relative.  sim,
+# verify, free_exact, free_auto and free_hutch_witness were re-recorded when
+# every matrix at every size became product-sampled (drawn whole only for
+# the Jacobian): their products are new draws from the same law, and free
+# forms each matrix given its products.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -234,8 +241,8 @@ _GOLDEN = {
     "law_mp_density": ["law", "mp", "--rho", "0.5", "--density", "--xmin", "0",
                        "--xmax", "3", "--points", "31"],
     "law_catalan_density": ["law", "catalan", "--density", "--rmax", "5"],
-    # W : 2100 x 2100 has more than 2^22 entries, so its products are
-    # sampled without drawing it; re-recorded when they stopped being
+    # W : 2100 x 2100 spans several keyed row blocks, and sim samples its
+    # products without drawing it; re-recorded when they stopped being
     # products with a dense draw
     "sim_multiblock": ["sim", "--program", "@semicircle", "--n", "2100", "--seeds", "2",
                        "--test", "x1 * x2:z0,z2"],
@@ -250,19 +257,19 @@ _GOLDEN = {
 # OPENBLAS_NUM_THREADS=2.
 _GOLDEN_SHA = {
     "sim":
-        "7e596467c0f70957dcc9b3ba78fbcc021750d4a32fd3ca847416be12be332980",
+        "b2af752bb6740197fe58a5da334ae9172c352f87670db3fde2b9ca71df2f8fd7",
     "limit_r1":
         "11a85feb7257e7b63ffbef8fffe2f15cb8ffcc3f0d47c8fb8493d025abca09f5",
     "limit_r4":
         "f7cfe8e04592c69844b4713261ac803448a090ffe167f4143a2b937780158dde",
     "verify":
-        "7562576c9b97e8747f7c5420a889def3d1db5de6edbd70efdb2980a354a6edec",
+        "600f62c2aa34c02e0ec21894f8039b446b9a7fdb9095c37c50732bfb05383a54",
     "free_exact":
-        "2ec80de934d6fb71eaeec298e984c7605835ab3e6a956e827ab3ddfea7554be8",
+        "eab71aadd2f0009ed4ccb8f619a77ce2ff2c42e6c7d27194fbd3b53b1d5edc7f",
     "free_hutch_witness":
-        "1e175708598f3eade7813489260c79cdcc336e0ffe7445ee2410b25cae9653ff",
+        "be3e9e04ee01d2e93c9a48bad15cfc787e7bfa4a755440a6aab4cdc3ff175741",
     "free_auto":
-        "fdfcf16a0a4cc95d3b9cdcc31f7145f1ebc7076a158138fcf55ebaf7433d7731",
+        "549879ecf740b820002056c7c72cec4ede30087b142bac37849e9504662e45a0",
     "jacobian_dense":
         "587eefc31c2b0897d2fff4339cbfa3e0f6210dff2dbbaf2b4911f6345e2888e7",
     "jacobian_probe":
@@ -310,6 +317,63 @@ def test_golden_bytes_do_not_depend_on_blas_threads(tmp_path, capsys, name):
     proc = subprocess.run([sys.executable, "-m", "infwidth.cli", *argv, "--out", str(out)],
                           env=env, capture_output=True, check=True)
     assert out.read_bytes() + b"\0" + proc.stderr == in_process
+
+
+@pytest.mark.parametrize("command", [
+    ["sim"],
+    ["verify", "--ensemble", "2000"],
+])
+def test_sim_and_verify_cells_draw_no_matrix(monkeypatch, tmp_path, command):
+    # A : 2048 x 1024 at n = 1024: every product is sampled and A is never
+    # allocated
+    seen = []
+    real = cli.instantiate
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "instantiate", spy)
+    tracemalloc.start()
+    try:
+        rc, _ = _run(tmp_path, *command, "--program", "@mp_two", "--n", "1024",
+                     "--seeds", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and len(seen) == 2
+    assert all(not r.matrices and set(r.samplers) == {"A"} for r in seen)
+    assert peak < 2048 * 1024 * 8
+
+
+def test_sampled_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    argv = ["verify", "--program", "@mp_two", "--n", "256,1024,4096", "--seeds", "2",
+            "--ensemble", "4000"]
+    src = str(Path(infwidth.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run([sys.executable, "-m", "infwidth.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes() + b"\0" + proc.stderr)
+    assert outputs[0] == outputs[1]
+
+
+def test_jacobian_over_the_element_cap_fails_before_drawing(tmp_path):
+    n = 8193  # W2 would have 8193^2 > ELEMENT_CAP entries
+    assert n * n > ELEMENT_CAP
+    tracemalloc.start()
+    try:
+        rc, data = _run(tmp_path, "jacobian", "--layers", "2", "--size", str(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert _error_row(data).startswith("error,MemoryPolicyError,matrix 'W2' would need")
+    assert peak < n * n  # W2 would take 8 n^2 bytes
 
 
 _SCIPY_PROBE = """
@@ -489,6 +553,8 @@ def test_jacobian_rejects_q1_not_positive_finite(tmp_path, q1):
     ["mp", "--rho", "2", "--density", "--points", "0"],
     ["mp", "--rho", "nan"],
     ["mp", "--rho", "inf"],
+    ["mp", "--rho", "1e308"],
+    ["mp", "--rho", "1e200"],
     ["semicircle", "--density", "--xmin", "nan"],
     ["semicircle", "--density", "--xmax", "inf"],
 ])

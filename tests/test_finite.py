@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_bounded_expr
+from conftest import block_reference, random_bounded_expr
 from infwidth import corpus
 from infwidth import exprs as E
 from infwidth.errors import (
@@ -68,7 +68,7 @@ def gauss_program(names=("v",), cls="c"):
 def test_semicircle_iterates_match_matrix_power():
     prog = semicircle_program(4)
     r = instantiate(prog, {"c": 4}, seed=7)
-    a = r.matrices["W"] + r.matrices["W"].T
+    a = r.matrix("W") + r.matrix("W").T
     v = r.vectors["z0"]
     for t in range(1, 5):
         v = a @ v
@@ -87,8 +87,8 @@ def test_same_seed_bit_identical():
     r2 = instantiate(prog, dims_for_scale(prog, 128), seed=11)
     for k in r1.vectors:
         assert np.array_equal(r1.vectors[k], r2.vectors[k])
-    for k in r1.matrices:
-        assert np.array_equal(r1.matrices[k], r2.matrices[k])
+    for m in prog.matrices:
+        assert np.array_equal(r1.matrix(m.name), r2.matrix(m.name))
     assert r1.scalars == r2.scalars
 
 
@@ -153,13 +153,13 @@ def test_word_apply_unit_probe_gives_column():
     e1 = np.zeros(16)
     e1[0] = 1.0
     got = word_apply(r, MatrixWord((MatFactor("W"),)), e1)
-    assert np.array_equal(got, r.matrices["W"][:, 0])
+    assert np.array_equal(got, r.matrix("W")[:, 0])
 
 
 def test_word_apply_matches_dense_product():
     prog = semicircle_program(1)
     r = instantiate(prog, {"c": 64}, seed=2)
-    w = r.matrices["W"]
+    w = r.matrix("W")
     v = r.vectors["z0"]
     got = word_apply(r, MatrixWord((MatFactor("W", True), MatFactor("W"))), v)
     want = w.T @ (w @ v)
@@ -350,7 +350,7 @@ def test_materialize_equals_identity_product(case):
     dense = materialize(r, word)
     assert np.array_equal(dense, word_apply(r, word, np.eye(dense.shape[1])))
     assert dense.flags.c_contiguous
-    assert not any(np.shares_memory(dense, w) for w in r.matrices.values())
+    assert not any(np.shares_memory(dense, r.matrix(m.name)) for m in r.program.matrices)
 
 
 def test_materialize_errors():
@@ -422,16 +422,6 @@ def test_moment_instruction_and_scalar_params():
 # ---------------------------------------------------------------------------
 
 
-def _block_reference(seed, name, r, c, sigma2):
-    """The documented layout, drawn block by block on one thread."""
-    rows = max(1, BLOCK_ENTRIES // c)
-    parts = []
-    for b, start in enumerate(range(0, r, rows)):
-        labels = ("matrix", name, b) if b else ("matrix", name)
-        parts.append(stream(seed, *labels).standard_normal((min(rows, r - start), c)))
-    return np.concatenate(parts) * math.sqrt(sigma2 / c)
-
-
 def _two_matrix_program(ratio=1.0):
     """W : m x n and V : n x n, with n = ratio * m."""
     return build_program(
@@ -448,7 +438,7 @@ def _two_matrix_program(ratio=1.0):
 def test_matrix_of_one_block_keeps_the_unblocked_draw():
     prog = _two_matrix_program(2.0)
     r, c = 1024, 2048  # W has BLOCK_ENTRIES / 2 entries, V exactly BLOCK_ENTRIES
-    real = instantiate(prog, {"m": r, "n": c}, seed=13)
+    real = instantiate(prog, {"m": r, "n": c}, seed=13, dense=("W", "V"))
     w = stream(13, "matrix", "W").standard_normal((r, c)) * math.sqrt(0.5 / c)
     v = stream(13, "matrix", "V").standard_normal((c, c)) * math.sqrt(2.0 / c)
     assert np.array_equal(real.matrices["W"], w)
@@ -465,7 +455,7 @@ def test_multi_block_matrix_matches_sequential_reference(m, ratio):
     assert n * n > BLOCK_ENTRIES and BLOCK_ENTRIES % n
     # V has no products, so forming it is the dense draw bit for bit; W is
     # formed consistent with its one sampled product
-    assert np.array_equal(real.matrix("V"), _block_reference(5, "V", n, n, 2.0))
+    assert np.array_equal(real.matrix("V"), block_reference(5, "V", n, n, 2.0))
     x = real.vectors["x"]
     assert np.linalg.norm(real.matrix("W") @ real.vectors["v"] - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -494,7 +484,7 @@ def test_block_draws_do_not_depend_on_threads(monkeypatch):
 def _product_features(program, dims, seed):
     """Coordinate 0 of every product of one run, with the matrices drawn
     densely by instantiate and with each behind a ProductSampler."""
-    real = instantiate(program, dims, seed)
+    real = instantiate(program, dims, seed, dense=[m.name for m in program.matrices])
     samplers = {
         m.name: ProductSampler(seed, m.name, dims[program.cdc_of_class[m.rows]],
                                dims[program.cdc_of_class[m.cols]], m.sigma2)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from infwidth import corpus
+from conftest import block_reference
+from infwidth import corpus, freeness
 from infwidth import exprs as E
 from infwidth.errors import NotAlternating
 from infwidth.finite import (
@@ -118,7 +119,7 @@ def test_exact_centered_trace_matches_dense_product():
     )
     word = alternating_word(poly, STEP_DIAG, poly, STEP_DIAG)
     r = _real(200, 9)
-    w = r.matrices["W"]
+    w = r.matrix("W")
     n = w.shape[0]
     mats = [0.5 * w + 2.0 * w.T, np.diag((r.vectors["xv"] > 0).astype(float))] * 2
     acc = np.eye(n)
@@ -281,7 +282,9 @@ def test_jacobian_eigen_vs_hutch_paths():
 def _jacobian_case(phi_name, layers, n, seed):
     phi, dphi = ACTIVATIONS[phi_name]
     prog = mlp_program(layers, phi, 1.0)
-    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
+    # as jacobian_finite draws it: every W_l whole
+    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed,
+                    dense=[m.name for m in prog.matrices])
     return (phi, dphi), r, jacobian_word(layers, dphi)
 
 
@@ -303,3 +306,22 @@ def test_jacobian_probe_moments_match_gram_probe_forms(phi_name, layers):
     want = forms.mean(axis=1) / 80
     got = jacobian_finite(layers, 80, phi, dphi, 1.0, 6, 5, cap=64)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("layers, n", [(3, 40), (2, 2100)])
+def test_jacobian_draws_every_weight_whole(monkeypatch, layers, n):
+    # the W_l the moments read are the keyed block draw bit for bit (2100
+    # columns span two blocks), not matrices formed from their products
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(instantiate(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(freeness, "instantiate", spy)
+    phi, dphi = ACTIVATIONS["tanh"]
+    jacobian_finite(layers, n, phi, dphi, 1.0, 3, 1)
+    (r,) = seen
+    assert not r.samplers
+    for l in range(2, layers + 1):
+        assert np.array_equal(r.matrices[f"W{l}"], block_reference(3, f"W{l}", n, n, 1.0))

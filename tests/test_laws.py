@@ -115,6 +115,15 @@ def test_mp_moment_rejects_rho_not_positive_finite(rho):
         mp_moment(2, rho)
 
 
+@pytest.mark.parametrize("method", ["explicit", "recurrence"])
+@pytest.mark.parametrize("rho", [1e200, 1e308])
+def test_mp_moment_beyond_the_float_range_raises(method, rho):
+    # M_3 = (1 + rho)^2 + rho overflows; M_2 = 1 + rho does not
+    assert mp_moment(2, rho, method) == 1.0 + rho
+    with pytest.raises(ValueError, match="^mp law moment M_3 .* exceeds the float range$"):
+        mp_moment(3, rho, method)
+
+
 def test_mp_explicit_vs_recurrence():
     for rho in (0.25, 0.5, 1.0, 2.0, 4.0):
         for r in range(1, 21):
