@@ -5,8 +5,8 @@ drawn at the assigned dimensions from its own deterministic stream, then all
 instructions executed in order.  A matrix is not drawn: each of its products
 is sampled from its exact law given the earlier ones (ProductSampler), and
 the matrix itself is formed only when a word needs it (Realization.matrix).
-A caller that reads matrices whole (the Jacobian) names them, and those are
-drawn before execution instead.  On top of
+A caller that reads matrices whole (the Jacobian below the dense cap) names
+them, and those are drawn before execution instead.  On top of
 realizations this module evaluates coordinate averages, applies matrix words
 (products of program matrices and diagonal matrices of bounded coordinatewise
 images) without materializing them, and estimates normalized traces either
@@ -98,10 +98,17 @@ class ProductSampler:
         W x = Z_X alpha + Q_Y Z_Y^T x^perp + sqrt(sigma2/c) |x^perp| P_Y^perp g
 
     is an exact draw given every earlier product (W^T y likewise, with the
-    roles swapped).  The t-th fresh g comes from the stream
+    roles swapped).  An (n, p) block is the p products of its columns in
+    order: their residuals against Q_X are orthonormalised one after
+    another, and all their images come from one set of matrix products.
+    The t-th fresh g comes from the stream
     (seed, "matrix", name, "product", t), counted over both directions.  An
-    input with |x^perp| <= DEPENDENT_TOL |x| draws no g and adds no
-    direction.  Each product costs O((r + c) k) for k earlier directions.
+    input column with |x^perp| <= DEPENDENT_TOL |x| (in a block, x^perp is
+    also taken against the earlier columns) draws no g and adds no direction.
+    A product costs O((r + c) k) per column for k earlier directions, plus
+    O(c p) per column of a block.  Every product applied, also after
+    instantiate, extends the sampler, so a matrix formed afterwards
+    reproduces it.
     """
 
     def __init__(self, seed: int, name: str, rows: int, cols: int, sigma2: float):
@@ -113,23 +120,27 @@ class ProductSampler:
         self.draws = 0
 
     def apply(self, v: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """W v, or W^T v, sampled given every earlier product."""
+        """W v, or W^T v, for a vector or an (n, p) block, sampled given every
+        earlier product.  A vector is a block of one column, and numpy treats
+        both alike, so the two give the same bytes."""
         side = int(transposed)
         q_in, q_out, z_out = self.q[side], self.q[1 - side], self.z[1 - side]
-        alpha, rest = _split(q_in, v)
-        out = alpha @ self.z[side]
-        norm = float(np.linalg.norm(rest))
-        if norm <= DEPENDENT_TOL * float(np.linalg.norm(v)):
-            return out
-        u = rest / norm
-        g = stream(self.seed, "matrix", self.name, "product", self.draws).standard_normal(
-            q_out.shape[1]
-        )
-        self.draws += 1
-        image = (z_out @ u) @ q_out + self.scale * _split(q_out, g)[1]
-        self.q[side] = np.vstack([q_in, u])
-        self.z[side] = np.vstack([self.z[side], image])
-        return out + norm * image
+        block = v.reshape(len(v), -1)
+        alpha, rest = _split(q_in, block)
+        out = (alpha.T @ self.z[side]).T
+        u, coef = _orthonormal_rows(block, rest)
+        if len(u):
+            g = np.array([
+                stream(self.seed, "matrix", self.name, "product", self.draws + t)
+                .standard_normal(q_out.shape[1])
+                for t in range(len(u))
+            ])
+            self.draws += len(u)
+            image = (z_out @ u.T).T @ q_out + self.scale * _split(q_out, g.T)[1].T
+            self.q[side] = np.vstack([q_in, u])
+            self.z[side] = np.vstack([self.z[side], image])
+            out = out + image.T @ coef
+        return out.reshape(len(out), *v.shape[1:])
 
     def dense(self) -> np.ndarray:
         """One W consistent with every product: the conditional mean plus
@@ -160,6 +171,28 @@ def _split(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha + again, rest
 
 
+def _orthonormal_rows(block: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows u and coefficients c with rest = u^T c, from
+    Gram-Schmidt on rest's columns in order.  A column adds a row only if
+    its part outside the earlier rows exceeds DEPENDENT_TOL times the norm
+    of the same column of block; a column that adds none keeps its
+    coefficients on the earlier rows and loses the rest."""
+    cols = np.ascontiguousarray(rest.T)
+    u = np.empty_like(cols)
+    coef = np.zeros((len(cols), len(cols)))
+    m = 0
+    for j, col in enumerate(cols):
+        if m:  # numpy's products with an empty basis are slow, not free
+            coef[:m, j], col = _split(u[:m], col)
+        norm = float(np.linalg.norm(col))
+        if norm <= DEPENDENT_TOL * float(np.linalg.norm(block[:, j])):
+            continue
+        coef[m, j] = norm
+        u[m] = col / norm
+        m += 1
+    return u[:m], coef[:m]
+
+
 @dataclass(frozen=True)
 class Realization:
     """One finite-size sample of a program; immutable and thread-shareable.
@@ -167,7 +200,10 @@ class Realization:
     `matrices` holds the matrices that instantiate was asked to draw whole;
     `samplers` holds the others, known through their products.  Read any
     matrix with `matrix(name)`: it forms a sampled one on first use, subject
-    to ELEMENT_CAP, and caches it read-only.
+    to ELEMENT_CAP, and caches it read-only.  Products applied after
+    instantiate, through `samplers[name].apply`, extend that sampler: a
+    matrix formed afterwards reproduces them too, one formed before does
+    not.  Such products mutate the sampler, so one thread applies them.
     """
 
     program: Program
@@ -212,7 +248,8 @@ def instantiate(
     block 0 from the stream (seed, "matrix", name), block b >= 1 from
     (seed, "matrix", name, b).
     Every stream is a pure function of its key, so the bytes do not depend
-    on the number of threads.
+    on the number of threads.  Products applied after instantiate extend
+    the samplers of the returned Realization.
     """
     dims = resolve_dims(program, dims)
     dense = set(dense)
@@ -377,7 +414,7 @@ def word_classes(program: Program, word: MatrixWord) -> tuple[str, str]:
     return rows, cols
 
 
-def _diag(realization: Realization, f: DiagFactor, n: int) -> np.ndarray:
+def diag_entries(realization: Realization, f: DiagFactor, n: int) -> np.ndarray:
     """The n diagonal entries of a diagonal factor."""
     cols = tuple(realization.vectors[v] for v in f.vectors)
     d = np.asarray(exprs.evaluate(f.expr, cols), dtype=np.float64)
@@ -388,7 +425,7 @@ def _apply_factor(realization: Realization, f: WordFactor, probe: np.ndarray) ->
     if isinstance(f, MatFactor):
         w = realization.matrix(f.name)
         return (w.T if f.transposed else w) @ probe
-    d = _diag(realization, f, probe.shape[0])
+    d = diag_entries(realization, f, probe.shape[0])
     return d[:, None] * probe if probe.ndim == 2 else d * probe
 
 
@@ -430,7 +467,7 @@ def materialize(realization: Realization, word: MatrixWord, cap: int = EXACT_CAP
             for g in factors[i + 1:]:
                 out = _apply_factor(realization, g, out)
             return out
-        d = _diag(realization, f, n_cols) * d
+        d = diag_entries(realization, f, n_cols) * d
     return np.diag(d)
 
 

@@ -27,6 +27,7 @@ from .finite import (
     MatFactor,
     MatrixWord,
     Realization,
+    diag_entries,
     dims_for_scale,
     instantiate,
     materialize,
@@ -451,13 +452,16 @@ def jacobian_finite(
 ) -> np.ndarray:
     """Empirical moments (1/n) tr (J^T J)^k of one finite realization.
 
-    Every word application reads whole W_l, so they are drawn densely, in
-    parallel, rather than formed one at a time from their products."""
+    Up to the dense side `cap` the moments are power traces of the dense
+    J^T J, so every W_l is read whole and is drawn densely, in parallel.
+    Above it they come from Gaussian probe blocks, and no W_l is drawn:
+    each product with a probe block is sampled exactly given the earlier
+    ones (finite.ProductSampler), extending the realization's samplers."""
     prog = mlp_program(layers, phi, q1)
-    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed,
-                    dense=[m.name for m in prog.matrices])
-    word = jacobian_word(layers, phi_prime)
     p = trace_probes(n, "auto", cap, FREENESS_PROBES)
+    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed,
+                    dense=[m.name for m in prog.matrices] if p == 0 else ())
+    word = jacobian_word(layers, phi_prime)
     if p == 0:
         j = materialize(r, word, cap=cap)
         return np.array(power_traces(j.T @ j, k_max, symmetric=True)) / n
@@ -467,7 +471,11 @@ def jacobian_finite(
     x = stream(seed, "jacobian", word.key()).standard_normal((n, p))
     out = np.empty(k_max)
     for k in range(k_max):
-        x = word_apply(r, halves[k % 2], x)
+        for f in reversed(halves[k % 2].factors):
+            if isinstance(f, MatFactor):
+                x = r.samplers[f.name].apply(x, f.transposed)
+            else:
+                x = diag_entries(r, f, n)[:, None] * x
         out[k] = np.mean(np.einsum("ip,ip->p", x, x)) / n
     return out
 

@@ -114,6 +114,21 @@ def test_memory_policy_cap():
     assert peak < n * n  # W would take 8 n^2 bytes
 
 
+def test_dense_draw_over_the_element_cap_fails_before_drawing():
+    # no command names a matrix this large for a dense draw, so the check
+    # is called directly: it must raise before W is allocated
+    prog = build_program([MatrixDecl("W", "c", "c", 1.0), VectorDecl("v", "c")])
+    n = 8193
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryPolicyError, match="^matrix 'W' would need 8193x8193"):
+            instantiate(prog, {"c": n}, 0, dense=["W"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # W would take 8 n^2 bytes
+
+
 def test_dims_must_cover_and_agree():
     prog = semicircle_program(1)
     with pytest.raises(DimClassConflict):
@@ -483,7 +498,10 @@ def test_block_draws_do_not_depend_on_threads(monkeypatch):
 
 def _product_features(program, dims, seed):
     """Coordinate 0 of every product of one run, with the matrices drawn
-    densely by instantiate and with each behind a ProductSampler."""
+    densely by instantiate and with each behind a ProductSampler.  After the
+    program, each matrix W takes a block [x, g, x + g], with x its last
+    input normalised and g fresh, then W^T takes [W (x + g), h, 0] with h
+    fresh: the columns x, x + g and 0 add no direction."""
     real = instantiate(program, dims, seed, dense=[m.name for m in program.matrices])
     samplers = {
         m.name: ProductSampler(seed, m.name, dims[program.cdc_of_class[m.rows]],
@@ -493,28 +511,42 @@ def _product_features(program, dims, seed):
     sides = []
     for matrix_free in (False, True):
         vectors = {v.name: real.vectors[v.name] for v in program.vectors}
+        last = {}
         features = []
+
+        def apply(name, v, transposed):
+            if matrix_free:
+                return samplers[name].apply(v, transposed)
+            w = real.matrices[name]
+            return (w.T if transposed else w) @ v
+
         for ins in program.instructions:
             if isinstance(ins, MatMul):
-                v = vectors[ins.vin]
-                if matrix_free:
-                    vectors[ins.out] = samplers[ins.matrix].apply(v, ins.transposed)
-                else:
-                    w = real.matrices[ins.matrix]
-                    vectors[ins.out] = (w.T if ins.transposed else w) @ v
+                v = last[ins.matrix] = vectors[ins.vin]
+                vectors[ins.out] = apply(ins.matrix, v, ins.transposed)
                 features.append(vectors[ins.out][0])
             else:
                 cols = tuple(vectors[nm] for nm in ins.inputs)
                 vectors[ins.out] = np.asarray(E.evaluate(ins.expr, cols), dtype=np.float64)
+        for name, x in last.items():
+            x = x / np.linalg.norm(x)  # on the scale of g, so both parts show
+            g = stream(seed, "block", name, 0).standard_normal(len(x))
+            h = stream(seed, "block", name, 1).standard_normal(samplers[name].shape[0])
+            out = apply(name, np.column_stack([x, g, x + g]), False)
+            back = apply(name, np.column_stack([out[:, 2], h, np.zeros_like(h)]), True)
+            features += [*out[0], *back[0, :2]]  # W^T 0 = 0 on both sides
         sides.append(features)
     return sides
 
 
-@pytest.mark.parametrize("name, n", [("semicircle", 4), ("mp_two", 3)])
+@pytest.mark.parametrize("name, n", [("semicircle", 4), ("mp_two", 3), ("mp_two", 8)])
 def test_product_sampler_matches_dense_law(name, n):
     # at a size this small every product is far from its limit, so the
     # sampled products must reproduce the dense draws' finite-n law: the
-    # means and the second moments of coordinate 0 of all products
+    # means and the second moments of coordinate 0 of all products, the
+    # vector products of the program and then a W block and a W^T block
+    # (at n = 8 the blocks add directions; at n = 3 and 4 the program's
+    # inputs already span one side)
     prog = corpus.load_program(name)
     dims = dims_for_scale(prog, n)
     runs = np.array([_product_features(prog, dims, s) for s in range(3000)])
@@ -529,21 +561,64 @@ def test_product_sampler_matches_dense_law(name, n):
     assert float(np.max(z)) <= 4.0
 
 
+def _block_products(real, mat):
+    """After instantiate, a W block and then a W^T block through the sampler:
+    fresh columns, a zero column and a column equal to an earlier input.
+    Returns every product (transposed, input, output), the program's first."""
+    sampler = real.samplers[mat]
+    products = [(ins.transposed, real.vectors[ins.vin], real.vectors[ins.out])
+                for ins in real.program.instructions if isinstance(ins, MatMul)]
+    for transposed in (False, True):
+        earlier, earlier_out = next((v, out) for t, v, out in products if t == transposed)
+        fresh = stream(5, "block", int(transposed)).standard_normal((len(earlier), 2))
+        block = np.column_stack([fresh[:, 0], np.zeros_like(earlier), earlier, fresh[:, 1]])
+        draws, known = sampler.draws, len(sampler.q[int(transposed)])
+        out = sampler.apply(block, transposed)
+        # only the two fresh columns add a direction
+        assert sampler.draws == draws + 2
+        assert len(sampler.q[int(transposed)]) == known + 2
+        assert not out[:, 1].any()
+        assert np.linalg.norm(out[:, 2] - earlier_out) <= 1e-12 * np.linalg.norm(earlier_out)
+        products.append((transposed, block, out))
+    return products
+
+
 @pytest.mark.parametrize("name, n", [("semicircle", 2100), ("mp_two", 1500)])
 def test_formed_matrix_reproduces_every_product(monkeypatch, name, n):
     prog = corpus.load_program(name)
     real = instantiate(prog, dims_for_scale(prog, n), seed=4)
     (mat,) = [m.name for m in prog.matrices]
     assert mat in real.samplers and not real.matrices
+    products = _block_products(real, mat)
     w = real.matrix(mat)
-    for ins in prog.instructions:
-        if isinstance(ins, MatMul):
-            want = real.vectors[ins.out]
-            got = (w.T if ins.transposed else w) @ real.vectors[ins.vin]
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for transposed, v, want in products:
+        got = (w.T if transposed else w) @ v
+        err = np.linalg.norm(got - want, axis=0)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     again = instantiate(prog, dims_for_scale(prog, n), seed=4)
+    _block_products(again, mat)
     assert np.array_equal(again.matrix(mat), w)
+
+
+def test_block_product_equals_its_columns_in_turn():
+    # a block is its columns applied one at a time: the same directions in
+    # the same order take the same keys, so the products agree to rounding
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((300, 5))
+    x[:, 3] = x[:, 0] - 2.0 * x[:, 1]  # dependent on earlier columns
+    x[:, 4] = 0.0
+    y = rng.standard_normal((200, 4))
+    block, columns = (ProductSampler(2, "W", 200, 300, 0.5) for _ in range(2))
+    for v, transposed in [(x[:, 2], False), (y, True), (x, False), (y[:, ::-1], True)]:
+        got = block.apply(v, transposed)
+        want = np.column_stack([columns.apply(c, transposed) for c in v.reshape(len(v), -1).T])
+        assert got.shape == (200 if not transposed else 300,) + v.shape[1:]
+        err = np.linalg.norm(got.reshape(len(got), -1) - want, axis=0)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0))
+        assert block.draws == columns.draws
+    # x[:, 2] again, x[:, 3], 0 and y reversed add no direction
+    assert block.draws == 1 + 4 + 2
 
 
 def test_matrix_is_formed_once_for_all_threads():

@@ -297,21 +297,8 @@ def test_jacobian_dense_moments_match_singular_values(phi_name, layers):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("phi_name,layers", [("relu", 4), ("tanh", 3)])
-def test_jacobian_probe_moments_match_gram_probe_forms(phi_name, layers):
-    (phi, dphi), r, word = _jacobian_case(phi_name, layers, 80, 6)
-    jtj = _word_transpose(word) * word
-    forms = probe_forms(lambda v: word_apply(r, jtj, v), 80, 5, FREENESS_PROBES, 6,
-                        "jacobian", word.key())
-    want = forms.mean(axis=1) / 80
-    got = jacobian_finite(layers, 80, phi, dphi, 1.0, 6, 5, cap=64)
-    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("layers, n", [(3, 40), (2, 2100)])
-def test_jacobian_draws_every_weight_whole(monkeypatch, layers, n):
-    # the W_l the moments read are the keyed block draw bit for bit (2100
-    # columns span two blocks), not matrices formed from their products
+def _spy_instantiate(monkeypatch) -> list:
+    """Realizations that jacobian_finite instantiates, in order."""
     seen = []
 
     def spy(*args, **kwargs):
@@ -319,9 +306,61 @@ def test_jacobian_draws_every_weight_whole(monkeypatch, layers, n):
         return seen[-1]
 
     monkeypatch.setattr(freeness, "instantiate", spy)
+    return seen
+
+
+@pytest.mark.parametrize("phi_name,layers", [("relu", 4), ("tanh", 3)])
+def test_jacobian_probe_moments_match_gram_probe_forms(monkeypatch, phi_name, layers):
+    # the probe path samples its products and the samplers keep them, so
+    # the W_l formed afterwards reproduce them: Gram probe forms on those
+    # matrices give the same moments.  At n = 80 the 96 forward probe
+    # columns span the whole input side, so the last block adds no direction.
+    seen = _spy_instantiate(monkeypatch)
+    phi, dphi = ACTIVATIONS[phi_name]
+    got = jacobian_finite(layers, 80, phi, dphi, 1.0, 6, 5, cap=64)
+    (r,) = seen
+    assert not r.matrices
+    word = jacobian_word(layers, dphi)
+    jtj = _word_transpose(word) * word
+    forms = probe_forms(lambda v: word_apply(r, jtj, v), 80, 5, FREENESS_PROBES, 6,
+                        "jacobian", word.key())
+    assert np.allclose(got, forms.mean(axis=1) / 80, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("layers, n", [(3, 40)])
+def test_jacobian_draws_every_weight_whole(monkeypatch, layers, n):
+    # on the exact path the W_l the moments read are the keyed block draw
+    # bit for bit, not matrices formed from their products
+    seen = _spy_instantiate(monkeypatch)
     phi, dphi = ACTIVATIONS["tanh"]
     jacobian_finite(layers, n, phi, dphi, 1.0, 3, 1)
     (r,) = seen
     assert not r.samplers
     for l in range(2, layers + 1):
         assert np.array_equal(r.matrices[f"W{l}"], block_reference(3, f"W{l}", n, n, 1.0))
+
+
+def test_jacobian_probe_path_draws_no_matrix(monkeypatch):
+    # above the dense cap every product of W_l is sampled, and none of the
+    # W_l is drawn or formed: each keeps its forward product from the
+    # program and one probe block in each direction
+    seen = _spy_instantiate(monkeypatch)
+    phi, dphi = ACTIVATIONS["tanh"]
+    jacobian_finite(3, 2100, phi, dphi, 1.0, 3, 2)
+    (r,) = seen
+    assert not r.matrices and not r._formed
+    for l in (2, 3):
+        sampler = r.samplers[f"W{l}"]
+        assert [len(q) for q in sampler.q] == [1 + FREENESS_PROBES, FREENESS_PROBES]
+        assert sampler.draws == 1 + 2 * FREENESS_PROBES
+
+
+def test_jacobian_probe_path_closed_forms():
+    # above the dense cap, which criterion 7 stays under: identity at L = 3
+    # gives the moments 1, 3, 12 of MP(1) (x) MP(1), and relu at L = 2 the
+    # first moment E step(h)^2 = 1/2
+    identity, relu = ACTIVATIONS["identity"], ACTIVATIONS["relu"]
+    three = np.mean([jacobian_finite(3, 2048, *identity, 1.0, s, 3) for s in range(8)], axis=0)
+    assert np.all(np.abs(three - [1.0, 3.0, 12.0]) <= 0.1 * np.array([1.0, 3.0, 12.0]))
+    first = np.mean([jacobian_finite(2, 2048, *relu, 1.0, s, 1)[0] for s in range(8)])
+    assert abs(first - 0.5) <= 0.05
