@@ -38,9 +38,7 @@ from .finite import (
 )
 from .freeness import (
     AlternatingWord,
-    DiagCollection,
     FreenessReport,
-    MatrixCollection,
     centered_trace,
     fip_witness_program,
     freeness_sweep,

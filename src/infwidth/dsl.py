@@ -22,7 +22,7 @@ form with ``parse_program(print_program(p)) == p``.
 Word files (for alternating-product experiments) hold one factor per line,
 ``mat W``, ``mat W^T`` or ``diag v1,v2 <expr>``; blank lines separate
 factors of the alternating product, and consecutive lines from the same
-collection are grouped automatically.
+collection (the factor's ``collection()``) are grouped automatically.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def parse_word_factors(text: str) -> list[list[list[MatFactor | DiagFactor]]]:
     groups: list[list[list[MatFactor | DiagFactor]]] = []
     monomials: list[list[MatFactor | DiagFactor]] = []
     current: list[MatFactor | DiagFactor] = []
-    last_key = None
+    last_collection = None
 
     def end_monomial():
         nonlocal current
@@ -286,12 +286,12 @@ def parse_word_factors(text: str) -> list[list[list[MatFactor | DiagFactor]]]:
         current = []
 
     def end_group():
-        nonlocal monomials, last_key
+        nonlocal monomials, last_collection
         end_monomial()
         if monomials:
             groups.append(monomials)
         monomials = []
-        last_key = None
+        last_collection = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -310,20 +310,17 @@ def parse_word_factors(text: str) -> list[list[list[MatFactor | DiagFactor]]]:
             if transposed:
                 name = name[:-2]
             factor: MatFactor | DiagFactor = MatFactor(name, transposed)
-            key = ("mat", name)
         elif toks[0] == "diag":
             if len(toks) != 3:
                 raise ParseError("expected: diag VECTORS EXPR", lineno, 1)
             vectors = tuple(t.strip() for t in toks[1].split(","))
-            expr = exprs.parse_expr(toks[2], line=lineno)
-            factor = DiagFactor(vectors, expr)
-            key = ("diag", vectors, expr)
+            factor = DiagFactor(vectors, exprs.parse_expr(toks[2], line=lineno))
         else:
             raise ParseError(f"unknown word factor {toks[0]!r}", lineno, 1)
-        if last_key is not None and key != last_key:
+        if last_collection not in (None, factor.collection()):
             end_group()
         current.append(factor)
-        last_key = key
+        last_collection = factor.collection()
     end_group()
     return groups
 

@@ -134,6 +134,13 @@ def evaluate(e: Expr, inputs=(), params=()):
     return _eval(e, inputs, params)
 
 
+def evaluate_columns(e: Expr, inputs, params=()) -> np.ndarray:
+    """Evaluate over equal-length columns: float64 values shaped like the
+    first input, a constant (an expression that reads no input) repeated."""
+    vals = np.asarray(evaluate(e, inputs, params), dtype=np.float64)
+    return np.full(np.shape(inputs[0]), float(vals)) if vals.ndim == 0 else vals
+
+
 def _eval(e: Expr, inputs, params):
     op = e.op
     if op == "const":
@@ -159,13 +166,9 @@ def _eval(e: Expr, inputs, params):
     if op == "clamp":
         return np.clip(_eval(e.args[0], inputs, params), e.lo, e.hi)
     if op == "relu":
-        v = _eval(e.args[0], inputs, params)
-        return np.maximum(v, 0.0 if np.isscalar(v) else np.zeros_like(v))
+        return np.maximum(_eval(e.args[0], inputs, params), 0.0)
     if op == "step":
-        v = _eval(e.args[0], inputs, params)
-        if np.isscalar(v):
-            return 1.0 if v > 0 else 0.0
-        return (np.asarray(v) > 0).astype(np.float64)
+        return (np.asarray(_eval(e.args[0], inputs, params)) > 0).astype(np.float64)
     if op == "tanh":
         return np.tanh(_eval(e.args[0], inputs, params))
     raise ValueError(f"unknown op {op!r}")

@@ -197,12 +197,13 @@ def _orthonormal_rows(block: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, 
 class Realization:
     """One finite-size sample of a program; immutable and thread-shareable.
 
-    `matrices` holds the matrices that instantiate was asked to draw whole;
-    `samplers` holds the others, known through their products.  Read any
-    matrix with `matrix(name)`: it forms a sampled one on first use, subject
-    to ELEMENT_CAP, and caches it read-only.  Products applied after
-    instantiate, through `samplers[name].apply`, extend that sampler: a
-    matrix formed afterwards reproduces them too, one formed before does
+    `matrices` holds every dense matrix that exists: those instantiate was
+    asked to draw whole, and those formed since.  `samplers` holds the
+    matrices not drawn, known through their products.  Read any matrix with
+    `matrix(name)`: it forms a sampled one on first use, subject to
+    ELEMENT_CAP, and adds it read-only to `matrices`.  Products applied
+    after instantiate, through `samplers[name].apply`, extend that sampler:
+    a matrix formed afterwards reproduces them too, one formed before does
     not.  Such products mutate the sampler, so one thread applies them.
     """
 
@@ -213,25 +214,19 @@ class Realization:
     vectors: dict[str, np.ndarray] = field(repr=False)
     scalars: dict[str, float]
     samplers: dict[str, ProductSampler] = field(default_factory=dict, repr=False)
-    _formed: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
     def matrix(self, name: str) -> np.ndarray:
         """The dense matrix `name`, formed (once, under a lock) if it was not drawn."""
-        if name in self.matrices:
-            return self.matrices[name]
         with self._lock:
-            if name not in self._formed:
-                sampler = self.samplers[name]
-                _check_cap(name, *sampler.shape)
-                w = sampler.dense()
+            if name not in self.matrices:
+                _check_cap(name, *self.samplers[name].shape)
+                w = self.samplers[name].dense()
                 w.flags.writeable = False
-                self._formed[name] = w
-            return self._formed[name]
+                self.matrices[name] = w
+            return self.matrices[name]
 
 
 def instantiate(
@@ -288,9 +283,7 @@ def instantiate(
         elif isinstance(ins, Nonlin):
             cols = tuple(vectors[nm] for nm in ins.inputs)
             pars = tuple(scalars[nm] for nm in ins.params)
-            vectors[ins.out] = np.asarray(
-                exprs.evaluate(ins.expr, cols, pars), dtype=np.float64
-            )
+            vectors[ins.out] = exprs.evaluate_columns(ins.expr, cols, pars)
         elif isinstance(ins, Moment):
             cols = tuple(vectors[nm] for nm in ins.inputs)
             pars = tuple(scalars[nm] for nm in ins.params)
@@ -359,6 +352,10 @@ class MatFactor:
     def key(self) -> str:
         return f"mat {self.name}^T" if self.transposed else f"mat {self.name}"
 
+    def collection(self) -> tuple:
+        """The pair {W, W^T} this factor belongs to."""
+        return ("mat", self.name)
+
 
 @dataclass(frozen=True)
 class DiagFactor:
@@ -373,6 +370,10 @@ class DiagFactor:
 
     def key(self) -> str:
         return f"diag {','.join(self.vectors)} {exprs.format_expr(self.expr)}"
+
+    def collection(self) -> tuple:
+        """The diagonal matrices of this one bounded image of these vectors."""
+        return ("diag", self.vectors, self.expr)
 
 
 WordFactor = MatFactor | DiagFactor
@@ -414,18 +415,16 @@ def word_classes(program: Program, word: MatrixWord) -> tuple[str, str]:
     return rows, cols
 
 
-def diag_entries(realization: Realization, f: DiagFactor, n: int) -> np.ndarray:
-    """The n diagonal entries of a diagonal factor."""
-    cols = tuple(realization.vectors[v] for v in f.vectors)
-    d = np.asarray(exprs.evaluate(f.expr, cols), dtype=np.float64)
-    return np.full(n, float(d)) if d.ndim == 0 else d
+def diag_entries(realization: Realization, f: DiagFactor) -> np.ndarray:
+    """The diagonal entries of a diagonal factor, one per coordinate of its vectors."""
+    return exprs.evaluate_columns(f.expr, tuple(realization.vectors[v] for v in f.vectors))
 
 
 def _apply_factor(realization: Realization, f: WordFactor, probe: np.ndarray) -> np.ndarray:
     if isinstance(f, MatFactor):
         w = realization.matrix(f.name)
         return (w.T if f.transposed else w) @ probe
-    d = diag_entries(realization, f, probe.shape[0])
+    d = diag_entries(realization, f)
     return d[:, None] * probe if probe.ndim == 2 else d * probe
 
 
@@ -443,8 +442,9 @@ def word_apply(realization: Realization, word: MatrixWord, probe: np.ndarray) ->
     return out
 
 
-def materialize(realization: Realization, word: MatrixWord, cap: int = EXACT_CAP) -> np.ndarray:
-    """The word as a fresh dense matrix, equal to word_apply(realization, word, I).
+def materialize(realization: Realization, word: MatrixWord) -> np.ndarray:
+    """The word as a fresh dense matrix, equal to word_apply(realization, word, I);
+    neither side may exceed EXACT_CAP.
 
     No product with the identity is formed: the diagonal factors applied
     first are folded into one vector d, the first matrix factor is scaled
@@ -456,8 +456,8 @@ def materialize(realization: Realization, word: MatrixWord, cap: int = EXACT_CAP
     if not rows:  # empty product: identity on an unknown class is not materializable
         raise ShapeMismatch("cannot materialize the empty word")
     n_rows, n_cols = realization.dims[rows], realization.dims[cols]
-    if max(n_rows, n_cols) > cap:
-        raise CapExceeded(f"side {max(n_rows, n_cols)} exceeds dense cap {cap}")
+    if max(n_rows, n_cols) > EXACT_CAP:
+        raise CapExceeded(f"side {max(n_rows, n_cols)} exceeds dense cap {EXACT_CAP}")
     factors = word.factors[::-1]  # in order of application
     d = np.ones(n_cols)
     for i, f in enumerate(factors):
@@ -467,7 +467,7 @@ def materialize(realization: Realization, word: MatrixWord, cap: int = EXACT_CAP
             for g in factors[i + 1:]:
                 out = _apply_factor(realization, g, out)
             return out
-        d = diag_entries(realization, f, n_cols) * d
+        d = diag_entries(realization, f) * d
     return np.diag(d)
 
 
@@ -574,11 +574,9 @@ def spectral_moments(
     ]
 
 
-def eig_spectrum(
-    realization: Realization, word: MatrixWord, cap: int = EXACT_CAP
-) -> np.ndarray:
-    """Ascending eigenvalues of the materialized symmetric word."""
+def eig_spectrum(realization: Realization, word: MatrixWord) -> np.ndarray:
+    """Ascending eigenvalues of the materialized symmetric word (side at most EXACT_CAP)."""
     if not square_class(realization.program, word):
         raise ShapeMismatch("cannot take the spectrum of the empty word")
-    m = materialize(realization, word, cap=cap)
+    m = materialize(realization, word)
     return np.linalg.eigvalsh(0.5 * (m + m.T))

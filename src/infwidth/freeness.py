@@ -1,16 +1,18 @@
 """Empirical asymptotic-freeness experiments and the Jacobian spectrum pipeline.
 
-Centered alternating word traces: for collections of matrices built from a
-realization (a weight family {W, W^T}, or diagonal matrices of bounded
-coordinatewise images of program vectors), the normalized trace of the
-product of per-factor-centered polynomials vanishes as the size grows when
-the collections are asymptotically free.  This module measures those traces
-over size sweeps, constructs an equivalent scalar program whose final
-moment has the same limit (so the limit engine can check it symbolically),
-and runs the deep-net Jacobian singular-value pipeline: empirical moments
-of J^T J, from power traces of the dense Gram matrix or from alternating
-J/J^T probe applications, against the free multiplicative convolution of
-the per-layer square-derivative laws with Marchenko-Pastur factors.
+Centered alternating word traces: each word factor belongs to one
+collection of matrices (`collection()` of finite.MatFactor and
+finite.DiagFactor): a weight family {W, W^T}, or the diagonal matrices of
+one bounded coordinatewise image of program vectors.  The normalized trace
+of the product of per-factor-centered polynomials vanishes as the size
+grows when the collections are asymptotically free.  This module measures
+those traces over size sweeps, constructs an equivalent scalar program
+whose final moment has the same limit (so the limit engine can check it
+symbolically), and runs the deep-net Jacobian singular-value pipeline:
+empirical moments of J^T J, from power traces of the dense Gram matrix or
+from alternating J/J^T probe applications, against the free
+multiplicative convolution of the per-layer square-derivative laws with
+Marchenko-Pastur factors.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 from . import exprs, laws
 from .errors import NotAlternating, ShapeMismatch
 from .finite import (
+    EXACT_CAP,
+    HUTCHINSON_PROBES,
     DiagFactor,
     MatFactor,
     MatrixWord,
@@ -50,40 +54,12 @@ from .program import (
 )
 
 FREENESS_EXACT_CAP = 512
-FREENESS_PROBES = 32
+FREENESS_PROBES = HUTCHINSON_PROBES
 
 
 # ---------------------------------------------------------------------------
 # Collections and alternating words
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatrixCollection:
-    """The pair {W, W^T} of one program matrix."""
-
-    matrix: str
-
-
-@dataclass(frozen=True)
-class DiagCollection:
-    """Diagonal matrices Diag(psi(x1, ..., xk)) for one bounded psi."""
-
-    vectors: tuple[str, ...]
-    expr: exprs.Expr
-
-    def __post_init__(self):
-        if not exprs.is_bounded(self.expr):
-            raise ValueError("diagonal collections require a bounded expression")
-
-
-CollectionSpec = MatrixCollection | DiagCollection
-
-
-def _factor_collection(f: MatFactor | DiagFactor) -> CollectionSpec:
-    if isinstance(f, MatFactor):
-        return MatrixCollection(f.name)
-    return DiagCollection(f.vectors, f.expr)
 
 
 @dataclass(frozen=True)
@@ -99,8 +75,8 @@ class WordPoly:
             if not word.factors:
                 raise ValueError("empty monomial in polynomial")
 
-    def collection(self) -> CollectionSpec:
-        colls = {_factor_collection(f) for _, w in self.terms for f in w.factors}
+    def collection(self) -> tuple:
+        colls = {f.collection() for _, w in self.terms for f in w.factors}
         if len(colls) != 1:
             raise NotAlternating("a polynomial mixes distinct collections")
         return colls.pop()
@@ -120,7 +96,7 @@ class AlternatingWord:
     The first factor is applied first (it is the rightmost in the product).
     """
 
-    factors: tuple[tuple[CollectionSpec, WordPoly], ...]
+    factors: tuple[tuple[tuple, WordPoly], ...]
 
     def __post_init__(self):
         prev = None
@@ -184,8 +160,9 @@ def centered_trace(
     """Normalized trace of the product of centered polynomials.
 
     Each centering constant tau_i is the normalized trace of that polynomial
-    on the same realization.  Exact below the dense cap, Gaussian-probe
-    estimated above it (method as in finite.trace_probes).
+    on the same realization.  Exact up to the side `cap`, which is at most
+    finite.EXACT_CAP, Gaussian-probe estimated above it (method as in
+    finite.trace_probes).
     """
     side = _word_side(realization.program, word)
     if not side:
@@ -196,7 +173,7 @@ def centered_trace(
     if p == 0:
         acc = None
         for poly in polys:
-            m = _poly_sum(poly, lambda w: materialize(realization, w, cap=cap))
+            m = _poly_sum(poly, lambda w: materialize(realization, w))
             m[np.diag_indices(n)] -= np.trace(m) / n
             acc = m if acc is None else m @ acc
         return float(np.trace(acc)) / n
@@ -448,7 +425,7 @@ def jacobian_finite(
     q1: float,
     seed: int,
     k_max: int,
-    cap: int = 1024,
+    cap: int = EXACT_CAP,
 ) -> np.ndarray:
     """Empirical moments (1/n) tr (J^T J)^k of one finite realization.
 
@@ -463,7 +440,7 @@ def jacobian_finite(
                     dense=[m.name for m in prog.matrices] if p == 0 else ())
     word = jacobian_word(layers, phi_prime)
     if p == 0:
-        j = materialize(r, word, cap=cap)
+        j = materialize(r, word)
         return np.array(power_traces(j.T @ j, k_max, symmetric=True)) / n
     # z^T (J^T J)^k z = |x_k|^2 for x_0 = z and x_k = J x_{k-1} (k odd) or
     # J^T x_{k-1} (k even), so each moment costs one word application
@@ -475,7 +452,7 @@ def jacobian_finite(
             if isinstance(f, MatFactor):
                 x = r.samplers[f.name].apply(x, f.transposed)
             else:
-                x = diag_entries(r, f, n)[:, None] * x
+                x = diag_entries(r, f)[:, None] * x
         out[k] = np.mean(np.einsum("ip,ip->p", x, x)) / n
     return out
 

@@ -290,10 +290,10 @@ class LimitState:
             raise TypeError(f"cannot advance over {instr!r}")
         pars = tuple(self.scalar_limits[nm][0] for nm in instr.params)
         cols = tuple(self.cols[nm] for nm in instr.inputs)
-        vals = np.asarray(exprs.evaluate(instr.expr, cols, pars), dtype=np.float64)
         if isinstance(instr, Nonlin):
-            self.cols[instr.out] = vals
+            self.cols[instr.out] = exprs.evaluate_columns(instr.expr, cols, pars)
         else:
+            vals = np.asarray(exprs.evaluate(instr.expr, cols, pars), dtype=np.float64)
             self.scalar_limits[instr.out] = self._mean_stderr(vals, f"moment {instr.out}")
         return self
 

@@ -142,9 +142,7 @@ def hermite_coefficients(phi: exprs.Expr, k_max: int, order: int | None = None) 
     if order is None:
         order = max(4 * k_max, 8)
     xs, ws = gauss_hermite_nodes(order)
-    vals = np.asarray(exprs.evaluate(phi, (xs,)), dtype=np.float64)
-    if np.isscalar(vals) or vals.ndim == 0:
-        vals = np.full_like(xs, float(vals))
+    vals = exprs.evaluate_columns(phi, (xs,))
     h = hermite_matrix(xs, k_max)
     return h @ (ws * vals)
 

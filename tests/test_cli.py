@@ -587,3 +587,29 @@ def test_free_single_size_has_no_decay_slope(tmp_path, capsys):
     assert rc == 0
     assert len(data.decode().splitlines()) == 2
     assert capsys.readouterr().err == "decay_slope nan\n"
+
+
+# a nonlin that reads no input is a constant column of its class size on
+# both sides, so a later matmul of it runs; the limit of m is 1.5^2 = 2.25
+_CONSTANT_NONLIN = """\
+matrix W : c x c var 1.0
+vector v : c
+scalar th limit 1.5
+{}
+x = matmul W g
+m = moment x1 * x1 (x)
+"""
+
+
+@pytest.mark.parametrize("nonlin", ["g = nonlin 1.5 (v)", "g = nonlin p1 (v ; th)"])
+def test_nonlin_reading_no_input_runs(tmp_path, nonlin):
+    prog = tmp_path / "constant.ntp"
+    prog.write_text(_CONSTANT_NONLIN.format(nonlin))
+    for argv in (["sim", "--n", "256", "--seeds", "2"],
+                 ["verify", "--n", "256,1024", "--seeds", "4", "--ensemble", "20000"]):
+        rc, data = _run(tmp_path, argv[0], "--program", str(prog), *argv[1:])
+        assert rc == 0, data
+    rc, data = _run(tmp_path, "limit", "--program", str(prog), "--replicas", "8")
+    assert rc == 0, data
+    (row,) = [r for r in csv.DictReader(io.StringIO(data.decode())) if r["object"] == "m"]
+    assert abs(float(row["value"]) - 2.25) <= 3.0 * float(row["stderr"])

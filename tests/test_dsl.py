@@ -7,6 +7,7 @@ from infwidth import corpus, dsl
 from infwidth import exprs as E
 from infwidth.errors import DimClassConflict, ParseError
 from infwidth.finite import DiagFactor, MatFactor
+from infwidth.freeness import word_from_groups
 from infwidth.program import MatMul, Moment, Nonlin, Program
 
 SEMICIRCLE_STEP = """
@@ -127,6 +128,12 @@ def test_word_file_parsing_groups_and_sums():
     # collection change without a blank line still starts a new group
     auto = dsl.parse_word_factors("mat W\ndiag xv step(x1)\n")
     assert len(auto) == 2
+    # two images of one vector are two collections; W and W^T are one
+    diags = dsl.parse_word_factors("diag xv step(x1)\ndiag xv step(x1) - 0.5\n")
+    assert len(diags) == 2
+    assert dsl.parse_word_factors("mat W\nmat W^T\n") == groups[:1]
+    for parsed in (groups, auto, diags):
+        assert len(word_from_groups(parsed)) == len(parsed)  # no NotAlternating
 
 
 def test_word_file_roundtrip():

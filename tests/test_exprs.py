@@ -31,9 +31,8 @@ def test_vectorized_evaluation_matches_scalar():
     xs = np.linspace(-3, 3, 101)
     for _ in range(20):
         e = random_expr(rng, 1, 0, depth=3)
-        vec = np.asarray(E.evaluate(e, (xs,)))
-        if vec.ndim == 0:
-            vec = np.full_like(xs, float(vec))
+        vec = E.evaluate_columns(e, (xs,))  # a constant is repeated
+        assert vec.shape == xs.shape and vec.dtype == np.float64
         for i in (0, 17, 100):
             assert vec[i] == pytest.approx(float(E.evaluate(e, (xs[i],))), abs=1e-12)
 

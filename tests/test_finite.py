@@ -20,6 +20,7 @@ from infwidth.errors import (
 from infwidth.finite import (
     BLOCK_ENTRIES,
     ELEMENT_CAP,
+    EXACT_CAP,
     DiagFactor,
     MatFactor,
     MatrixWord,
@@ -219,7 +220,7 @@ def test_random_words_match_dense(seeded=100):
     ]
     for _ in range(seeded):
         word = MatrixWord(tuple(rng.choice(factories)() for _ in range(rng.randint(1, 6))))
-        dense = materialize(r, word, cap=128)
+        dense = materialize(r, word)
         probe = np.asarray(stream_probe := np.random.default_rng(1).standard_normal(96))
         got = word_apply(r, word, probe)
         want = dense @ probe
@@ -275,7 +276,7 @@ def test_hutchinson_unbiased_within_theoretical_stderr():
                 for f in reversed(half.factors)
             )
         )
-        dense = materialize(r, sym, cap=256)
+        dense = materialize(r, sym)
         n = dense.shape[0]
         exact = float(np.trace(dense)) / n
         theo_se = math.sqrt(2.0 * float(np.sum(dense * dense))) / (n * math.sqrt(10_000))
@@ -369,11 +370,12 @@ def test_materialize_equals_identity_product(case):
 
 
 def test_materialize_errors():
-    r, jac = _jacobian_realization(24, 1)
+    r, jac = _jacobian_realization(EXACT_CAP + 1, 1)
     with pytest.raises(ShapeMismatch, match="cannot materialize the empty word"):
         materialize(r, MatrixWord(()))
-    with pytest.raises(CapExceeded, match="side 24 exceeds dense cap 16"):
-        materialize(r, jac, cap=16)
+    with pytest.raises(CapExceeded, match="side 1025 exceeds dense cap 1024"):
+        materialize(r, jac)
+    assert not r.matrices
 
 
 def test_trace_probes_takes_method_names_only():
@@ -394,8 +396,9 @@ def test_eig_spectrum_diag_words():
     assert np.array_equal(zeros, np.zeros(32))
     ones = eig_spectrum(r, MatrixWord((DiagFactor(("z0",), E.const(1.0)),)))
     assert np.array_equal(ones, np.ones(32))
-    with pytest.raises(CapExceeded):
-        eig_spectrum(r, MatrixWord((DiagFactor(("z0",), E.const(1.0)),)), cap=16)
+    big = instantiate(prog, {"c": EXACT_CAP + 1}, seed=1)
+    with pytest.raises(CapExceeded, match="side 1025 exceeds dense cap 1024"):
+        eig_spectrum(big, MatrixWord((DiagFactor(("z0",), E.const(1.0)),)))
 
 
 def test_wishart_histogram_matches_mp_density():
