@@ -47,6 +47,7 @@ HUTCHINSON_PROBES = 32
 # on its own thread
 BLOCK_ENTRIES = 1 << 22
 DEPENDENT_TOL = 1e-12  # relative residual below which an input adds no direction
+SUPPORT_ALIGN = 32  # word_block pads each kept index set to a multiple of this
 
 
 def dims_for_scale(program: Program, n: int) -> dict[str, int]:
@@ -391,6 +392,23 @@ class MatrixWord:
     def __mul__(self, other: "MatrixWord") -> "MatrixWord":
         return MatrixWord(self.factors + other.factors)
 
+    @property
+    def T(self) -> "MatrixWord":
+        """The transposed word: factors reversed, each matrix factor transposed."""
+        return MatrixWord(tuple(
+            MatFactor(f.name, not f.transposed) if isinstance(f, MatFactor) else f
+            for f in reversed(self.factors)
+        ))
+
+    def mirror_half(self) -> "MatrixWord | None":
+        """R with self = R^T R, the half applied first, if the word is a mirror:
+        of even length, with factor i the transpose of factor m - 1 - i (a
+        diagonal is its own transpose).  None for any other word."""
+        m = len(self.factors)
+        if m == 0 or m % 2 or self.T != self:
+            return None
+        return MatrixWord(self.factors[m // 2:])
+
 
 def word_classes(program: Program, word: MatrixWord) -> tuple[str, str]:
     """(rows, cols) CDC representatives of the product; empty word is identity."""
@@ -443,32 +461,100 @@ def word_apply(realization: Realization, word: MatrixWord, probe: np.ndarray) ->
 
 
 def materialize(realization: Realization, word: MatrixWord) -> np.ndarray:
-    """The word as a fresh dense matrix, equal to word_apply(realization, word, I);
-    neither side may exceed EXACT_CAP.
+    """The word as a fresh dense matrix, equal to word_apply(realization, word, I)
+    up to the sign of zero entries and the rounding of sums that drop zero
+    terms; neither side may exceed EXACT_CAP.
+
+    It is word_block's block with the rows and columns the word's diagonals
+    zero out scattered back as zeros.
+    """
+    block, rows, cols = word_block(realization, word)
+    if rows is None and cols is None:
+        return block
+    every = [np.arange(realization.dims[c]) for c in word_classes(realization.program, word)]
+    out = np.zeros((len(every[0]), len(every[1])))
+    out[np.ix_(every[0] if rows is None else rows, every[1] if cols is None else cols)] = block
+    return out
+
+
+def word_block(
+    realization: Realization, word: MatrixWord
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(block, rows, cols): the dense word is block on the index arrays rows
+    and cols (None is every index) and zero elsewhere; neither side of the
+    word may exceed EXACT_CAP.
 
     No product with the identity is formed: the diagonal factors applied
     first are folded into one vector d, the first matrix factor is scaled
-    column-wise by d, and the remaining factors are applied to that.  An
-    all-diagonal word is Diag(d).  Only the sign of zero entries can differ
-    from the identity product.
+    column-wise by d, and the remaining factors are applied to that.  Each
+    matrix factor is read only on the coordinates its neighbouring diagonal
+    factors keep: the columns where those applied just before it (d, for
+    the first) are nonzero and the rows where those applied just after it
+    are.  So a zero diagonal entry drops a column or row of its neighbouring
+    matrices and of the running product.  Kept index sets are padded as
+    in _kept.  A word with no zero diagonal entry takes the operations of
+    the full product, and an all-diagonal word is (Diag(d), None, None).
     """
-    rows, cols = word_classes(realization.program, word)
-    if not rows:  # empty product: identity on an unknown class is not materializable
+    row_cls, col_cls = word_classes(realization.program, word)
+    if not row_cls:  # empty product: identity on an unknown class is not materializable
         raise ShapeMismatch("cannot materialize the empty word")
-    n_rows, n_cols = realization.dims[rows], realization.dims[cols]
-    if max(n_rows, n_cols) > EXACT_CAP:
-        raise CapExceeded(f"side {max(n_rows, n_cols)} exceeds dense cap {EXACT_CAP}")
-    factors = word.factors[::-1]  # in order of application
-    d = np.ones(n_cols)
-    for i, f in enumerate(factors):
+    side = max(realization.dims[row_cls], realization.dims[col_cls])
+    if side > EXACT_CAP:
+        raise CapExceeded(f"side {side} exceeds dense cap {EXACT_CAP}")
+    # the matrix factors in order of application, each with the diagonal
+    # entries applied right after it; lead holds those applied first
+    lead, runs = [], []
+    for f in word.factors[::-1]:
         if isinstance(f, MatFactor):
-            w = realization.matrix(f.name)
-            out = np.multiply(w.T if f.transposed else w, d, order="C")
-            for g in factors[i + 1:]:
-                out = _apply_factor(realization, g, out)
-            return out
-        d = diag_entries(realization, f) * d
-    return np.diag(d)
+            runs.append((f, []))
+        else:
+            (runs[-1][1] if runs else lead).append(diag_entries(realization, f))
+    d = np.ones(realization.dims[col_cls])
+    for e in lead:
+        d = e * d
+    if not runs:
+        return np.diag(d), None, None
+    rows = cols = _kept(d != 0)  # rows: the kept rows of the running product
+    out = None
+    for f, after in runs:
+        keep = _kept(np.logical_and.reduce([e != 0 for e in after])) if after else None
+        w = realization.matrix(f.name)
+        w = _take(w.T if f.transposed else w, keep, rows)
+        if out is None:
+            out = np.multiply(w, d if cols is None else d[cols], order="C")
+        else:
+            out = w @ out
+        for e in after:
+            out = (e if keep is None else e[keep])[:, None] * out
+        rows = keep
+    return out, rows, cols
+
+
+def _kept(keep: np.ndarray) -> np.ndarray | None:
+    """The indices where keep is true, or None if that is every index.
+
+    The set is padded with the first indices where keep is false, up to a
+    multiple of SUPPORT_ALIGN (at most every index).  word_block keeps the
+    indices where diagonal entries are nonzero, so a padded index adds only
+    exact zeros to a product.  Product sides that are multiples of
+    SUPPORT_ALIGN give the same bytes for any OpenBLAS thread count, as the
+    unpadded, data-dependent sides do not.
+    """
+    count = int(np.count_nonzero(keep))
+    size = min(len(keep), -(-count // SUPPORT_ALIGN) * SUPPORT_ALIGN)
+    if size == len(keep):
+        return None
+    keep = keep.copy()
+    keep[np.flatnonzero(~keep)[:size - count]] = True
+    return np.flatnonzero(keep)
+
+
+def _take(m: np.ndarray, rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
+    """m on the index arrays rows and cols; None keeps every index, and m itself
+    is returned when both are None."""
+    if rows is None:
+        return m if cols is None else m[:, cols]
+    return m[rows] if cols is None else m[np.ix_(rows, cols)]
 
 
 def square_class(program: Program, word: MatrixWord) -> str:
@@ -522,18 +608,27 @@ def power_traces(m: np.ndarray, k_max: int, symmetric: bool = False) -> list[flo
     return out
 
 
-def probe_forms(apply, n: int, k: int, probes: int, seed: int, *labels) -> np.ndarray:
+def probe_forms(
+    apply, n: int, k: int, probes: int, seed: int, *labels, adjoint=None
+) -> np.ndarray:
     """Per-probe quadratic forms z^T A^r z for r = 1..k, shape (k, probes).
 
-    apply maps an (n, probes) block to A times it; the probes z are drawn
-    from stream(seed, *labels).
+    apply maps an (n, probes) block to B times it, and the probes z are
+    drawn from stream(seed, *labels).  Without adjoint, A = B.  With
+    adjoint, a map to B^T times a block, A = B^T B, and
+    z^T A^r z = |x_r|^2 for x_0 = z and x_r = B x_{r-1} (r odd) or
+    B^T x_{r-1} (r even): one application of B or B^T per form, not two.
     """
     z = stream(seed, *labels).standard_normal((n, probes))
     out = np.empty((k, probes))
     v = z
     for r in range(k):
-        v = apply(v)
-        out[r] = np.einsum("ip,ip->p", z, v)
+        if adjoint is None:
+            v = apply(v)
+            out[r] = np.einsum("ip,ip->p", z, v)
+        else:
+            v = (adjoint if r % 2 else apply)(v)
+            out[r] = np.einsum("ip,ip->p", v, v)
     return out
 
 
@@ -555,7 +650,10 @@ def spectral_moments(
     probes: int = HUTCHINSON_PROBES,
 ) -> list[tuple[float, float]]:
     """[(1/n) tr(word^r) for r = 1..k_max] (see trace_probes, cap EXACT_CAP);
-    word must be square (and should be symmetric to read as spectral moments)."""
+    word must be square (and should be symmetric to read as spectral moments).
+
+    The probe forms of a mirror word R^T R (MatrixWord.mirror_half) apply
+    only R or R^T, one per moment, on the probes of the whole word."""
     side = square_class(realization.program, word)
     if not side:
         return [(1.0, 0.0)] * k_max
@@ -564,9 +662,12 @@ def spectral_moments(
     if p == 0:
         m = materialize(realization, word)
         return [(t / n, 0.0) for t in power_traces(m, k_max)]
+    half = word.mirror_half()
+    b = word if half is None else half
     forms = probe_forms(
-        lambda v: word_apply(realization, word, v), n, k_max, p,
+        lambda v: word_apply(realization, b, v), n, k_max, p,
         realization.seed, "hutch", word.key(),
+        adjoint=None if half is None else lambda v: word_apply(realization, b.T, v),
     )
     return [
         (float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(p)))

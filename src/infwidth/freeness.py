@@ -9,10 +9,13 @@ grows when the collections are asymptotically free.  This module measures
 those traces over size sweeps, constructs an equivalent scalar program
 whose final moment has the same limit (so the limit engine can check it
 symbolically), and runs the deep-net Jacobian singular-value pipeline:
-empirical moments of J^T J, from power traces of the dense Gram matrix or
-from alternating J/J^T probe applications, against the free
-multiplicative convolution of the per-layer square-derivative laws with
-Marchenko-Pastur factors.
+empirical moments of J^T J, from power traces of the Gram matrix of J's
+kept columns (those its diagonals do not zero out) or from probe forms
+that apply J or J^T once per moment, against the free multiplicative
+convolution of the per-layer square-derivative laws with Marchenko-Pastur
+factors.  A centering constant of a mirror monomial R^T R, such as
+W W^T, takes its probe forms the same way, one application of R or R^T
+per moment (finite.spectral_moments).
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from .finite import (
     trace_moment,
     trace_probes,
     word_apply,
+    word_block,
 )
-from .numerics import gaussian_expect, stream
+from .numerics import gaussian_expect
 from .program import (
     MatMul,
     MatrixDecl,
@@ -429,39 +433,34 @@ def jacobian_finite(
 ) -> np.ndarray:
     """Empirical moments (1/n) tr (J^T J)^k of one finite realization.
 
-    Up to the dense side `cap` the moments are power traces of the dense
-    J^T J, so every W_l is read whole and is drawn densely, in parallel.
-    Above it they come from Gaussian probe blocks, and no W_l is drawn:
-    each product with a probe block is sampled exactly given the earlier
-    ones (finite.ProductSampler), extending the realization's samplers."""
+    Up to the dense side `cap` the moments are power traces of J^T J, so
+    every W_l is read and is drawn whole, in parallel.  J^T J is taken on
+    J's kept columns only (finite.word_block): a zero entry of a D_l drops
+    a row or column of its neighbouring W_l, and J's zero columns add only
+    zero rows and columns to J^T J.  Above the cap the moments come from
+    Gaussian probe blocks, one application of J or J^T per moment
+    (finite.probe_forms with an adjoint), and no W_l is drawn: each product
+    with a probe block is sampled exactly given the earlier ones
+    (finite.ProductSampler), extending the realization's samplers."""
     prog = mlp_program(layers, phi, q1)
     p = trace_probes(n, "auto", cap, FREENESS_PROBES)
     r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed,
                     dense=[m.name for m in prog.matrices] if p == 0 else ())
     word = jacobian_word(layers, phi_prime)
     if p == 0:
-        j = materialize(r, word)
+        j = word_block(r, word)[0]
         return np.array(power_traces(j.T @ j, k_max, symmetric=True)) / n
-    # z^T (J^T J)^k z = |x_k|^2 for x_0 = z and x_k = J x_{k-1} (k odd) or
-    # J^T x_{k-1} (k even), so each moment costs one word application
-    halves = (word, _word_transpose(word))
-    x = stream(seed, "jacobian", word.key()).standard_normal((n, p))
-    out = np.empty(k_max)
-    for k in range(k_max):
-        for f in reversed(halves[k % 2].factors):
-            if isinstance(f, MatFactor):
-                x = r.samplers[f.name].apply(x, f.transposed)
-            else:
-                x = diag_entries(r, f)[:, None] * x
-        out[k] = np.mean(np.einsum("ip,ip->p", x, x)) / n
-    return out
 
+    def sampled(w: MatrixWord):
+        def apply(x):
+            for f in reversed(w.factors):
+                if isinstance(f, MatFactor):
+                    x = r.samplers[f.name].apply(x, f.transposed)
+                else:
+                    x = diag_entries(r, f)[:, None] * x
+            return x
+        return apply
 
-def _word_transpose(word: MatrixWord) -> MatrixWord:
-    out = []
-    for f in reversed(word.factors):
-        if isinstance(f, MatFactor):
-            out.append(MatFactor(f.name, not f.transposed))
-        else:
-            out.append(f)
-    return MatrixWord(tuple(out))
+    forms = probe_forms(sampled(word), n, k_max, p, seed, "jacobian", word.key(),
+                        adjoint=sampled(word.T))
+    return forms.mean(axis=1) / n

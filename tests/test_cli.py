@@ -115,6 +115,16 @@ def test_jacobian_schema(tmp_path):
     assert float(first[2]) == pytest.approx(0.5, abs=1e-12)  # relu Jacobian m1
 
 
+def test_jacobian_empty_support_prints_zero_moments(tmp_path):
+    # at n = 1 and seed 0, h1 and h2 are at most 0: J keeps no column, and the
+    # moments of the empty Gram matrix are 0.0
+    rc, data = _run(tmp_path, "jacobian", "--layers", "3", "--phi", "relu",
+                    "--size", "1", "--kmax", "2")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    assert [row[1] for row in rows] == ["empirical", "0.0", "0.0"]
+
+
 def test_error_produces_csv_row_and_rc2(tmp_path):
     rc, data = _run(tmp_path, "sim", "--program", "@nope", "--n", "64")
     assert rc == 2
@@ -216,7 +226,13 @@ m2 = moment x1^2 (z2)
 # the Jacobian): their products are new draws from the same law, and free
 # forms each matrix given its products.  jacobian_probe was re-recorded
 # when the probe path stopped drawing its W_l and sampled each product with
-# a probe block instead: new draws from the same law.
+# a probe block instead: new draws from the same law.  free_auto was
+# re-recorded when the probe moments of a mirror word R^T R started to apply
+# R or R^T once per moment: the centering constant of word_a's
+# mat W | mat W^T moved, and with it the n = 600 row by at most 3.9e-16
+# relative and the decay slope by 2.3e-15 relative.  jacobian_relu_dense
+# was recorded after the exact Jacobian path started to multiply on J's
+# kept columns only.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -237,6 +253,8 @@ _GOLDEN = {
                        "--seeds", "2", "--kmax", "3"],
     "jacobian_probe": ["jacobian", "--layers", "2", "--phi", "relu", "--size", "1100",
                        "--kmax", "3"],
+    "jacobian_relu_dense": ["jacobian", "--layers", "3", "--phi", "relu", "--size", "200",
+                            "--seeds", "2", "--kmax", "4"],
     "law_mp": ["law", "mp", "--rho", "0.3", "--rmax", "6"],
     "law_semicircle_density": ["law", "semicircle", "--density", "--xmin", "-2.5",
                                "--xmax", "2.5", "--points", "41"],
@@ -253,10 +271,12 @@ _GOLDEN = {
 # Recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1
 # and OPENBLAS_NUM_THREADS=2 on x86_64; the BLAS thread count changes the
 # summation order, so free_auto differs with one thread; limit_r4, verify,
-# jacobian_dense and jacobian_probe are checked to give the same bytes with
-# one thread.  For jacobian_dense that is not by design: its dense J differs
-# between 1 and 2 threads (the gemm of W3 with D W2 D), and only the power
-# traces of J^T J it prints agree to the last digit.  OpenBLAS
+# jacobian_dense, jacobian_probe and jacobian_relu_dense are checked to give
+# the same bytes with one thread.  For jacobian_dense that is not by design:
+# its dense J differs between 1 and 2 threads (the gemm of W3 with D W2 D),
+# and only the power traces of J^T J it prints agree to the last digit.
+# jacobian_relu_dense multiplies on kept index sets padded to multiples of
+# finite.SUPPORT_ALIGN, which keep its bytes across thread counts.  OpenBLAS
 # uses no more threads than the CPUs it may run on, so the digests need at
 # least 2 usable CPUs: under `taskset -c 0` free_auto fails even with
 # OPENBLAS_NUM_THREADS=2.
@@ -274,11 +294,13 @@ _GOLDEN_SHA = {
     "free_hutch_witness":
         "be3e9e04ee01d2e93c9a48bad15cfc787e7bfa4a755440a6aab4cdc3ff175741",
     "free_auto":
-        "549879ecf740b820002056c7c72cec4ede30087b142bac37849e9504662e45a0",
+        "009148948e11cdfad8b5acc95c18a86ab004baf1cfcb1241f27352b1a976095c",
     "jacobian_dense":
         "587eefc31c2b0897d2fff4339cbfa3e0f6210dff2dbbaf2b4911f6345e2888e7",
     "jacobian_probe":
         "257e8cb51aef91af8dc9e590e9ec54eb3c73787d66c507b0362f6959d556380d",
+    "jacobian_relu_dense":
+        "236e278e7c8c89e53c23140e81e747c479007460b480712e0877ad99f1a00296",
     "law_mp":
         "9d52187d5a837d983bb71a1643de3389b117c4dba60f9bdf35da534786fa49b9",
     "law_semicircle_density":
@@ -308,7 +330,8 @@ def test_golden_bytes(tmp_path, capsys, name):
     assert digest == _GOLDEN_SHA[name]
 
 
-@pytest.mark.parametrize("name", ["limit_r4", "verify", "jacobian_dense", "jacobian_probe"])
+@pytest.mark.parametrize("name", ["limit_r4", "verify", "jacobian_dense", "jacobian_probe",
+                                  "jacobian_relu_dense"])
 def test_golden_bytes_do_not_depend_on_blas_threads(tmp_path, capsys, name):
     argv = _golden_argv(tmp_path, name)
     capsys.readouterr()

@@ -21,21 +21,26 @@ from infwidth.finite import (
     BLOCK_ENTRIES,
     ELEMENT_CAP,
     EXACT_CAP,
+    HUTCHINSON_PROBES,
+    SUPPORT_ALIGN,
     DiagFactor,
     MatFactor,
     MatrixWord,
     ProductSampler,
+    diag_entries,
     dims_for_scale,
     eig_spectrum,
     empirical_average,
     instantiate,
     materialize,
     power_traces,
+    probe_forms,
     resolve_dims,
     spectral_moments,
     trace_moment,
     trace_probes,
     word_apply,
+    word_block,
 )
 from infwidth.freeness import ACTIVATIONS, jacobian_word, mlp_program
 from infwidth.laws import mp_atom, mp_density
@@ -376,6 +381,119 @@ def test_materialize_errors():
     with pytest.raises(CapExceeded, match="side 1025 exceeds dense cap 1024"):
         materialize(r, jac)
     assert not r.matrices
+
+
+def _step_at(v: str, c: float = 0.0) -> DiagFactor:
+    return DiagFactor((v,), E.step(E.sub(E.x(0), E.const(c))))
+
+
+_SUPPORT_WORDS = {
+    # diagonal applied first, an inner diagonal, a matrix last
+    "jacobian": jacobian_word(3, E.step(E.x(0))),
+    # matrix applied first, a diagonal last
+    "jacobian_transpose": jacobian_word(3, E.step(E.x(0))).T,
+    # runs of two diagonals with different zeros, first and last
+    "diagonal_runs": MatrixWord((_step_at("h2"), _step_at("h2", -0.5), MatFactor("W3", True),
+                                 _step_at("h3"), MatFactor("W3"), _step_at("h2", 0.5),
+                                 _step_at("x2", 0.2))),
+    # every entry zero: an empty support at both ends, or inside
+    "empty": MatrixWord((_step_at("h2", 100.0), MatFactor("W2"), _step_at("h1", 100.0))),
+    "inner_zero": MatrixWord((MatFactor("W3"), _step_at("h2", 100.0), MatFactor("W2"))),
+}
+
+
+@pytest.mark.parametrize("n", [96, 200])
+@pytest.mark.parametrize("case", sorted(_SUPPORT_WORDS))
+def test_materialize_drops_zero_diagonal_coordinates(n, case):
+    # word_block reads each W only where its neighbouring diagonals are
+    # nonzero; materialize scatters that block back and still equals the
+    # identity product, and the dropped rows and columns are exactly zero
+    r, _ = _jacobian_realization(n, 2)
+    word = _SUPPORT_WORDS[case]
+    want = word_apply(r, word, np.eye(n))
+    dense = materialize(r, word)
+    assert np.max(np.abs(dense - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+    block, rows, cols = word_block(r, word)
+    assert (rows is None and cols is None) == (case == "inner_zero")
+    for kept, nonzero in ((rows, np.any(want, axis=1)), (cols, np.any(want, axis=0))):
+        if kept is None:
+            continue
+        assert len(kept) == min(n, -(-int(nonzero.sum()) // SUPPORT_ALIGN) * SUPPORT_ALIGN)
+        assert set(np.flatnonzero(nonzero)) <= set(kept)
+        assert np.array_equal(kept, np.sort(kept))
+    rows = np.arange(n) if rows is None else rows
+    cols = np.arange(n) if cols is None else cols
+    assert np.array_equal(dense[np.ix_(rows, cols)], block)
+    assert np.count_nonzero(dense) == np.count_nonzero(block)
+
+
+def test_word_without_zero_diagonal_entries_keeps_the_full_product():
+    # tanh' has no zero: word_block keeps every index and takes the full
+    # product's operations, so materialize returns that product bit for bit
+    r, _ = _jacobian_realization(200, 2)
+    word = jacobian_word(3, ACTIVATIONS["tanh"][1])
+    block, rows, cols = word_block(r, word)
+    assert rows is None and cols is None
+    d1, d2 = (diag_entries(r, f) for f in (word.factors[3], word.factors[1]))
+    want = r.matrix("W3") @ (d2[:, None] * np.multiply(r.matrix("W2"), d1, order="C"))
+    assert np.array_equal(block, want)
+    assert np.array_equal(materialize(r, word), want)
+
+
+def test_mirror_half():
+    w, wt = MatFactor("W"), MatFactor("W", True)
+    d = DiagFactor(("z1",), E.step(E.x(0)))
+    assert MatrixWord((w, wt)).mirror_half() == MatrixWord((wt,))
+    assert MatrixWord((wt, d, d, w)).mirror_half() == MatrixWord((d, w))
+    assert MatrixWord((d, d)).mirror_half() == MatrixWord((d,))
+    assert MatrixWord((w, wt, w, wt)).mirror_half() == MatrixWord((w, wt))
+    jac = jacobian_word(3, E.step(E.x(0)))
+    assert (jac.T * jac).mirror_half() == jac
+    assert jac.T.T == jac
+    for word in [(), (w,), (w, w), (w, d, wt), (d,), (wt, w, w), (w, wt, wt, w)]:
+        assert MatrixWord(word).mirror_half() is None
+
+
+def _mirror_cases():
+    prog = semicircle_program(2)
+    r = instantiate(prog, {"c": 96}, seed=4)
+    w, wt = MatFactor("W"), MatFactor("W", True)
+    d = DiagFactor(("z1",), E.step(E.x(0)))
+    jr, jac = _jacobian_realization(96, 3)
+    return [(r, MatrixWord((w, wt))), (r, MatrixWord((wt, d, d, w))),
+            (jr, jac.T * jac)]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+def test_mirror_forms_match_full_word_forms(case):
+    # z^T (R^T R)^r z from one application of R or R^T per form equals the
+    # full word's forms on the same probes
+    r, word = _mirror_cases()[case]
+    half = word.mirror_half()
+    args = (96, 4, HUTCHINSON_PROBES, r.seed, "hutch", word.key())
+    full = probe_forms(lambda v: word_apply(r, word, v), *args)
+    got = probe_forms(lambda v: word_apply(r, half, v), *args,
+                      adjoint=lambda v: word_apply(r, half.T, v))
+    assert np.allclose(got, full, rtol=1e-12, atol=0.0)
+    moments = spectral_moments(r, word, 4, method="hutch")
+    for (mean, se), est in zip(moments, full / 96):
+        assert mean == pytest.approx(np.mean(est), rel=1e-12)
+        assert se == pytest.approx(np.std(est, ddof=1) / math.sqrt(HUTCHINSON_PROBES), rel=1e-12)
+
+
+def test_non_mirror_forms_keep_the_full_word_path():
+    # a single factor, a square of one matrix and an odd length: the probe
+    # moments are the full word's forms, bit for bit
+    prog = semicircle_program(2)
+    r = instantiate(prog, {"c": 96}, seed=4)
+    w, wt = MatFactor("W"), MatFactor("W", True)
+    d = DiagFactor(("z1",), E.step(E.x(0)))
+    for word in [MatrixWord((w,)), MatrixWord((w, w)), MatrixWord((w, d, wt))]:
+        forms = probe_forms(lambda v: word_apply(r, word, v), 96, 3, HUTCHINSON_PROBES, 4,
+                            "hutch", word.key())
+        want = [(float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(HUTCHINSON_PROBES)))
+                for est in forms / 96]
+        assert spectral_moments(r, word, 3, method="hutch") == want
 
 
 def test_trace_probes_takes_method_names_only():

@@ -14,9 +14,11 @@ from infwidth.finite import (
     dims_for_scale,
     instantiate,
     materialize,
+    power_traces,
     probe_forms,
     trace_moment,
     word_apply,
+    word_block,
 )
 from infwidth.freeness import (
     ACTIVATIONS,
@@ -36,7 +38,6 @@ from infwidth.freeness import (
     monomial,
     FREENESS_PROBES,
     _loglog_slope,
-    _word_transpose,
 )
 from infwidth.laws import mp_moments
 from infwidth.limits import build_replicated
@@ -271,7 +272,7 @@ def test_jacobian_eigen_vs_hutch_paths():
     prog = mlp_program(2, phi, 1.0)
     r = instantiate(prog, {rep: 64 for rep in prog.cdc_reps()}, seed=5)
     word = jacobian_word(2, dphi)
-    jtj = _word_transpose(word) * word
+    jtj = word.T * word
     exact, _ = trace_moment(r, jtj, method="exact")
     est, se = trace_moment(r, jtj, method="hutch", probes=512)
     assert abs(est - exact) <= 4.0 * se
@@ -293,6 +294,30 @@ def test_jacobian_dense_moments_match_singular_values(phi_name, layers):
     want = np.array([np.mean(s2**k) for k in range(1, 8)])
     got = jacobian_finite(layers, 96, phi, dphi, 1.0, 4, 7)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# relu's derivative step(h), and a sparser step(h - 1) that keeps about a
+# sixth of each diagonal
+_STEP_DERIVATIVES = {"relu": E.step(E.x(0)), "step": E.step(E.sub(E.x(0), E.const(1.0)))}
+
+
+@pytest.mark.parametrize("n", [96, 200])
+@pytest.mark.parametrize("layers", [3, 4])
+@pytest.mark.parametrize("dphi_name", sorted(_STEP_DERIVATIVES))
+def test_jacobian_support_moments_match_full_gram(dphi_name, layers, n):
+    # the exact path takes J^T J on J's kept columns only; the full dense J
+    # (the identity product), its full Gram matrix and power traces agree
+    phi, dphi = ACTIVATIONS["relu"][0], _STEP_DERIVATIVES[dphi_name]
+    prog = mlp_program(layers, phi, 1.0)
+    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, 5,
+                    dense=[m.name for m in prog.matrices])
+    word = jacobian_word(layers, dphi)
+    assert word_block(r, word)[2] is not None  # J has dropped columns
+    j = word_apply(r, word, np.eye(n))
+    want = np.array(power_traces(j.T @ j, 6, symmetric=True)) / n
+    got = jacobian_finite(layers, n, phi, dphi, 1.0, 5, 6)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.all(got > 0)
 
 
 def _spy_instantiate(monkeypatch) -> list:
@@ -319,7 +344,7 @@ def test_jacobian_probe_moments_match_gram_probe_forms(monkeypatch, phi_name, la
     (r,) = seen
     assert not r.matrices
     word = jacobian_word(layers, dphi)
-    jtj = _word_transpose(word) * word
+    jtj = word.T * word
     forms = probe_forms(lambda v: word_apply(r, jtj, v), 80, 5, FREENESS_PROBES, 6,
                         "jacobian", word.key())
     assert np.allclose(got, forms.mean(axis=1) / 80, rtol=1e-12, atol=0.0)
