@@ -90,8 +90,9 @@ def _parse_method(text: str) -> tuple[str, int]:
     """(method, probes) of a --method value: auto, exact, hutch or hutch:p."""
     if text in ("auto", "exact", "hutch"):
         return text, FREENESS_PROBES
-    if text.startswith("hutch:"):
-        return "hutch", int(text.removeprefix("hutch:"))
+    probes = text.removeprefix("hutch:")
+    if probes != text and probes.isdecimal():
+        return "hutch", int(probes)
     raise ValueError(f"unknown method {text!r}; use auto, exact, hutch or hutch:p")
 
 
@@ -244,6 +245,8 @@ def consistency_table(program: Program, tests, sizes: list[int], seeds: list[int
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"verify needs a finite --tol >= 0 (got {args.tol})")
     name, program = _resolve_program(args.program)
     tests = _parse_tests(program, name, args.test)
     sizes = _parse_int_list(args.n)

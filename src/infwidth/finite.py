@@ -4,14 +4,13 @@ A Realization is one concrete sample of a program: every initial vector
 drawn at the assigned dimensions from its own deterministic stream, then all
 instructions executed in order.  A matrix is not drawn: each of its products
 is sampled from its exact law given the earlier ones (ProductSampler), and
-the matrix itself is formed only when a word needs it (Realization.matrix).
-A caller that reads matrices whole (the Jacobian below the dense cap) names
-them, and those are drawn before execution instead.  On top of
-realizations this module evaluates coordinate averages, applies matrix words
-(products of program matrices and diagonal matrices of bounded coordinatewise
-images) without materializing them, and estimates normalized traces either
-exactly, from power traces of the dense word, or with the Gaussian probe
-identity tr M = E z^T M z.
+the matrix itself is formed only when a word needs it (Realization.matrix,
+the one way to get a dense matrix).  On top of realizations this module
+evaluates coordinate averages, applies matrix words (products of program
+matrices and diagonal matrices of bounded coordinatewise images) without
+materializing them, and estimates normalized traces either exactly, from
+power traces of the dense word, or with the Gaussian probe identity
+tr M = E z^T M z.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
 import warnings
 
 import numpy as np
@@ -39,15 +37,15 @@ from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
-# largest dense matrix (entries), checked before a named matrix is drawn
-# and when Realization.matrix forms one; products allocate none
+# largest dense matrix (entries), checked when Realization.matrix forms one;
+# products allocate none
 ELEMENT_CAP = 1 << 26
 HUTCHINSON_PROBES = 32
-# entries per separately keyed row block of a dense draw, each block filled
-# on its own thread
+# entries per separately keyed row block of the W~ that ProductSampler.dense
+# draws, each block filled on its own thread
 BLOCK_ENTRIES = 1 << 22
 DEPENDENT_TOL = 1e-12  # relative residual below which an input adds no direction
-SUPPORT_ALIGN = 32  # word_block pads each kept index set to a multiple of this
+SUPPORT_ALIGN = 32  # word_block pads kept index sets and operand sides to multiples of this
 
 
 def dims_for_scale(program: Program, n: int) -> dict[str, int]:
@@ -145,21 +143,41 @@ class ProductSampler:
 
     def dense(self) -> np.ndarray:
         """One W consistent with every product: the conditional mean plus
-        P_Y^perp W~ P_X^perp, with W~ drawn in the keyed blocks of a dense
-        draw, so a matrix with no products is that draw bit for bit."""
+        P_Y^perp W~ P_X^perp.  W~ comes in row blocks of
+        max(1, BLOCK_ENTRIES // c) rows, block 0 from the stream
+        (seed, "matrix", name) and block b >= 1 from (seed, "matrix", name, b),
+        filled in parallel on the usable CPUs; every stream is a pure function
+        of its key, so a matrix with no products is that draw bit for bit on
+        any number of threads.  The correction takes W~ Q_X^T, W~^T Q_Y^T
+        and the rank-k update as numpy sums, not BLAS, whose bytes can
+        depend on the thread count (gemv and gemm at n = 700, say)."""
         w = np.empty(self.shape)
-        _fill_blocks(self.seed, _matrix_blocks(w, self.name, self.scale))
+        rows = max(1, BLOCK_ENTRIES // self.shape[1])
+        starts = range(0, self.shape[0], rows)
+
+        def fill(b: int) -> None:
+            view = w[starts[b]:starts[b] + rows]
+            key = ("matrix", self.name, b) if b else ("matrix", self.name)
+            stream(self.seed, *key).standard_normal(out=view)
+            view *= self.scale
+
+        workers = min(len(starts), len(os.sched_getaffinity(0)))
+        if workers < 2:
+            for b in range(len(starts)):
+                fill(b)
+        else:  # Generator fills and in-place scaling release the GIL
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(fill, range(len(starts))))
         (qx, qy), (zx, zy) = self.q, self.z
         if len(qx) + len(qy) == 0:
             return w
         # W = W~ + D_X Q_X^T + Q_Y E_Y^T with D_X = Z_X - W~ Q_X and
         # E_Y = P_X^perp (Z_Y - W~^T Q_Y): one rank-k update, in row blocks
-        d_x = zx.T - w @ qx.T
-        e_y = _split(qx, zy.T - w.T @ qy.T)[1]
+        d_x = zx.T - np.einsum("ij,kj->ik", w, qx)
+        e_y = _split(qx, zy.T - np.einsum("ji,kj->ik", w, qy))[1]
         left, right = np.hstack([d_x, qy.T]), np.vstack([qx, e_y.T])
-        rows = max(1, BLOCK_ENTRIES // self.shape[1])
-        for start in range(0, self.shape[0], rows):
-            w[start:start + rows] += left[start:start + rows] @ right
+        for start in starts:
+            w[start:start + rows] += np.einsum("ik,kj->ij", left[start:start + rows], right)
         return w
 
 
@@ -198,13 +216,12 @@ def _orthonormal_rows(block: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, 
 class Realization:
     """One finite-size sample of a program; immutable and thread-shareable.
 
-    `matrices` holds every dense matrix that exists: those instantiate was
-    asked to draw whole, and those formed since.  `samplers` holds the
-    matrices not drawn, known through their products.  Read any matrix with
-    `matrix(name)`: it forms a sampled one on first use, subject to
-    ELEMENT_CAP, and adds it read-only to `matrices`.  Products applied
-    after instantiate, through `samplers[name].apply`, extend that sampler:
-    a matrix formed afterwards reproduces them too, one formed before does
+    No matrix is drawn: `samplers` knows each one through its products, and
+    `matrices` holds those formed so far.  Read a matrix with `matrix(name)`:
+    it forms it on first use (ProductSampler.dense), subject to ELEMENT_CAP,
+    and adds it read-only to `matrices`.  Products applied after
+    instantiate, through `samplers[name].apply`, extend that sampler: a
+    matrix formed afterwards reproduces them too, one formed before does
     not.  Such products mutate the sampler, so one thread applies them.
     """
 
@@ -220,49 +237,35 @@ class Realization:
     )
 
     def matrix(self, name: str) -> np.ndarray:
-        """The dense matrix `name`, formed (once, under a lock) if it was not drawn."""
+        """The dense matrix `name`, formed once, under a lock."""
         with self._lock:
             if name not in self.matrices:
-                _check_cap(name, *self.samplers[name].shape)
+                r, c = self.samplers[name].shape
+                if r * c > ELEMENT_CAP:
+                    raise MemoryPolicyError(
+                        f"matrix {name!r} would need {r}x{c} entries (cap {ELEMENT_CAP})"
+                    )
                 w = self.samplers[name].dense()
                 w.flags.writeable = False
                 self.matrices[name] = w
             return self.matrices[name]
 
 
-def instantiate(
-    program: Program, dims: dict[str, int], seed: int, dense: Iterable[str] = ()
-) -> Realization:
-    """Sample and execute a program; a pure function of (program, dims, seed, dense).
+def instantiate(program: Program, dims: dict[str, int], seed: int) -> Realization:
+    """Sample and execute a program; a pure function of (program, dims, seed).
 
     A matrix W : r x c has iid N(0, sigma2/c) entries.  W is not drawn: a
     ProductSampler samples each of its products exactly, and
-    Realization.matrix forms W only on request.  The matrices named in
-    `dense` are drawn here instead, after an ELEMENT_CAP check, all of them
-    filled in parallel on the usable CPUs.  A dense draw, and the W~ of a
-    formed matrix, come in row blocks of max(1, BLOCK_ENTRIES // c) rows:
-    block 0 from the stream (seed, "matrix", name), block b >= 1 from
-    (seed, "matrix", name, b).
-    Every stream is a pure function of its key, so the bytes do not depend
-    on the number of threads.  Products applied after instantiate extend
-    the samplers of the returned Realization.
+    Realization.matrix forms W only on request (ProductSampler.dense).
+    Products applied after instantiate extend the samplers of the returned
+    Realization.
     """
     dims = resolve_dims(program, dims)
-    dense = set(dense)
-
-    matrices: dict[str, np.ndarray] = {}
-    samplers: dict[str, ProductSampler] = {}
-    blocks = []
-    for m in program.matrices:
-        r = dims[program.cdc_of_class[m.rows]]
-        c = dims[program.cdc_of_class[m.cols]]
-        if m.name not in dense:
-            samplers[m.name] = ProductSampler(seed, m.name, r, c, m.sigma2)
-            continue
-        _check_cap(m.name, r, c)
-        w = matrices[m.name] = np.empty((r, c))
-        blocks += _matrix_blocks(w, m.name, math.sqrt(m.sigma2 / c))
-    _fill_blocks(seed, blocks)
+    samplers = {
+        m.name: ProductSampler(seed, m.name, dims[program.cdc_of_class[m.rows]],
+                               dims[program.cdc_of_class[m.cols]], m.sigma2)
+        for m in program.matrices
+    }
 
     vectors: dict[str, np.ndarray] = {}
     for rep, block in program.init_blocks.items():
@@ -275,12 +278,7 @@ def instantiate(
 
     for ins in program.instructions:
         if isinstance(ins, MatMul):
-            v = vectors[ins.vin]
-            if ins.matrix in samplers:
-                vectors[ins.out] = samplers[ins.matrix].apply(v, ins.transposed)
-            else:
-                w = matrices[ins.matrix]
-                vectors[ins.out] = (w.T if ins.transposed else w) @ v
+            vectors[ins.out] = samplers[ins.matrix].apply(vectors[ins.vin], ins.transposed)
         elif isinstance(ins, Nonlin):
             cols = tuple(vectors[nm] for nm in ins.inputs)
             pars = tuple(scalars[nm] for nm in ins.params)
@@ -290,39 +288,7 @@ def instantiate(
             pars = tuple(scalars[nm] for nm in ins.params)
             scalars[ins.out] = float(np.mean(exprs.evaluate(ins.expr, cols, pars)))
 
-    return Realization(program, seed, dims, matrices, vectors, scalars, samplers)
-
-
-def _check_cap(name: str, r: int, c: int) -> None:
-    if r * c > ELEMENT_CAP:
-        raise MemoryPolicyError(
-            f"matrix {name!r} would need {r}x{c} entries (cap {ELEMENT_CAP})"
-        )
-
-
-def _matrix_blocks(w: np.ndarray, name: str, scale: float) -> list:
-    """(view, scale, key) row blocks of max(1, BLOCK_ENTRIES // c) rows of w."""
-    rows = max(1, BLOCK_ENTRIES // w.shape[1])
-    return [
-        (w[start:start + rows], scale, ("matrix", name, b) if b else ("matrix", name))
-        for b, start in enumerate(range(0, w.shape[0], rows))
-    ]
-
-
-def _fill_blocks(seed: int, blocks) -> None:
-    """Fill each (view, scale, key) block with scale * stream(seed, *key) normals."""
-    def fill(block):
-        view, scale, key = block
-        stream(seed, *key).standard_normal(out=view)
-        view *= scale
-
-    workers = min(len(blocks), len(os.sched_getaffinity(0)))
-    if workers < 2:
-        for block in blocks:
-            fill(block)
-    else:  # Generator fills and in-place scaling release the GIL
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, blocks))
+    return Realization(program, seed, dims, {}, vectors, scalars, samplers)
 
 
 def _scalar_reference_dim(program: Program, dims: dict[str, int]) -> int:
@@ -465,24 +431,26 @@ def materialize(realization: Realization, word: MatrixWord) -> np.ndarray:
     up to the sign of zero entries and the rounding of sums that drop zero
     terms; neither side may exceed EXACT_CAP.
 
-    It is word_block's block with the rows and columns the word's diagonals
-    zero out scattered back as zeros.
+    It is word_block's block with its zero padding cropped off and the rows
+    and columns the word's diagonals zero out scattered back as zeros.
     """
     block, rows, cols = word_block(realization, word)
+    shape = tuple(realization.dims[c] for c in word_classes(realization.program, word))
     if rows is None and cols is None:
-        return block
-    every = [np.arange(realization.dims[c]) for c in word_classes(realization.program, word)]
-    out = np.zeros((len(every[0]), len(every[1])))
-    out[np.ix_(every[0] if rows is None else rows, every[1] if cols is None else cols)] = block
+        return np.ascontiguousarray(block[:shape[0], :shape[1]])
+    rows, cols = (np.arange(n) if ix is None else ix for n, ix in zip(shape, (rows, cols)))
+    out = np.zeros(shape)
+    out[np.ix_(rows, cols)] = block[:len(rows), :len(cols)]
     return out
 
 
 def word_block(
     realization: Realization, word: MatrixWord
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(block, rows, cols): the dense word is block on the index arrays rows
-    and cols (None is every index) and zero elsewhere; neither side of the
-    word may exceed EXACT_CAP.
+    """(block, rows, cols): the dense word is block[:len(rows), :len(cols)]
+    on the index arrays rows and cols (None is every index) and zero
+    elsewhere, and the rest of block is zero; neither side of the word may
+    exceed EXACT_CAP.
 
     No product with the identity is formed: the diagonal factors applied
     first are folded into one vector d, the first matrix factor is scaled
@@ -491,9 +459,10 @@ def word_block(
     factors keep: the columns where those applied just before it (d, for
     the first) are nonzero and the rows where those applied just after it
     are.  So a zero diagonal entry drops a column or row of its neighbouring
-    matrices and of the running product.  Kept index sets are padded as
-    in _kept.  A word with no zero diagonal entry takes the operations of
-    the full product, and an all-diagonal word is (Diag(d), None, None).
+    matrices and of the running product.  Kept index sets are padded as in
+    _kept, and every operand is padded with zeros to sides that are
+    multiples of SUPPORT_ALIGN (_take).  An all-diagonal word is
+    (Diag(d), None, None).
     """
     row_cls, col_cls = word_classes(realization.program, word)
     if not row_cls:  # empty product: identity on an unknown class is not materializable
@@ -521,11 +490,11 @@ def word_block(
         w = realization.matrix(f.name)
         w = _take(w.T if f.transposed else w, keep, rows)
         if out is None:
-            out = np.multiply(w, d if cols is None else d[cols], order="C")
+            out = np.multiply(w, _take(d, cols), order="C")
         else:
             out = w @ out
         for e in after:
-            out = (e if keep is None else e[keep])[:, None] * out
+            out = _take(e, keep)[:, None] * out
         rows = keep
     return out, rows, cols
 
@@ -536,9 +505,7 @@ def _kept(keep: np.ndarray) -> np.ndarray | None:
     The set is padded with the first indices where keep is false, up to a
     multiple of SUPPORT_ALIGN (at most every index).  word_block keeps the
     indices where diagonal entries are nonzero, so a padded index adds only
-    exact zeros to a product.  Product sides that are multiples of
-    SUPPORT_ALIGN give the same bytes for any OpenBLAS thread count, as the
-    unpadded, data-dependent sides do not.
+    exact zeros to a product.
     """
     count = int(np.count_nonzero(keep))
     size = min(len(keep), -(-count // SUPPORT_ALIGN) * SUPPORT_ALIGN)
@@ -549,12 +516,24 @@ def _kept(keep: np.ndarray) -> np.ndarray | None:
     return np.flatnonzero(keep)
 
 
-def _take(m: np.ndarray, rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
-    """m on the index arrays rows and cols; None keeps every index, and m itself
-    is returned when both are None."""
-    if rows is None:
-        return m if cols is None else m[:, cols]
-    return m[rows] if cols is None else m[np.ix_(rows, cols)]
+def _take(
+    a: np.ndarray, rows: np.ndarray | None, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """a on the index arrays rows and cols (None keeps every index; a vector
+    takes rows only), with zeros appended to each side up to a multiple of
+    SUPPORT_ALIGN; a itself when that changes nothing.
+
+    A padded side adds only exact zeros to a product.  OpenBLAS gives the
+    same bytes for any thread count on products whose sides are multiples
+    of SUPPORT_ALIGN, as it does not on some others (n = 150, or the
+    unpadded, data-dependent sides of kept sets).
+    """
+    if rows is not None:
+        a = a[rows] if cols is None else a[np.ix_(rows, cols)]
+    elif cols is not None:
+        a = a[:, cols]
+    pad = [(0, -n % SUPPORT_ALIGN) for n in a.shape]
+    return np.pad(a, pad) if any(after for _, after in pad) else a
 
 
 def square_class(program: Program, word: MatrixWord) -> str:

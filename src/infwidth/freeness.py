@@ -10,10 +10,10 @@ those traces over size sweeps, constructs an equivalent scalar program
 whose final moment has the same limit (so the limit engine can check it
 symbolically), and runs the deep-net Jacobian singular-value pipeline:
 empirical moments of J^T J, from power traces of the Gram matrix of J's
-kept columns (those its diagonals do not zero out) or from probe forms
-that apply J or J^T once per moment, against the free multiplicative
-convolution of the per-layer square-derivative laws with Marchenko-Pastur
-factors.  A centering constant of a mirror monomial R^T R, such as
+kept columns (those its diagonals do not zero out, with each W_l formed
+given its forward product) or from probe forms that apply J or J^T once
+per moment, against the free multiplicative convolution of the per-layer
+square-derivative laws with Marchenko-Pastur factors.  A centering constant of a mirror monomial R^T R, such as
 W W^T, takes its probe forms the same way, one application of R or R^T
 per moment (finite.spectral_moments).
 """
@@ -433,19 +433,21 @@ def jacobian_finite(
 ) -> np.ndarray:
     """Empirical moments (1/n) tr (J^T J)^k of one finite realization.
 
-    Up to the dense side `cap` the moments are power traces of J^T J, so
-    every W_l is read and is drawn whole, in parallel.  J^T J is taken on
-    J's kept columns only (finite.word_block): a zero entry of a D_l drops
-    a row or column of its neighbouring W_l, and J's zero columns add only
-    zero rows and columns to J^T J.  Above the cap the moments come from
-    Gaussian probe blocks, one application of J or J^T per moment
-    (finite.probe_forms with an adjoint), and no W_l is drawn: each product
-    with a probe block is sampled exactly given the earlier ones
-    (finite.ProductSampler), extending the realization's samplers."""
+    No W_l is drawn: the forward pass samples each product exactly
+    (finite.ProductSampler).  Up to the dense side `cap` the moments are
+    power traces of J^T J, and finite.word_block forms each W_l given its
+    forward product.  J^T J is taken on J's kept columns only: a zero entry
+    of a D_l drops a row or column of its neighbouring W_l, and J's zero
+    columns add only zero rows and columns to J^T J.  Every product there
+    has sides that are multiples of finite.SUPPORT_ALIGN, and the formation
+    sums with numpy, so the moments do not depend on the BLAS thread count.  Above the cap the moments come
+    from Gaussian probe blocks, one application of J or J^T per moment
+    (finite.probe_forms with an adjoint), and no W_l is formed: each
+    product with a probe block is sampled exactly given the earlier ones,
+    extending the realization's samplers."""
     prog = mlp_program(layers, phi, q1)
     p = trace_probes(n, "auto", cap, FREENESS_PROBES)
-    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed,
-                    dense=[m.name for m in prog.matrices] if p == 0 else ())
+    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
     word = jacobian_word(layers, phi_prime)
     if p == 0:
         j = word_block(r, word)[0]

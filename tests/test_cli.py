@@ -232,7 +232,13 @@ m2 = moment x1^2 (z2)
 # mat W | mat W^T moved, and with it the n = 600 row by at most 3.9e-16
 # relative and the decay slope by 2.3e-15 relative.  jacobian_relu_dense
 # was recorded after the exact Jacobian path started to multiply on J's
-# kept columns only.
+# kept columns only.  When the Jacobian's exact path stopped drawing its
+# W_l and formed each given its forward product instead, jacobian_dense and
+# jacobian_relu_dense were re-recorded (new draws from the same law), and
+# jacobian_tanh_deep and jacobian_relu_700 were recorded; in the same
+# change free_exact, free_auto and free_hutch_witness were re-recorded,
+# because forming a matrix now sums W~ Q^T with numpy instead of BLAS gemv,
+# which moves their values by about 1e-15 relative.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -255,6 +261,10 @@ _GOLDEN = {
                        "--kmax", "3"],
     "jacobian_relu_dense": ["jacobian", "--layers", "3", "--phi", "relu", "--size", "200",
                             "--seeds", "2", "--kmax", "4"],
+    "jacobian_tanh_deep": ["jacobian", "--layers", "4", "--phi", "tanh", "--size", "500",
+                           "--seeds", "2", "--kmax", "6"],
+    "jacobian_relu_700": ["jacobian", "--layers", "4", "--phi", "relu", "--size", "700",
+                          "--seeds", "2", "--kmax", "6"],
     "law_mp": ["law", "mp", "--rho", "0.3", "--rmax", "6"],
     "law_semicircle_density": ["law", "semicircle", "--density", "--xmin", "-2.5",
                                "--xmax", "2.5", "--points", "41"],
@@ -270,13 +280,13 @@ _GOLDEN = {
 
 # Recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1
 # and OPENBLAS_NUM_THREADS=2 on x86_64; the BLAS thread count changes the
-# summation order, so free_auto differs with one thread; limit_r4, verify,
-# jacobian_dense, jacobian_probe and jacobian_relu_dense are checked to give
-# the same bytes with one thread.  For jacobian_dense that is not by design:
-# its dense J differs between 1 and 2 threads (the gemm of W3 with D W2 D),
-# and only the power traces of J^T J it prints agree to the last digit.
-# jacobian_relu_dense multiplies on kept index sets padded to multiples of
-# finite.SUPPORT_ALIGN, which keep its bytes across thread counts.  OpenBLAS
+# summation order, so free_auto differs with one thread; limit_r4, verify
+# and the jacobian goldens are checked to give the same bytes with one
+# thread.  By design: the exact Jacobian path multiplies operands whose
+# sides are multiples of finite.SUPPORT_ALIGN (kept index sets, and full
+# sides padded with zeros), and forms each W_l with numpy sums, not BLAS
+# gemv.  jacobian_tanh_deep differed between 1 and 2 threads before that,
+# and jacobian_relu_700 does when the formation uses gemv.  OpenBLAS
 # uses no more threads than the CPUs it may run on, so the digests need at
 # least 2 usable CPUs: under `taskset -c 0` free_auto fails even with
 # OPENBLAS_NUM_THREADS=2.
@@ -290,17 +300,21 @@ _GOLDEN_SHA = {
     "verify":
         "600f62c2aa34c02e0ec21894f8039b446b9a7fdb9095c37c50732bfb05383a54",
     "free_exact":
-        "eab71aadd2f0009ed4ccb8f619a77ce2ff2c42e6c7d27194fbd3b53b1d5edc7f",
+        "56cafd99675b6e603d63ad1445bf1edcc2714cfc02f2cafc03787ce4897edf8d",
     "free_hutch_witness":
-        "be3e9e04ee01d2e93c9a48bad15cfc787e7bfa4a755440a6aab4cdc3ff175741",
+        "e122b579fb8b2c056cfc25d4e9b0a6b5751f401823f1ce0fd2ed0778c0a1b10e",
     "free_auto":
-        "009148948e11cdfad8b5acc95c18a86ab004baf1cfcb1241f27352b1a976095c",
+        "b350a4ec19405074972f22a95d2581cf511f918e31d49c1a5c49e0311e302209",
     "jacobian_dense":
-        "587eefc31c2b0897d2fff4339cbfa3e0f6210dff2dbbaf2b4911f6345e2888e7",
+        "8135ab8a9cf770b621e8b3d5c2cd0e8f1eb6f8e66b6f0fb6f8a66fdba6617b70",
     "jacobian_probe":
         "257e8cb51aef91af8dc9e590e9ec54eb3c73787d66c507b0362f6959d556380d",
     "jacobian_relu_dense":
-        "236e278e7c8c89e53c23140e81e747c479007460b480712e0877ad99f1a00296",
+        "2c66f2eb3f7ad606e325fd694441eaaff0b45d06de6b1028c35c29b28536e837",
+    "jacobian_tanh_deep":
+        "29e054603b9e103b735d080dad8c12b84b0d06a90a80b487ce8ff8ea732ef3de",
+    "jacobian_relu_700":
+        "3188138de7b152fc098403f9eb7d53edc8e3e0a667fc5fba4b2db690ad5f7d33",
     "law_mp":
         "9d52187d5a837d983bb71a1643de3389b117c4dba60f9bdf35da534786fa49b9",
     "law_semicircle_density":
@@ -331,7 +345,8 @@ def test_golden_bytes(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("name", ["limit_r4", "verify", "jacobian_dense", "jacobian_probe",
-                                  "jacobian_relu_dense"])
+                                  "jacobian_relu_dense", "jacobian_tanh_deep",
+                                  "jacobian_relu_700"])
 def test_golden_bytes_do_not_depend_on_blas_threads(tmp_path, capsys, name):
     argv = _golden_argv(tmp_path, name)
     capsys.readouterr()
@@ -500,7 +515,7 @@ def _error_row(data: bytes) -> str:
     return lines[1]
 
 
-@pytest.mark.parametrize("method", ["exact", "hutchx", "hutch:", "auto:4"])
+@pytest.mark.parametrize("method", ["exact", "hutchx", "hutch:", "hutch:x", "auto:4"])
 def test_free_method_errors(tmp_path, method):
     rc, data = _run(tmp_path, "free", "--program", "@fipbase", "--word", "@word_a",
                     "--n", "600", "--method", method)
@@ -508,7 +523,17 @@ def test_free_method_errors(tmp_path, method):
     if method == "exact":  # the dense cap of centered traces is 512
         assert _error_row(data) == "error,CapExceeded,side 600 exceeds dense cap 512"
     else:
-        assert _error_row(data).startswith("error,ValueError,")
+        assert _error_row(data) == (f"error,ValueError,\"unknown method '{method}'; "
+                                    "use auto, exact, hutch or hutch:p\"")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_rejects_tol_not_finite_non_negative(tmp_path, tol):
+    rc, data = _run(tmp_path, "verify", "--program", "@atav", "--n", "16,32", "--seeds", "1",
+                    "--ensemble", "100", "--tol", tol)
+    assert rc == 2
+    assert _error_row(data) == (f"error,ValueError,verify needs a finite --tol >= 0 "
+                                f"(got {float(tol)})")
 
 
 def test_sim_rejects_non_finite_mean(tmp_path):

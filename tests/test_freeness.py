@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import block_reference
 from infwidth import corpus, freeness
 from infwidth import exprs as E
 from infwidth.errors import NotAlternating
@@ -11,6 +10,7 @@ from infwidth.finite import (
     DiagFactor,
     MatFactor,
     MatrixWord,
+    ProductSampler,
     dims_for_scale,
     instantiate,
     materialize,
@@ -281,9 +281,9 @@ def test_jacobian_eigen_vs_hutch_paths():
 def _jacobian_case(phi_name, layers, n, seed):
     phi, dphi = ACTIVATIONS[phi_name]
     prog = mlp_program(layers, phi, 1.0)
-    # as jacobian_finite draws it: every W_l whole
-    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed,
-                    dense=[m.name for m in prog.matrices])
+    # the realization jacobian_finite reads: each W_l formed given its
+    # forward product when a word reads it
+    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
     return (phi, dphi), r, jacobian_word(layers, dphi)
 
 
@@ -306,16 +306,17 @@ _STEP_DERIVATIVES = {"relu": E.step(E.x(0)), "step": E.step(E.sub(E.x(0), E.cons
 @pytest.mark.parametrize("dphi_name", sorted(_STEP_DERIVATIVES))
 def test_jacobian_support_moments_match_full_gram(dphi_name, layers, n):
     # the exact path takes J^T J on J's kept columns only; the full dense J
-    # (the identity product), its full Gram matrix and power traces agree
+    # (the identity product), its full Gram matrix and power traces agree.
+    # Seed 6: at seed 5 the step(h_3 - 1) diagonal of the L = 4, n = 96 net
+    # keeps no coordinate (h_3 has variance 1/4), so J = 0 there.
     phi, dphi = ACTIVATIONS["relu"][0], _STEP_DERIVATIVES[dphi_name]
     prog = mlp_program(layers, phi, 1.0)
-    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, 5,
-                    dense=[m.name for m in prog.matrices])
+    r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, 6)
     word = jacobian_word(layers, dphi)
     assert word_block(r, word)[2] is not None  # J has dropped columns
     j = word_apply(r, word, np.eye(n))
     want = np.array(power_traces(j.T @ j, 6, symmetric=True)) / n
-    got = jacobian_finite(layers, n, phi, dphi, 1.0, 5, 6)
+    got = jacobian_finite(layers, n, phi, dphi, 1.0, 6, 6)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.all(got > 0)
 
@@ -351,16 +352,21 @@ def test_jacobian_probe_moments_match_gram_probe_forms(monkeypatch, phi_name, la
 
 
 @pytest.mark.parametrize("layers, n", [(3, 40)])
-def test_jacobian_draws_every_weight_whole(monkeypatch, layers, n):
-    # on the exact path the W_l the moments read are the keyed block draw
-    # bit for bit, not matrices formed from their products
+def test_jacobian_forms_every_weight_from_its_sampler(monkeypatch, layers, n):
+    # on the exact path no W_l is drawn: the forward pass samples h_l, and
+    # the W_l the moments read is formed from W_l's own sampler given that
+    # one product, bit for bit as a fresh sampler replaying it forms it
     seen = _spy_instantiate(monkeypatch)
     phi, dphi = ACTIVATIONS["tanh"]
     jacobian_finite(layers, n, phi, dphi, 1.0, 3, 1)
     (r,) = seen
-    assert not r.samplers
+    assert sorted(r.matrices) == sorted(r.samplers) == [f"W{l}" for l in range(2, layers + 1)]
     for l in range(2, layers + 1):
-        assert np.array_equal(r.matrices[f"W{l}"], block_reference(3, f"W{l}", n, n, 1.0))
+        sampler = r.samplers[f"W{l}"]
+        assert [len(q) for q in sampler.q] == [1, 0] and sampler.draws == 1
+        replay = ProductSampler(3, f"W{l}", n, n, 1.0)
+        assert np.array_equal(replay.apply(r.vectors[f"x{l - 1}"]), r.vectors[f"h{l}"])
+        assert np.array_equal(r.matrices[f"W{l}"], replay.dense())
 
 
 def test_jacobian_probe_path_draws_no_matrix(monkeypatch):
