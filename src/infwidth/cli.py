@@ -32,6 +32,7 @@ from .finite import dims_for_scale, empirical_average, instantiate
 from .freeness import (
     ACTIVATIONS,
     FREENESS_PROBES,
+    JACOBIAN_KMAX,
     fip_witness_program,
     freeness_sweep,
     jacobian_finite,
@@ -283,21 +284,29 @@ def cmd_law(args) -> int:
     if args.rmax < rmin:
         raise ValueError(f"{args.law} law needs --rmax >= {rmin} (got {args.rmax})")
     rows = []
-    if args.law == "semicircle":
-        for r in range(1, args.rmax + 1):
-            rows.append(("semicircle", "", r, laws.semicircle_moment(r)))
-    elif args.law == "mp":
-        for r in range(1, args.rmax + 1):
-            try:
-                rows.append(("mp", args.rho, r, laws.mp_moment(r, args.rho)))
-            except ValueError as exc:
-                raise ValueError(f"--rho {args.rho} is too large for the mp law: {exc}") from None
-        rows.append(("mp", args.rho, "atom", laws.mp_atom(args.rho)))
-    elif args.law == "catalan":
-        for r in range(0, args.rmax + 1):
-            rows.append(("catalan", "", r, float(laws.catalan(r))))
-    else:
-        raise ValueError(f"unknown law {args.law!r}")
+    try:  # a Catalan number beyond the float range raises OverflowError
+        if args.law == "semicircle":
+            for r in range(1, args.rmax + 1):
+                rows.append(("semicircle", "", r, laws.semicircle_moment(r)))
+        elif args.law == "mp":
+            for r in range(1, args.rmax + 1):
+                try:
+                    rows.append(("mp", args.rho, r, laws.mp_moment(r, args.rho)))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"--rho {args.rho} is too large for the mp law at --rmax "
+                        f"{args.rmax}: {exc}"
+                    ) from None
+            rows.append(("mp", args.rho, "atom", laws.mp_atom(args.rho)))
+        elif args.law == "catalan":
+            for r in range(0, args.rmax + 1):
+                rows.append(("catalan", "", r, float(laws.catalan(r))))
+        else:
+            raise ValueError(f"unknown law {args.law!r}")
+    except OverflowError:
+        raise ValueError(
+            f"{args.law} law moment {r} exceeds the float range: lower --rmax (got {args.rmax})"
+        ) from None
     _write_csv(args.out, ("law", "param", "r", "value"), rows)
     return 0
 
@@ -328,6 +337,8 @@ def cmd_jacobian(args) -> int:
     phi, phi_prime = ACTIVATIONS[args.phi]
     if args.kmax < 1:
         raise ValueError(f"jacobian needs --kmax >= 1 (got {args.kmax})")
+    if args.kmax > JACOBIAN_KMAX:
+        raise ValueError(f"jacobian needs --kmax <= {JACOBIAN_KMAX} (got {args.kmax})")
     rho_list = [float(t) for t in args.rho_list.split(",")] if args.rho_list else None
     if rho_list and any(rho != 1.0 for rho in rho_list):
         raise ValueError("finite Jacobians use square layers: every --rho-list ratio must be 1")

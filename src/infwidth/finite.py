@@ -407,7 +407,9 @@ def diag_entries(realization: Realization, f: DiagFactor) -> np.ndarray:
 def _apply_factor(realization: Realization, f: WordFactor, probe: np.ndarray) -> np.ndarray:
     if isinstance(f, MatFactor):
         w = realization.matrix(f.name)
-        return (w.T if f.transposed else w) @ probe
+        w = w.T if f.transposed else w
+        out = _take(w, None) @ _take(probe, None)  # thread-stable bytes, as in word_block
+        return out[:w.shape[0], :probe.shape[1]] if probe.ndim == 2 else out[:w.shape[0]]
     d = diag_entries(realization, f)
     return d[:, None] * probe if probe.ndim == 2 else d * probe
 

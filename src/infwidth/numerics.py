@@ -5,10 +5,13 @@ solves.  ``psd_factor`` checks and factors a declared initial covariance
 once, when the program is built; ``sample_init_block`` draws from that
 factor and does no linear algebra beyond one product.
 
-``gauss_hermite_nodes`` is the only user of scipy: it imports
-``scipy.special`` on its first call, so importing this module (and every
-command but ``jacobian``) never loads scipy.  Its nodes are cached per
-order and returned as read-only arrays shared by all callers.
+``gaussian_expect`` integrates with numpy's order-200 Gauss-Hermite rule
+(``numpy.polynomial.hermite_e.hermegauss``), built on first use.
+``gauss_hermite_nodes`` serves the Hermite oracle, whose orders reach
+thousands, where numpy's rule overflows: it is the only user of scipy and
+imports ``scipy.special`` on its first call, so no CLI command loads scipy.
+Both rules are cached and returned as read-only arrays shared by all
+callers.
 """
 
 from __future__ import annotations
@@ -95,28 +98,43 @@ def sample_init_block(
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=None)
-def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and probability weights for E over a standard normal.
-
-    scipy's Golub-Welsch implementation stays stable at the high orders
-    needed to integrate discontinuous functions accurately.  scipy is
-    imported here, on first use, to keep it off the import path.  The
-    result is computed once per order and shared, so both arrays are
-    read-only.
-    """
-    from scipy import special
-
-    xs, ws = special.roots_hermitenorm(order)
+def _probability_rule(xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a rule for exp(-x^2/2), rescaled to sum to one
+    and made read-only."""
     ws = ws / _SQRT_2PI
     xs.flags.writeable = False
     ws.flags.writeable = False
     return xs, ws
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights for E over a standard normal, for the
+    Hermite oracle.
+
+    scipy's Golub-Welsch implementation stays stable at the high orders
+    needed to integrate discontinuous functions accurately, where numpy's
+    hermegauss overflows (its weights are NaN at order 500).  scipy is
+    imported here, on first use, to keep it off the import path.  The
+    result is computed once per order and shared, so both arrays are
+    read-only.
+    """
+    from scipy import special
+
+    return _probability_rule(*special.roots_hermitenorm(order))
+
+
+@functools.cache
+def expect_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """gaussian_expect's order-200 nodes and probability weights, from
+    numpy's Golub-Welsch rule; built on first use, shared and read-only."""
+    return _probability_rule(*np.polynomial.hermite_e.hermegauss(200))
+
+
 def gaussian_expect(f, var: float = 1.0) -> float:
-    """E f(z) for z ~ N(0, var) by Gauss-Hermite quadrature at order 200."""
-    xs, ws = gauss_hermite_nodes(200)
+    """E f(z) for z ~ N(0, var) by Gauss-Hermite quadrature at order 200
+    (expect_nodes), without scipy."""
+    xs, ws = expect_nodes()
     vals = np.asarray(f(math.sqrt(var) * xs), dtype=np.float64)
     if vals.ndim == 0:
         return float(vals)  # constant integrand
@@ -154,7 +172,8 @@ def hermite_pair_expectation(
 
     Computed from the Hermite diagonalization sum_k a_k b_k rho^k truncated
     at k = trunc; emits TruncationWarning when the last kept term is not
-    negligible.
+    negligible.  Needs scipy: its quadrature order is at least 6000
+    (gauss_hermite_nodes).
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError("correlation must lie in [-1, 1]")

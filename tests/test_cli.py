@@ -238,7 +238,13 @@ m2 = moment x1^2 (z2)
 # jacobian_tanh_deep and jacobian_relu_700 were recorded; in the same
 # change free_exact, free_auto and free_hutch_witness were re-recorded,
 # because forming a matrix now sums W~ Q^T with numpy instead of BLAS gemv,
-# which moves their values by about 1e-15 relative.
+# which moves their values by about 1e-15 relative.  The five jacobian
+# goldens were re-recorded when gaussian_expect took numpy's order-200
+# Gauss-Hermite rule instead of scipy's: their empirical columns kept their
+# bytes, and limit moved by at most 1.3e-13 relative.  free_auto was
+# re-recorded when word_apply started to multiply zero-padded operands: its
+# n = 600 row moved by at most 1.6e-15 relative, to the bytes the parent
+# printed with one BLAS thread.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -280,13 +286,15 @@ _GOLDEN = {
 
 # Recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1
 # and OPENBLAS_NUM_THREADS=2 on x86_64; the BLAS thread count changes the
-# summation order, so free_auto differs with one thread; limit_r4, verify
-# and the jacobian goldens are checked to give the same bytes with one
-# thread.  By design: the exact Jacobian path multiplies operands whose
-# sides are multiples of finite.SUPPORT_ALIGN (kept index sets, and full
-# sides padded with zeros), and forms each W_l with numpy sums, not BLAS
-# gemv.  jacobian_tanh_deep differed between 1 and 2 threads before that,
-# and jacobian_relu_700 does when the formation uses gemv.  OpenBLAS
+# summation order of some products, so limit_r4, verify, the free goldens
+# without a witness and the jacobian goldens are checked to give the same
+# bytes with one thread.  By design: the exact Jacobian path, word_apply
+# and the exact centered trace multiply operands whose sides are multiples
+# of finite.SUPPORT_ALIGN (kept index sets, and full sides padded with
+# zeros), and the Jacobian forms each W_l with numpy sums, not BLAS gemv.
+# jacobian_tanh_deep differed between 1 and 2 threads before that,
+# jacobian_relu_700 does when the formation uses gemv, and free_auto did
+# when word_apply multiplied its unpadded n = 600 operands.  OpenBLAS
 # uses no more threads than the CPUs it may run on, so the digests need at
 # least 2 usable CPUs: under `taskset -c 0` free_auto fails even with
 # OPENBLAS_NUM_THREADS=2.
@@ -304,17 +312,17 @@ _GOLDEN_SHA = {
     "free_hutch_witness":
         "e122b579fb8b2c056cfc25d4e9b0a6b5751f401823f1ce0fd2ed0778c0a1b10e",
     "free_auto":
-        "b350a4ec19405074972f22a95d2581cf511f918e31d49c1a5c49e0311e302209",
+        "807426d1f9d57d150c9bb3515602dd7bf2c00d472e44faa95155b7feeeada4a2",
     "jacobian_dense":
-        "8135ab8a9cf770b621e8b3d5c2cd0e8f1eb6f8e66b6f0fb6f8a66fdba6617b70",
+        "b60cca68949e8aa80086b44e6306db5e05582ad51f9ea50d1fdbc26c22d1a31b",
     "jacobian_probe":
-        "257e8cb51aef91af8dc9e590e9ec54eb3c73787d66c507b0362f6959d556380d",
+        "5a370b0773d53afdf5f50d06a5a959800a941ee66cde48fb2ab03e8bb8596bff",
     "jacobian_relu_dense":
-        "2c66f2eb3f7ad606e325fd694441eaaff0b45d06de6b1028c35c29b28536e837",
+        "d3cf8ba1bc328d68893463dcfa2bb71b17bccbd23ac2fe33885f93f5ce79981f",
     "jacobian_tanh_deep":
-        "29e054603b9e103b735d080dad8c12b84b0d06a90a80b487ce8ff8ea732ef3de",
+        "3ae64ed98b6a5b5ce033d9f35ac3b3b4e94af640952114729f9dcbabe5268a60",
     "jacobian_relu_700":
-        "3188138de7b152fc098403f9eb7d53edc8e3e0a667fc5fba4b2db690ad5f7d33",
+        "0c9f4a02ab30f64ee12d2e0a5a0a40b246f393b9d0434174dc8fbcf78f33b9c1",
     "law_mp":
         "9d52187d5a837d983bb71a1643de3389b117c4dba60f9bdf35da534786fa49b9",
     "law_semicircle_density":
@@ -344,7 +352,8 @@ def test_golden_bytes(tmp_path, capsys, name):
     assert digest == _GOLDEN_SHA[name]
 
 
-@pytest.mark.parametrize("name", ["limit_r4", "verify", "jacobian_dense", "jacobian_probe",
+@pytest.mark.parametrize("name", ["limit_r4", "verify", "free_exact", "free_auto",
+                                  "jacobian_dense", "jacobian_probe",
                                   "jacobian_relu_dense", "jacobian_tanh_deep",
                                   "jacobian_relu_700"])
 def test_golden_bytes_do_not_depend_on_blas_threads(tmp_path, capsys, name):
@@ -420,18 +429,23 @@ def test_jacobian_over_the_element_cap_samples_its_products(tmp_path):
     assert peak < n * n  # W2 would take 8 n^2 bytes
 
 
+# runs each command in a fresh interpreter and prints, after each, whether
+# a scipy module is loaded; with "block", importing scipy raises ImportError
 _SCIPY_PROBE = """
 import json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
 from infwidth.cli import run
 loaded = []
 for argv in json.loads(sys.argv[1]):
     assert run(argv) == 0, argv
-    loaded.append("scipy.special" in sys.modules)
+    loaded.append(any(name.split(".")[0] == "scipy" and module is not None
+                      for name, module in sys.modules.items()))
 print(json.dumps(loaded))
 """
 
 
-def test_only_jacobian_imports_scipy(tmp_path):
+def _scipy_probe(tmp_path, mode):
     out = str(tmp_path / "out.csv")
     commands = [
         ["sim", "--program", "@atav", "--n", "32", "--seeds", "2", "--test", "x1 * x2:v,x"],
@@ -441,15 +455,25 @@ def test_only_jacobian_imports_scipy(tmp_path):
         ["free", "--program", "@fipbase", "--word", "@word_a", "--n", "32,64", "--seeds", "2",
          "--witness", "--ensemble", "200"],
         ["law", "mp", "--rho", "0.5", "--rmax", "3"],
-        ["jacobian", "--layers", "2", "--size", "32", "--kmax", "2"],
+        ["jacobian", "--layers", "2", "--size", "32", "--kmax", "2"],  # exact path
+        ["jacobian", "--layers", "2", "--size", "1100", "--kmax", "2"],  # probe path
     ]
     src = str(Path(infwidth.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = json.dumps([[*cmd, "--out", out] for cmd in commands])
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv],
-                          env=env, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [False] * 5 + [True]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv, mode],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_no_command_imports_scipy(tmp_path):
+    assert _scipy_probe(tmp_path, "load") == [False] * 7
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    assert _scipy_probe(tmp_path, "block") == [False] * 7
 
 
 def test_law_mp_density_needs_rho(tmp_path):
@@ -590,6 +614,31 @@ def test_jacobian_rejects_kmax_below_one(tmp_path, kmax):
                     "--kmax", str(kmax))
     assert rc == 2
     assert _error_row(data) == f"error,ValueError,jacobian needs --kmax >= 1 (got {kmax})"
+
+
+@pytest.mark.parametrize("kmax", [33, 350])
+def test_jacobian_rejects_kmax_above_32(tmp_path, kmax):
+    # at 350 the finite moments overflow, and the limit moments go negative
+    # from k = 68 at L = 2
+    rc, data = _run(tmp_path, "jacobian", "--layers", "2", "--size", "8",
+                    "--kmax", str(kmax))
+    assert rc == 2
+    assert _error_row(data) == f"error,ValueError,jacobian needs --kmax <= 32 (got {kmax})"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalan", "--rmax", "600"], "catalan law moment 520 exceeds the float range: "
+                                   "lower --rmax (got 600)"),
+    (["semicircle", "--rmax", "2000"], "semicircle law moment 1040 exceeds the float "
+                                       "range: lower --rmax (got 2000)"),
+    (["mp", "--rho", "0.5", "--rmax", "2000"], "--rho 0.5 is too large for the mp law at "
+                                               "--rmax 2000: mp law moment M_673 at "
+                                               "rho = 0.5 exceeds the float range"),
+], ids=["catalan", "semicircle", "mp"])
+def test_law_names_the_flag_when_a_moment_overflows(tmp_path, argv, message):
+    rc, data = _run(tmp_path, "law", *argv)
+    assert rc == 2
+    assert _error_row(data) == f"error,ValueError,{message}"
 
 
 @pytest.mark.parametrize("q1", ["0", "nan", "inf"])

@@ -37,6 +37,7 @@ from infwidth.freeness import (
     mlp_program,
     monomial,
     FREENESS_PROBES,
+    JACOBIAN_KMAX,
     _loglog_slope,
 )
 from infwidth.laws import mp_moments
@@ -246,6 +247,17 @@ def test_jacobian_limit_identity_is_mp_power():
     assert np.allclose(two, mp_moments(4, 1.0), atol=1e-9)
     three = jacobian_limit_moments(3, phi, dphi, 1.0, 4)
     assert np.allclose(three, [1.0, 3.0, 12.0, 55.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("layers", [2, 3, 4])
+def test_jacobian_limit_identity_is_fuss_catalan_up_to_kmax(layers):
+    # L - 1 free Marchenko-Pastur factors at rho = 1: C(Lk, k) / ((L-1)k + 1)
+    phi, dphi = ACTIVATIONS["identity"]
+    got = jacobian_limit_moments(layers, phi, dphi, 1.0, JACOBIAN_KMAX)
+    want = [math.comb(layers * k, k) / ((layers - 1) * k + 1)
+            for k in range(1, JACOBIAN_KMAX + 1)]
+    assert JACOBIAN_KMAX == 32
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_jacobian_limit_relu_first_moment():

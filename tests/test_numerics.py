@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import infwidth
 from infwidth import exprs as E
 from infwidth.errors import TruncationWarning
 from infwidth.numerics import (
+    expect_nodes,
     gauss_hermite_nodes,
     gaussian_expect,
     hermite_coefficients,
@@ -99,6 +105,37 @@ def test_gauss_hermite_nodes_are_cached_and_read_only():
         warnings.simplefilter("ignore", TruncationWarning)
         hermite_pair_expectation(E.step(E.x(0)), E.tanh(E.x(0)), 0.5, trunc=80)
     assert gauss_hermite_nodes.cache_info().misses - misses <= 1
+
+
+def test_expect_nodes_are_numpy_gauss_hermite_built_once():
+    xs, ws = expect_nodes()
+    assert expect_nodes()[0] is xs and expect_nodes()[1] is ws
+    assert expect_nodes.cache_info().misses == 1
+    for arr in (xs, ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    want_xs, want_ws = special.roots_hermitenorm(200)
+    assert np.abs(xs - want_xs).max() <= 1e-13
+    assert np.abs(ws - want_ws / math.sqrt(2.0 * math.pi)).max() <= 1e-14
+    assert abs(ws.sum() - 1.0) <= 1e-14
+    for k in range(1, 11):
+        assert float(ws @ xs ** (2 * k)) == pytest.approx(math.prod(range(1, 2 * k, 2)),
+                                                         rel=1e-14, abs=0.0)
+    assert gaussian_expect(lambda z: z**4) == float(ws @ xs**4)
+
+
+def test_expect_nodes_do_not_depend_on_blas_threads():
+    code = ("import hashlib; from infwidth.numerics import expect_nodes; xs, ws = expect_nodes(); "
+            "print(hashlib.sha256(xs.tobytes() + ws.tobytes()).hexdigest())")
+    src = str(Path(infwidth.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_hermite_matrix_orthonormal():
