@@ -317,7 +317,8 @@ def cmd_free(args) -> int:
     sizes = _parse_int_list(args.n)
     seeds = _seed_list(args)
     method, probes = _parse_method(args.method)
-    report = freeness_sweep(program, word, sizes, seeds, method=method, probes=probes)
+    report = freeness_sweep(program, word, sizes, seeds, method=method, probes=probes,
+                            map_cells=lambda fn, cells: _map_cells(fn, cells, args.workers))
     _write_csv(args.out, ("n", "seed_count", "median_abs", "mean_abs", "std"), report.rows)
     print(f"decay_slope {report.slope!r}", file=sys.stderr)
     if args.witness:

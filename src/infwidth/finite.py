@@ -5,7 +5,8 @@ drawn at the assigned dimensions from its own deterministic stream, then all
 instructions executed in order.  A matrix is not drawn: each of its products
 is sampled from its exact law given the earlier ones (ProductSampler), and
 the matrix itself is formed only when a word needs it (Realization.matrix,
-the one way to get a dense matrix).  On top of realizations this module
+or Realization.form for all of a word's matrices together: the one way to
+get a dense matrix).  On top of realizations this module
 evaluates coordinate averages, applies matrix words (products of program
 matrices and diagonal matrices of bounded coordinatewise images) without
 materializing them, and estimates normalized traces either exactly, from
@@ -41,9 +42,12 @@ EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
 # products allocate none
 ELEMENT_CAP = 1 << 26
 HUTCHINSON_PROBES = 32
-# entries per separately keyed row block of the W~ that ProductSampler.dense
-# draws, each block filled on its own thread
+# entries per separately keyed row block of a formed matrix's W~; form_dense
+# fills the blocks of every matrix it forms on one pool of the usable CPUs
 BLOCK_ENTRIES = 1 << 22
+# entries per row chunk of form_dense's rank-k correction (and of a fill into
+# a padded buffer's rows), so its temporaries stay in L2
+CHUNK_ENTRIES = 1 << 16
 DEPENDENT_TOL = 1e-12  # relative residual below which an input adds no direction
 SUPPORT_ALIGN = 32  # word_block pads kept index sets and operand sides to multiples of this
 
@@ -142,43 +146,74 @@ class ProductSampler:
         return out.reshape(len(out), *v.shape[1:])
 
     def dense(self) -> np.ndarray:
-        """One W consistent with every product: the conditional mean plus
-        P_Y^perp W~ P_X^perp.  W~ comes in row blocks of
-        max(1, BLOCK_ENTRIES // c) rows, block 0 from the stream
-        (seed, "matrix", name) and block b >= 1 from (seed, "matrix", name, b),
-        filled in parallel on the usable CPUs; every stream is a pure function
-        of its key, so a matrix with no products is that draw bit for bit on
-        any number of threads.  The correction takes W~ Q_X^T, W~^T Q_Y^T
-        and the rank-k update as numpy sums, not BLAS, whose bytes can
-        depend on the thread count (gemv and gemm at n = 700, say)."""
+        """One W consistent with every product, in a new (r, c) array:
+        form_dense on this sampler alone, which adds the correction in row
+        chunks, so it allocates about W itself."""
         w = np.empty(self.shape)
+        form_dense([self], [w])
+        return w
+
+    def _blocks(self, w: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+        """(stream key, rows of w) of each row block of W~: max(1,
+        BLOCK_ENTRIES // c) rows, block 0 from (seed, "matrix", name) and
+        block b >= 1 from (seed, "matrix", name, b)."""
         rows = max(1, BLOCK_ENTRIES // self.shape[1])
-        starts = range(0, self.shape[0], rows)
+        return [(("matrix", self.name, b) if b else ("matrix", self.name), w[start:start + rows])
+                for b, start in enumerate(range(0, self.shape[0], rows))]
 
-        def fill(b: int) -> None:
-            view = w[starts[b]:starts[b] + rows]
-            key = ("matrix", self.name, b) if b else ("matrix", self.name)
-            stream(self.seed, *key).standard_normal(out=view)
-            view *= self.scale
+    def _fill(self, key: tuple, view: np.ndarray) -> None:
+        gen = stream(self.seed, *key)
+        if view.flags.c_contiguous:
+            gen.standard_normal(out=view)
+        else:  # the rows of a padded buffer: the same normals, chunk by chunk
+            step = max(1, CHUNK_ENTRIES // self.shape[1])
+            for start in range(0, len(view), step):
+                part = view[start:start + step]
+                part[...] = gen.standard_normal(part.shape)
+        view *= self.scale
 
-        workers = min(len(starts), len(os.sched_getaffinity(0)))
-        if workers < 2:
-            for b in range(len(starts)):
-                fill(b)
-        else:  # Generator fills and in-place scaling release the GIL
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(fill, range(len(starts))))
+    def _correct(self, w: np.ndarray) -> None:
+        """Add the conditional mean to w = W~ in place."""
         (qx, qy), (zx, zy) = self.q, self.z
         if len(qx) + len(qy) == 0:
-            return w
+            return
         # W = W~ + D_X Q_X^T + Q_Y E_Y^T with D_X = Z_X - W~ Q_X and
-        # E_Y = P_X^perp (Z_Y - W~^T Q_Y): one rank-k update, in row blocks
+        # E_Y = P_X^perp (Z_Y - W~^T Q_Y): one rank-k update, in row chunks
         d_x = zx.T - np.einsum("ij,kj->ik", w, qx)
         e_y = _split(qx, zy.T - np.einsum("ji,kj->ik", w, qy))[1]
         left, right = np.hstack([d_x, qy.T]), np.vstack([qx, e_y.T])
-        for start in starts:
-            w[start:start + rows] += np.einsum("ik,kj->ij", left[start:start + rows], right)
-        return w
+        step = max(1, CHUNK_ENTRIES // self.shape[1])
+        for start in range(0, self.shape[0], step):
+            w[start:start + step] += np.einsum("ik,kj->ij", left[start:start + step], right)
+
+
+def form_dense(samplers: list[ProductSampler], outs: list[np.ndarray]) -> None:
+    """Form each sampler's W, consistent with every product, in its out
+    array of its shape (rows may be strided, as in a padded buffer).
+
+    W is the conditional mean plus P_Y^perp W~ P_X^perp.  W~ comes in row
+    blocks of max(1, BLOCK_ENTRIES // c) rows, each from its own keyed
+    stream (ProductSampler._blocks), and the blocks of every matrix are
+    filled on one pool of the usable CPUs; every stream is a pure function
+    of its key, so a matrix with no products is that draw bit for bit on
+    any number of threads.  Then each correction is added in row chunks of
+    about CHUNK_ENTRIES, so it allocates only small temporaries beside W.
+    The correction takes W~ Q_X^T, W~^T Q_Y^T and the rank-k update as
+    numpy sums, not BLAS, whose bytes can depend on the thread count (gemv
+    and gemm at n = 700, say).  The caller allocates every out array in
+    its own thread: buffers allocated in pool threads can come from glibc
+    arenas that keep their pages after the arrays are freed.
+    """
+    fills = [(s, key, view) for s, w in zip(samplers, outs) for key, view in s._blocks(w)]
+    workers = min(len(fills), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        for s, key, view in fills:
+            s._fill(key, view)
+    else:  # Generator fills and in-place scaling release the GIL
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda task: task[0]._fill(*task[1:]), fills))
+    for s, w in zip(samplers, outs):
+        s._correct(w)
 
 
 def _split(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,12 +252,15 @@ class Realization:
     """One finite-size sample of a program; immutable and thread-shareable.
 
     No matrix is drawn: `samplers` knows each one through its products, and
-    `matrices` holds those formed so far.  Read a matrix with `matrix(name)`:
-    it forms it on first use (ProductSampler.dense), subject to ELEMENT_CAP,
-    and adds it read-only to `matrices`.  Products applied after
-    instantiate, through `samplers[name].apply`, extend that sampler: a
-    matrix formed afterwards reproduces them too, one formed before does
-    not.  Such products mutate the sampler, so one thread applies them.
+    `matrices` holds those formed so far.  Read a matrix with `matrix(name)`,
+    or several with `form(names)`: a matrix is formed on first use
+    (form_dense), subject to ELEMENT_CAP, in a zero-padded buffer whose
+    sides are multiples of SUPPORT_ALIGN, and `matrices` holds its (r, c)
+    top-left view, read-only, whose `.base` is that buffer.  Products
+    applied after instantiate, through `samplers[name].apply`, extend that
+    sampler: a matrix formed afterwards reproduces them too, one formed
+    before does not.  Such products mutate the sampler, so one thread
+    applies them.
     """
 
     program: Program
@@ -237,18 +275,35 @@ class Realization:
     )
 
     def matrix(self, name: str) -> np.ndarray:
-        """The dense matrix `name`, formed once, under a lock."""
+        """The dense (r, c) matrix `name`, formed once (see form)."""
+        self.form((name,))
+        return self.matrices[name]
+
+    def form(self, names) -> list[np.ndarray]:
+        """The padded buffer of each matrix in names, in order.
+
+        Under one lock, the matrices not formed yet are formed together:
+        their buffers are allocated here, in the calling thread, and one
+        form_dense call fills them, every W~ block of every matrix on one
+        pool.  Padding the sides once lets every product with the matrix
+        multiply operands whose sides are multiples of SUPPORT_ALIGN
+        without copying it.
+        """
         with self._lock:
-            if name not in self.matrices:
-                r, c = self.samplers[name].shape
+            todo = [name for name in dict.fromkeys(names) if name not in self.matrices]
+            shapes = [self.samplers[name].shape for name in todo]
+            for name, (r, c) in zip(todo, shapes):
                 if r * c > ELEMENT_CAP:
                     raise MemoryPolicyError(
                         f"matrix {name!r} would need {r}x{c} entries (cap {ELEMENT_CAP})"
                     )
-                w = self.samplers[name].dense()
-                w.flags.writeable = False
-                self.matrices[name] = w
-            return self.matrices[name]
+            bufs = [np.zeros([n + -n % SUPPORT_ALIGN for n in shape]) for shape in shapes]
+            views = [buf[:r, :c] for buf, (r, c) in zip(bufs, shapes)]
+            form_dense([self.samplers[name] for name in todo], views)
+            for name, buf, (r, c) in zip(todo, bufs, shapes):
+                buf.flags.writeable = False
+                self.matrices[name] = buf[:r, :c]
+            return [self.matrices[name].base for name in names]
 
 
 def instantiate(program: Program, dims: dict[str, int], seed: int) -> Realization:
@@ -406,10 +461,11 @@ def diag_entries(realization: Realization, f: DiagFactor) -> np.ndarray:
 
 def _apply_factor(realization: Realization, f: WordFactor, probe: np.ndarray) -> np.ndarray:
     if isinstance(f, MatFactor):
-        w = realization.matrix(f.name)
-        w = w.T if f.transposed else w
-        out = _take(w, None) @ _take(probe, None)  # thread-stable bytes, as in word_block
-        return out[:w.shape[0], :probe.shape[1]] if probe.ndim == 2 else out[:w.shape[0]]
+        (w,) = realization.form((f.name,))
+        rows = realization.samplers[f.name].shape[int(f.transposed)]
+        # padded operands: thread-stable bytes, as in word_block
+        out = (w.T if f.transposed else w) @ _take(probe, None)
+        return out[:rows, :probe.shape[1]] if probe.ndim == 2 else out[:rows]
     d = diag_entries(realization, f)
     return d[:, None] * probe if probe.ndim == 2 else d * probe
 
@@ -463,7 +519,9 @@ def word_block(
     are.  So a zero diagonal entry drops a column or row of its neighbouring
     matrices and of the running product.  Kept index sets are padded as in
     _kept, and every operand is padded with zeros to sides that are
-    multiples of SUPPORT_ALIGN (_take).  An all-diagonal word is
+    multiples of SUPPORT_ALIGN (_take).  The word's matrices are formed
+    together (Realization.form) and read from their padded buffers, so a
+    side that keeps every index copies nothing.  An all-diagonal word is
     (Diag(d), None, None).
     """
     row_cls, col_cls = word_classes(realization.program, word)
@@ -487,9 +545,11 @@ def word_block(
         return np.diag(d), None, None
     rows = cols = _kept(d != 0)  # rows: the kept rows of the running product
     out = None
+    names = [f.name for f, _ in runs]
+    padded = dict(zip(names, realization.form(names)))
     for f, after in runs:
         keep = _kept(np.logical_and.reduce([e != 0 for e in after])) if after else None
-        w = realization.matrix(f.name)
+        w = padded[f.name]
         w = _take(w.T if f.transposed else w, keep, rows)
         if out is None:
             out = np.multiply(w, _take(d, cols), order="C")

@@ -10,12 +10,13 @@ those traces over size sweeps, constructs an equivalent scalar program
 whose final moment has the same limit (so the limit engine can check it
 symbolically), and runs the deep-net Jacobian singular-value pipeline:
 empirical moments of J^T J, from power traces of the Gram matrix of J's
-kept columns (those its diagonals do not zero out, with each W_l formed
-given its forward product) or from probe forms that apply J or J^T once
-per moment, against the free multiplicative convolution of the per-layer
-square-derivative laws with Marchenko-Pastur factors.  A centering constant of a mirror monomial R^T R, such as
-W W^T, takes its probe forms the same way, one application of R or R^T
-per moment (finite.spectral_moments).
+kept columns (those its diagonals do not zero out, with every W_l formed
+together, each given its forward product) or from probe forms that apply
+J or J^T once per moment, against the free multiplicative convolution of
+the per-layer square-derivative laws with Marchenko-Pastur factors.  A
+centering constant of a mirror monomial R^T R, such as W W^T, takes its
+probe forms the same way, one application of R or R^T per moment
+(finite.spectral_moments).
 """
 
 from __future__ import annotations
@@ -215,22 +216,28 @@ def freeness_sweep(
     seeds: list[int],
     method: str = "auto",
     probes: int = FREENESS_PROBES,
+    map_cells=map,
 ) -> FreenessReport:
+    """|centered trace| of one realization per (n, seed) cell, summarized per n.
+
+    map_cells(fn, cells) returns fn of each cell in order; each cell is a
+    pure function of (n, seed), so running them on threads gives the same
+    report."""
     if sorted(n_list) != list(n_list):
         raise ValueError("n_list must be ascending")
-    rows = []
-    medians = []
-    for n in n_list:
-        vals = []
-        for seed in seeds:
-            r = instantiate(program, dims_for_scale(program, n), seed)
-            vals.append(abs(centered_trace(r, word, method=method, probes=probes)))
-        vals_arr = np.array(vals)
-        med = float(np.median(vals_arr))
-        rows.append((n, len(seeds), med, float(vals_arr.mean()), float(vals_arr.std())))
-        medians.append(med)
-    slope = _loglog_slope(n_list, medians)
-    return FreenessReport(tuple(rows), slope)
+
+    def run_cell(cell):
+        n, seed = cell
+        r = instantiate(program, dims_for_scale(program, n), seed)
+        return abs(centered_trace(r, word, method=method, probes=probes))
+
+    cells = [(n, seed) for n in n_list for seed in seeds]
+    vals = np.array(list(map_cells(run_cell, cells))).reshape(len(n_list), len(seeds))
+    rows = tuple(
+        (n, len(seeds), float(np.median(v)), float(v.mean()), float(v.std()))
+        for n, v in zip(n_list, vals)
+    )
+    return FreenessReport(rows, _loglog_slope(n_list, [row[2] for row in rows]))
 
 
 def _loglog_slope(ns, vals) -> float:
@@ -443,12 +450,13 @@ def jacobian_finite(
 
     No W_l is drawn: the forward pass samples each product exactly
     (finite.ProductSampler).  Up to the dense side `cap` the moments are
-    power traces of J^T J, and finite.word_block forms each W_l given its
-    forward product.  J^T J is taken on J's kept columns only: a zero entry
-    of a D_l drops a row or column of its neighbouring W_l, and J's zero
-    columns add only zero rows and columns to J^T J.  Every product there
-    has sides that are multiples of finite.SUPPORT_ALIGN, and the formation
-    sums with numpy, so the moments do not depend on the BLAS thread count.  Above the cap the moments come
+    power traces of J^T J, and finite.word_block forms every W_l together,
+    each given its forward product.  J^T J is taken on J's kept columns
+    only: a zero entry of a D_l drops a row or column of its neighbouring
+    W_l, and J's zero columns add only zero rows and columns to J^T J.
+    Every product there has sides that are multiples of
+    finite.SUPPORT_ALIGN, and the formation sums with numpy, so the moments
+    do not depend on the BLAS thread count.  Above the cap the moments come
     from Gaussian probe blocks, one application of J or J^T per moment
     (finite.probe_forms with an adjoint), and no W_l is formed: each
     product with a probe block is sampled exactly given the earlier ones,

@@ -710,3 +710,26 @@ def test_nonlin_reading_no_input_runs(tmp_path, nonlin):
     assert rc == 0, data
     (row,) = [r for r in csv.DictReader(io.StringIO(data.decode())) if r["object"] == "m"]
     assert abs(float(row["value"]) - 2.25) <= 3.0 * float(row["stderr"])
+
+
+def test_free_cells_on_threads_keep_their_bytes(monkeypatch, tmp_path, capsys):
+    # the (n, seed) cells run on --workers threads, each a pure function of
+    # its cell, so the CSV and the decay slope keep their bytes
+    argv = _golden_argv(tmp_path, "free_auto")
+    mapped = []
+    real = cli._map_cells
+
+    def spy(fn, cells, workers):
+        mapped.append((len(cells), workers))
+        return real(fn, cells, workers)
+
+    monkeypatch.setattr(cli, "_map_cells", spy)
+    outputs = []
+    for workers in ("1", "2"):
+        capsys.readouterr()
+        rc, data = _run(tmp_path, *argv, "--workers", workers)
+        assert rc == 0
+        outputs.append(data + b"\0" + capsys.readouterr().err.encode())
+    assert mapped == [(4, 1), (4, 2)]  # n = 96, 600 times 2 seeds
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[1]).hexdigest() == _GOLDEN_SHA["free_auto"]

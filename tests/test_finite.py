@@ -45,7 +45,7 @@ from infwidth.finite import (
     word_apply,
     word_block,
 )
-from infwidth.freeness import ACTIVATIONS, jacobian_word, mlp_program
+from infwidth.freeness import ACTIVATIONS, jacobian_finite, jacobian_word, mlp_program
 from infwidth.laws import mp_atom, mp_density
 from infwidth.numerics import stream
 from infwidth.program import (
@@ -783,3 +783,79 @@ def test_matrix_is_formed_once_for_all_threads():
     assert all(w is real.matrix("W") for w in formed[0::2])
     assert all(v is real.matrix("V") for v in formed[1::2])
     assert not real.matrix("W").flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Formation memory and formation together
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_forming_a_matrix_allocates_about_the_matrix(n):
+    # the correction is added in row chunks of about CHUNK_ENTRIES, so no
+    # temporary as large as a W~ block sits beside W
+    s = ProductSampler(6, "W", n, n, 1.0)
+    s.apply(stream(6, "x").standard_normal(n))
+    s.apply(stream(6, "y").standard_normal(n), transposed=True)
+    tracemalloc.start()
+    try:
+        s.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n
+
+
+@pytest.mark.parametrize("one_cpu", [False, True])
+def test_forming_matrices_together_equals_one_at_a_time(monkeypatch, one_cpu):
+    # 2100 is not a multiple of SUPPORT_ALIGN, so both are filled into the
+    # strided rows of padded buffers, and each spans several keyed blocks
+    prog, dims = _two_matrix_program(), {"m": 2100, "n": 2100}
+    alone = instantiate(prog, dims, seed=8)
+    want = [alone.matrix(name) for name in ("W", "V")]
+    if one_cpu:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    real = instantiate(prog, dims, seed=8)
+    bufs = real.form(("V", "W", "V"))
+    assert bufs[0] is bufs[2] and bufs[0].shape == (2112, 2112)
+    assert not bufs[0][2100:].any() and not bufs[0][:, 2100:].any()
+    for name, w in zip(("W", "V"), want):
+        assert np.array_equal(real.matrix(name), w)
+        assert real.matrix(name).base is bufs[("V", "W").index(name)]
+    assert np.array_equal(want[1], block_reference(8, "V", 2100, 2100, 2.0))
+
+
+def test_exact_jacobian_forms_every_matrix_once_together(monkeypatch):
+    calls = []
+    real = infwidth.finite.form_dense
+
+    def spy(samplers, outs):
+        calls.append(sorted(s.name for s in samplers))
+        real(samplers, outs)
+
+    monkeypatch.setattr(infwidth.finite, "form_dense", spy)
+    phi, dphi = ACTIVATIONS["relu"]
+    jacobian_finite(4, 96, phi, dphi, 1.0, 3, 4)
+    assert calls == [["W2", "W3", "W4"]]
+
+
+def test_applying_a_matrix_at_an_unaligned_side_copies_no_matrix():
+    # W is formed once into a buffer padded from 1100 to 1120, and a
+    # product multiplies that buffer, not a padded copy of W
+    prog = corpus.load_program("fipbase")
+    n = 1100
+    real = instantiate(prog, dims_for_scale(prog, n), seed=2)
+    w = real.matrix("W")
+    probe = stream(2, "probe").standard_normal((n, HUTCHINSON_PROBES))
+    for transposed in (False, True):
+        word = MatrixWord((MatFactor("W", transposed),))
+        tracemalloc.start()
+        try:
+            got = word_apply(real, word, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # a copy of W takes 8 n^2 bytes
+        want = (w.T if transposed else w) @ probe
+        assert got.shape == (n, HUTCHINSON_PROBES)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
