@@ -4,9 +4,9 @@ A Realization is one concrete sample of a program: every initial vector
 drawn at the assigned dimensions from its own deterministic stream, then all
 instructions executed in order.  A matrix is not drawn: each of its products
 is sampled from its exact law given the earlier ones (ProductSampler), and
-the matrix itself is formed only when a word needs it (Realization.matrix,
-or Realization.form for all of a word's matrices together: the one way to
-get a dense matrix).  On top of realizations this module
+the matrix itself is formed only when a word needs it (Realization.form,
+which forms all of a word's matrices together: the one way to get a dense
+matrix).  On top of realizations this module
 evaluates coordinate averages, applies matrix words (products of program
 matrices and diagonal matrices of bounded coordinatewise images) without
 materializing them, and estimates normalized traces either exactly, from
@@ -38,15 +38,15 @@ from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
 EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
-# largest dense matrix (entries), checked when Realization.matrix forms one;
+# largest dense matrix (entries), checked when Realization.form forms one;
 # products allocate none
 ELEMENT_CAP = 1 << 26
 HUTCHINSON_PROBES = 32
 # entries per separately keyed row block of a formed matrix's W~; form_dense
 # fills the blocks of every matrix it forms on one pool of the usable CPUs
 BLOCK_ENTRIES = 1 << 22
-# entries per row chunk of form_dense's rank-k correction (and of a fill into
-# a padded buffer's rows), so its temporaries stay in L2
+# entries per row chunk of form_dense's W~ fill and rank-k correction, so
+# their temporaries stay in L2
 CHUNK_ENTRIES = 1 << 16
 DEPENDENT_TOL = 1e-12  # relative residual below which an input adds no direction
 SUPPORT_ALIGN = 32  # word_block pads kept index sets and operand sides to multiples of this
@@ -162,15 +162,13 @@ class ProductSampler:
                 for b, start in enumerate(range(0, self.shape[0], rows))]
 
     def _fill(self, key: tuple, view: np.ndarray) -> None:
+        """Scaled normals from the stream key into view, in C order and in
+        row chunks of about CHUNK_ENTRIES, so view's rows may be strided."""
         gen = stream(self.seed, *key)
-        if view.flags.c_contiguous:
-            gen.standard_normal(out=view)
-        else:  # the rows of a padded buffer: the same normals, chunk by chunk
-            step = max(1, CHUNK_ENTRIES // self.shape[1])
-            for start in range(0, len(view), step):
-                part = view[start:start + step]
-                part[...] = gen.standard_normal(part.shape)
-        view *= self.scale
+        step = max(1, CHUNK_ENTRIES // self.shape[1])
+        for start in range(0, len(view), step):
+            part = view[start:start + step]
+            np.multiply(gen.standard_normal(part.shape), self.scale, out=part)
 
     def _correct(self, w: np.ndarray) -> None:
         """Add the conditional mean to w = W~ in place."""
@@ -202,7 +200,9 @@ def form_dense(samplers: list[ProductSampler], outs: list[np.ndarray]) -> None:
     numpy sums, not BLAS, whose bytes can depend on the thread count (gemv
     and gemm at n = 700, say).  The caller allocates every out array in
     its own thread: buffers allocated in pool threads can come from glibc
-    arenas that keep their pages after the arrays are freed.
+    arenas that keep their pages after the arrays are freed.  That helps
+    only when the caller is the main thread; under `free` or `jacobian`
+    with --workers 2 or more it is itself a worker.
     """
     fills = [(s, key, view) for s, w in zip(samplers, outs) for key, view in s._blocks(w)]
     workers = min(len(fills), len(os.sched_getaffinity(0)))
@@ -252,15 +252,14 @@ class Realization:
     """One finite-size sample of a program; immutable and thread-shareable.
 
     No matrix is drawn: `samplers` knows each one through its products, and
-    `matrices` holds those formed so far.  Read a matrix with `matrix(name)`,
-    or several with `form(names)`: a matrix is formed on first use
-    (form_dense), subject to ELEMENT_CAP, in a zero-padded buffer whose
-    sides are multiples of SUPPORT_ALIGN, and `matrices` holds its (r, c)
-    top-left view, read-only, whose `.base` is that buffer.  Products
-    applied after instantiate, through `samplers[name].apply`, extend that
-    sampler: a matrix formed afterwards reproduces them too, one formed
-    before does not.  Such products mutate the sampler, so one thread
-    applies them.
+    `matrices` holds those formed so far.  Read matrices with `form(*names)`:
+    a matrix is formed on first use (form_dense), subject to ELEMENT_CAP, in
+    a zero-padded buffer whose sides are multiples of SUPPORT_ALIGN, and
+    `matrices` holds its (r, c) top-left view, read-only, whose `.base` is
+    that buffer.  Products applied after instantiate, through
+    `samplers[name].apply`, extend that sampler: a matrix formed afterwards
+    reproduces them too, one formed before does not.  Such products mutate
+    the sampler, so one thread applies them.
     """
 
     program: Program
@@ -274,20 +273,15 @@ class Realization:
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
-    def matrix(self, name: str) -> np.ndarray:
-        """The dense (r, c) matrix `name`, formed once (see form)."""
-        self.form((name,))
-        return self.matrices[name]
-
-    def form(self, names) -> list[np.ndarray]:
-        """The padded buffer of each matrix in names, in order.
+    def form(self, *names: str) -> list[np.ndarray]:
+        """The dense (r, c) matrix of each name, in order, formed once.
 
         Under one lock, the matrices not formed yet are formed together:
         their buffers are allocated here, in the calling thread, and one
         form_dense call fills them, every W~ block of every matrix on one
-        pool.  Padding the sides once lets every product with the matrix
-        multiply operands whose sides are multiples of SUPPORT_ALIGN
-        without copying it.
+        pool.  Each matrix is the read-only top-left view of its buffer,
+        whose sides are padded once to multiples of SUPPORT_ALIGN, so a
+        product can multiply that buffer (`.base`) without copying W.
         """
         with self._lock:
             todo = [name for name in dict.fromkeys(names) if name not in self.matrices]
@@ -303,7 +297,7 @@ class Realization:
             for name, buf, (r, c) in zip(todo, bufs, shapes):
                 buf.flags.writeable = False
                 self.matrices[name] = buf[:r, :c]
-            return [self.matrices[name].base for name in names]
+            return [self.matrices[name] for name in names]
 
 
 def instantiate(program: Program, dims: dict[str, int], seed: int) -> Realization:
@@ -311,7 +305,7 @@ def instantiate(program: Program, dims: dict[str, int], seed: int) -> Realizatio
 
     A matrix W : r x c has iid N(0, sigma2/c) entries.  W is not drawn: a
     ProductSampler samples each of its products exactly, and
-    Realization.matrix forms W only on request (ProductSampler.dense).
+    Realization.form forms W only on request (form_dense).
     Products applied after instantiate extend the samplers of the returned
     Realization.
     """
@@ -461,10 +455,10 @@ def diag_entries(realization: Realization, f: DiagFactor) -> np.ndarray:
 
 def _apply_factor(realization: Realization, f: WordFactor, probe: np.ndarray) -> np.ndarray:
     if isinstance(f, MatFactor):
-        (w,) = realization.form((f.name,))
-        rows = realization.samplers[f.name].shape[int(f.transposed)]
+        (w,) = realization.form(f.name)
+        rows = w.shape[int(f.transposed)]
         # padded operands: thread-stable bytes, as in word_block
-        out = (w.T if f.transposed else w) @ _take(probe, None)
+        out = (w.base.T if f.transposed else w.base) @ _take(probe, None)
         return out[:rows, :probe.shape[1]] if probe.ndim == 2 else out[:rows]
     d = diag_entries(realization, f)
     return d[:, None] * probe if probe.ndim == 2 else d * probe
@@ -546,7 +540,7 @@ def word_block(
     rows = cols = _kept(d != 0)  # rows: the kept rows of the running product
     out = None
     names = [f.name for f, _ in runs]
-    padded = dict(zip(names, realization.form(names)))
+    padded = {name: w.base for name, w in zip(names, realization.form(*names))}
     for f, after in runs:
         keep = _kept(np.logical_and.reduce([e != 0 for e in after])) if after else None
         w = padded[f.name]

@@ -69,7 +69,7 @@ def test_criterion_1_semicircle_law():
     est = np.zeros(8)
     for seed in range(8):
         r = instantiate(prog, {"c": n}, seed=SEED + seed)
-        w = r.matrix("W")
+        w = r.form("W")[0]
         z = stream(SEED + seed, "accept1").standard_normal((n, 48))
         v = z
         for rr in range(1, 9):

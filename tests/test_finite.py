@@ -77,7 +77,8 @@ def gauss_program(names=("v",), cls="c"):
 def test_semicircle_iterates_match_matrix_power():
     prog = semicircle_program(4)
     r = instantiate(prog, {"c": 4}, seed=7)
-    a = r.matrix("W") + r.matrix("W").T
+    (w,) = r.form("W")
+    a = w + w.T
     v = r.vectors["z0"]
     for t in range(1, 5):
         v = a @ v
@@ -97,7 +98,7 @@ def test_same_seed_bit_identical():
     for k in r1.vectors:
         assert np.array_equal(r1.vectors[k], r2.vectors[k])
     for m in prog.matrices:
-        assert np.array_equal(r1.matrix(m.name), r2.matrix(m.name))
+        assert np.array_equal(r1.form(m.name)[0], r2.form(m.name)[0])
     assert r1.scalars == r2.scalars
 
 
@@ -114,7 +115,7 @@ def test_memory_policy_cap():
     tracemalloc.start()
     try:
         with pytest.raises(MemoryPolicyError):
-            r.matrix("W")
+            r.form("W")
         with pytest.raises(MemoryPolicyError):
             word_apply(r, MatrixWord((MatFactor("W"),)), r.vectors["v"])
         peak = tracemalloc.get_traced_memory()[1]
@@ -162,13 +163,13 @@ def test_word_apply_unit_probe_gives_column():
     e1 = np.zeros(16)
     e1[0] = 1.0
     got = word_apply(r, MatrixWord((MatFactor("W"),)), e1)
-    assert np.array_equal(got, r.matrix("W")[:, 0])
+    assert np.array_equal(got, r.form("W")[0][:, 0])
 
 
 def test_word_apply_matches_dense_product():
     prog = semicircle_program(1)
     r = instantiate(prog, {"c": 64}, seed=2)
-    w = r.matrix("W")
+    w = r.form("W")[0]
     v = r.vectors["z0"]
     got = word_apply(r, MatrixWord((MatFactor("W", True), MatFactor("W"))), v)
     want = w.T @ (w @ v)
@@ -359,7 +360,8 @@ def test_materialize_equals_identity_product(case):
     dense = materialize(r, word)
     assert np.array_equal(dense, word_apply(r, word, np.eye(dense.shape[1])))
     assert dense.flags.c_contiguous
-    assert not any(np.shares_memory(dense, r.matrix(m.name)) for m in r.program.matrices)
+    formed = r.form(*(m.name for m in r.program.matrices))
+    assert not any(np.shares_memory(dense, w) for w in formed)
 
 
 def test_materialize_errors():
@@ -429,7 +431,7 @@ def test_word_without_zero_diagonal_entries_keeps_the_full_product():
     assert rows is None and cols is None
     pad = lambda a: np.pad(a, [(0, 24)] * a.ndim)  # noqa: E731
     d1, d2 = (pad(diag_entries(r, f)) for f in (word.factors[3], word.factors[1]))
-    want = pad(r.matrix("W3")) @ (d2[:, None] * np.multiply(pad(r.matrix("W2")), d1, order="C"))
+    want = pad(r.form("W3")[0]) @ (d2[:, None] * np.multiply(pad(r.form("W2")[0]), d1, order="C"))
     assert np.array_equal(block, want)
     assert not want[200:].any() and not want[:, 200:].any()
     assert np.array_equal(materialize(r, word), want[:200, :200])
@@ -586,16 +588,16 @@ def test_multi_block_matrix_matches_sequential_reference(m, ratio):
     assert n * n > BLOCK_ENTRIES and BLOCK_ENTRIES % n
     # V has no products, so forming it is the dense draw bit for bit; W is
     # formed consistent with its one sampled product
-    assert np.array_equal(real.matrix("V"), block_reference(5, "V", n, n, 2.0))
+    assert np.array_equal(real.form("V")[0], block_reference(5, "V", n, n, 2.0))
     x = real.vectors["x"]
-    assert np.linalg.norm(real.matrix("W") @ real.vectors["v"] - x) <= 1e-12 * np.linalg.norm(x)
+    assert np.linalg.norm(real.form("W")[0] @ real.vectors["v"] - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_block_draws_do_not_depend_on_threads(monkeypatch):
     prog, dims = _two_matrix_program(), {"m": 2100, "n": 2100}
 
     def formed(real):  # W has a product, V has none
-        return [real.matrix(name) for name in ("W", "V")]
+        return real.form("W", "V")
 
     alone = formed(instantiate(prog, dims, seed=9))
     with ThreadPoolExecutor(2) as pool:
@@ -736,7 +738,7 @@ def test_formed_matrix_reproduces_every_product(monkeypatch, name, n):
     (mat,) = [m.name for m in prog.matrices]
     assert mat in real.samplers and not real.matrices
     products = _block_products(real, mat)
-    w = real.matrix(mat)
+    w = real.form(mat)[0]
     for transposed, v, want in products:
         got = (w.T if transposed else w) @ v
         err = np.linalg.norm(got - want, axis=0)
@@ -744,7 +746,7 @@ def test_formed_matrix_reproduces_every_product(monkeypatch, name, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     again = instantiate(prog, dims_for_scale(prog, n), seed=4)
     _block_products(again, mat)
-    assert np.array_equal(again.matrix(mat), w)
+    assert np.array_equal(again.form(mat)[0], w)
 
 
 def test_block_product_equals_its_columns_in_turn():
@@ -776,13 +778,13 @@ def test_matrix_is_formed_once_for_all_threads():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(8) as pool:
-            futures = [pool.submit(real.matrix, name) for name in ("W", "V") * 4]
-            formed = [f.result(timeout=60) for f in futures]
+            futures = [pool.submit(real.form, name) for name in ("W", "V") * 4]
+            formed = [f.result(timeout=60)[0] for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(w is real.matrix("W") for w in formed[0::2])
-    assert all(v is real.matrix("V") for v in formed[1::2])
-    assert not real.matrix("W").flags.writeable
+    w, v = real.form("W", "V")
+    assert all(x is w for x in formed[0::2]) and all(x is v for x in formed[1::2])
+    assert not w.flags.writeable and not w.base.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -812,16 +814,14 @@ def test_forming_matrices_together_equals_one_at_a_time(monkeypatch, one_cpu):
     # strided rows of padded buffers, and each spans several keyed blocks
     prog, dims = _two_matrix_program(), {"m": 2100, "n": 2100}
     alone = instantiate(prog, dims, seed=8)
-    want = [alone.matrix(name) for name in ("W", "V")]
+    want = alone.form("W", "V")
     if one_cpu:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     real = instantiate(prog, dims, seed=8)
-    bufs = real.form(("V", "W", "V"))
-    assert bufs[0] is bufs[2] and bufs[0].shape == (2112, 2112)
-    assert not bufs[0][2100:].any() and not bufs[0][:, 2100:].any()
-    for name, w in zip(("W", "V"), want):
-        assert np.array_equal(real.matrix(name), w)
-        assert real.matrix(name).base is bufs[("V", "W").index(name)]
+    v, w, v_again = real.form("V", "W", "V")
+    assert v is v_again and v.base.shape == (2112, 2112)
+    assert not v.base[2100:].any() and not v.base[:, 2100:].any()
+    assert np.array_equal(w, want[0]) and np.array_equal(v, want[1])
     assert np.array_equal(want[1], block_reference(8, "V", 2100, 2100, 2.0))
 
 
@@ -845,7 +845,7 @@ def test_applying_a_matrix_at_an_unaligned_side_copies_no_matrix():
     prog = corpus.load_program("fipbase")
     n = 1100
     real = instantiate(prog, dims_for_scale(prog, n), seed=2)
-    w = real.matrix("W")
+    w = real.form("W")[0]
     probe = stream(2, "probe").standard_normal((n, HUTCHINSON_PROBES))
     for transposed in (False, True):
         word = MatrixWord((MatFactor("W", transposed),))

@@ -119,7 +119,7 @@ def test_exact_centered_trace_matches_dense_product():
     )
     word = alternating_word(poly, STEP_DIAG, poly, STEP_DIAG)
     r = _real(200, 9)
-    w = r.matrix("W")
+    w = r.form("W")[0]
     n = w.shape[0]
     mats = [0.5 * w + 2.0 * w.T, np.diag((r.vectors["xv"] > 0).astype(float))] * 2
     acc = np.eye(n)
