@@ -23,12 +23,11 @@ import csv
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import corpus, dsl, exprs, laws
-from .finite import dims_for_scale, empirical_average, instantiate
+from .finite import dims_for_scale, empirical_average, instantiate, map_threads
 from .freeness import (
     ACTIVATIONS,
     FREENESS_PROBES,
@@ -112,13 +111,6 @@ def _parse_tests(program: Program, name: str, test_flags: list[str]):
     return tests
 
 
-def _map_cells(fn, cells, workers: int):
-    if workers <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
-
-
 def _seed_list(args) -> list[int]:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
@@ -152,7 +144,7 @@ def cmd_sim(args) -> int:
         n, seed = cell
         return [(stat, n, seed, val, 0.0) for stat, val in _cell_stats(program, tests, n, seed)]
 
-    rows = [row for chunk in _map_cells(run_cell, cells, args.workers) for row in chunk]
+    rows = [row for chunk in map_threads(run_cell, cells, args.workers) for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(args.out, ("stat", "n", "seed", "value", "stderr"), rows)
     return 0
@@ -210,7 +202,7 @@ def consistency_table(program: Program, tests, sizes: list[int], seeds: list[int
     def run_cell(cell):
         return cell[0], dict(_cell_stats(program, tests, *cell))
 
-    per_cell = _map_cells(run_cell, cells, workers)
+    per_cell = map_threads(run_cell, cells, workers)
 
     limit_of: dict[str, tuple[float, float]] = {}
     for label, expr, vecs in tests:
@@ -318,7 +310,7 @@ def cmd_free(args) -> int:
     seeds = _seed_list(args)
     method, probes = _parse_method(args.method)
     report = freeness_sweep(program, word, sizes, seeds, method=method, probes=probes,
-                            map_cells=lambda fn, cells: _map_cells(fn, cells, args.workers))
+                            workers=args.workers)
     _write_csv(args.out, ("n", "seed_count", "median_abs", "mean_abs", "std"), report.rows)
     print(f"decay_slope {report.slope!r}", file=sys.stderr)
     if args.witness:
@@ -351,7 +343,7 @@ def cmd_jacobian(args) -> int:
             args.layers, args.size, phi, phi_prime, args.q1, seed, args.kmax
         )
 
-    emp = np.mean(_map_cells(run_cell, seeds, args.workers), axis=0)
+    emp = np.mean(map_threads(run_cell, seeds, args.workers), axis=0)
     rows = []
     for k in range(1, args.kmax + 1):
         e, l = float(emp[k - 1]), float(lim[k - 1])

@@ -324,14 +324,3 @@ def parse_word_factors(text: str) -> list[list[list[MatFactor | DiagFactor]]]:
     end_group()
     return groups
 
-
-def print_word_factors(groups: list[list[list[MatFactor | DiagFactor]]]) -> str:
-    blocks = []
-    for group in groups:
-        lines: list[str] = []
-        for j, mono in enumerate(group):
-            if j:
-                lines.append("+")
-            lines.extend(f.key() for f in mono)
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

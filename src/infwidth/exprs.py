@@ -248,16 +248,13 @@ def is_bounded(e: Expr) -> bool:
     return math.isfinite(lo) and math.isfinite(hi)
 
 
-def substitute(e: Expr, input_map: dict[int, Expr] | None = None,
-               param_map: dict[int, Expr] | None = None) -> Expr:
-    """Replace input/parameter slots by expressions (used for composition)."""
-    if e.op == "input" and input_map is not None:
+def substitute(e: Expr, input_map: dict[int, Expr]) -> Expr:
+    """Replace input slots by expressions (used for composition)."""
+    if e.op == "input":
         return input_map.get(e.index, e)
-    if e.op == "param" and param_map is not None:
-        return param_map.get(e.index, e)
     if not e.args:
         return e
-    new_args = tuple(substitute(a, input_map, param_map) for a in e.args)
+    new_args = tuple(substitute(a, input_map) for a in e.args)
     return Expr(e.op, new_args, e.value, e.index, e.lo, e.hi, e.power)
 
 
@@ -276,10 +273,6 @@ _PREC = {"add": 1, "sub": 1, "mul": 2, "pow": 4}
 
 def format_expr(e: Expr) -> str:
     """Canonical text form; ``parse_expr(format_expr(e)) == e``."""
-    return _fmt(e)
-
-
-def _fmt(e: Expr) -> str:
     op = e.op
     if op == "const":
         return repr(e.value)
@@ -297,23 +290,23 @@ def _fmt(e: Expr) -> str:
         right = _fmt_child(e.args[1], 2, right=True)
         return f"{left} * {right}"
     if op == "pow":
-        base = _fmt(e.args[0])
+        base = format_expr(e.args[0])
         if e.args[0].op not in ("const", "input", "param") or (
             e.args[0].op == "const" and e.args[0].value < 0
         ):
             base = f"({base})"
         return f"{base}^{e.power}"
     if op == "clamp":
-        return f"clamp({_fmt(e.args[0])}, {repr(e.lo)}, {repr(e.hi)})"
+        return f"clamp({format_expr(e.args[0])}, {repr(e.lo)}, {repr(e.hi)})"
     if op in _UNARY:
-        return f"{op}({_fmt(e.args[0])})"
+        return f"{op}({format_expr(e.args[0])})"
     if op in ("min", "max"):
-        return f"{op}({_fmt(e.args[0])}, {_fmt(e.args[1])})"
+        return f"{op}({format_expr(e.args[0])}, {format_expr(e.args[1])})"
     raise ValueError(f"unknown op {op!r}")
 
 
 def _fmt_child(e: Expr, parent_prec: int, right: bool) -> str:
-    text = _fmt(e)
+    text = format_expr(e)
     prec = _PREC.get(e.op, 5)
     if prec < parent_prec or (right and prec == parent_prec and e.op in _BINARY):
         return f"({text})"

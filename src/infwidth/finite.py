@@ -54,7 +54,7 @@ SUPPORT_ALIGN = 32  # word_block pads kept index sets and operand sides to multi
 
 def dims_for_scale(program: Program, n: int) -> dict[str, int]:
     """Dimension per CDC at base scale n, honouring declared limiting ratios."""
-    return {rep: max(1, round(program.ratio_of_cdc(rep) * n)) for rep in program.cdc_reps()}
+    return {rep: max(1, round(program.class_ratio[rep] * n)) for rep in program.cdc_reps()}
 
 
 def resolve_dims(program: Program, dims: dict[str, int]) -> dict[str, int]:
@@ -76,9 +76,9 @@ def resolve_dims(program: Program, dims: dict[str, int]) -> dict[str, int]:
         raise DimClassConflict(f"no dimension assigned for classes {missing}")
     reps = program.cdc_reps()
     if reps:
-        base = min(out[r] / program.ratio_of_cdc(r) for r in reps)
+        base = min(out[r] / program.class_ratio[r] for r in reps)
         for r in reps:
-            target = program.ratio_of_cdc(r) * base
+            target = program.class_ratio[r] * base
             if target > 0 and abs(out[r] - target) > 0.01 * target + 1.0:
                 warnings.warn(
                     f"dimension {out[r]} of class {r!r} is more than 1% away from "
@@ -145,14 +145,6 @@ class ProductSampler:
             out = out + image.T @ coef
         return out.reshape(len(out), *v.shape[1:])
 
-    def dense(self) -> np.ndarray:
-        """One W consistent with every product, in a new (r, c) array:
-        form_dense on this sampler alone, which adds the correction in row
-        chunks, so it allocates about W itself."""
-        w = np.empty(self.shape)
-        form_dense([self], [w])
-        return w
-
     def _blocks(self, w: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
         """(stream key, rows of w) of each row block of W~: max(1,
         BLOCK_ENTRIES // c) rows, block 0 from (seed, "matrix", name) and
@@ -192,9 +184,9 @@ def form_dense(samplers: list[ProductSampler], outs: list[np.ndarray]) -> None:
     W is the conditional mean plus P_Y^perp W~ P_X^perp.  W~ comes in row
     blocks of max(1, BLOCK_ENTRIES // c) rows, each from its own keyed
     stream (ProductSampler._blocks), and the blocks of every matrix are
-    filled on one pool of the usable CPUs; every stream is a pure function
-    of its key, so a matrix with no products is that draw bit for bit on
-    any number of threads.  Then each correction is added in row chunks of
+    filled by one map_threads call on the usable CPUs; every stream is a
+    pure function of its key, so a matrix with no products is that draw
+    bit for bit on any number of threads.  Then each correction is added in row chunks of
     about CHUNK_ENTRIES, so it allocates only small temporaries beside W.
     The correction takes W~ Q_X^T, W~^T Q_Y^T and the rank-k update as
     numpy sums, not BLAS, whose bytes can depend on the thread count (gemv
@@ -205,15 +197,20 @@ def form_dense(samplers: list[ProductSampler], outs: list[np.ndarray]) -> None:
     with --workers 2 or more it is itself a worker.
     """
     fills = [(s, key, view) for s, w in zip(samplers, outs) for key, view in s._blocks(w)]
-    workers = min(len(fills), len(os.sched_getaffinity(0)))
-    if workers < 2:
-        for s, key, view in fills:
-            s._fill(key, view)
-    else:  # Generator fills and in-place scaling release the GIL
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(lambda task: task[0]._fill(*task[1:]), fills))
+    # Generator fills and in-place scaling release the GIL
+    map_threads(lambda task: task[0]._fill(*task[1:]), fills,
+                min(len(fills), len(os.sched_getaffinity(0))))
     for s, w in zip(samplers, outs):
         s._correct(w)
+
+
+def map_threads(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on a pool of `workers` threads when
+    that is 2 or more.  The one thread map: CLI cells and W~ fills use it."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _split(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

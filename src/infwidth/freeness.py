@@ -39,6 +39,7 @@ from .finite import (
     diag_entries,
     dims_for_scale,
     instantiate,
+    map_threads,
     materialize,
     power_traces,
     probe_forms,
@@ -129,11 +130,6 @@ def word_from_groups(groups: list[list[list[MatFactor | DiagFactor]]]) -> Altern
     return alternating_word(*polys)
 
 
-def cyclic_rotation(word: AlternatingWord, k: int) -> AlternatingWord:
-    f = word.factors
-    return AlternatingWord(f[k:] + f[:k])
-
-
 # ---------------------------------------------------------------------------
 # Centered traces
 # ---------------------------------------------------------------------------
@@ -216,13 +212,12 @@ def freeness_sweep(
     seeds: list[int],
     method: str = "auto",
     probes: int = FREENESS_PROBES,
-    map_cells=map,
+    workers: int = 1,
 ) -> FreenessReport:
     """|centered trace| of one realization per (n, seed) cell, summarized per n.
 
-    map_cells(fn, cells) returns fn of each cell in order; each cell is a
-    pure function of (n, seed), so running them on threads gives the same
-    report."""
+    The cells run on `workers` threads (finite.map_threads); each is a pure
+    function of (n, seed), so the report does not depend on `workers`."""
     if sorted(n_list) != list(n_list):
         raise ValueError("n_list must be ascending")
 
@@ -232,7 +227,7 @@ def freeness_sweep(
         return abs(centered_trace(r, word, method=method, probes=probes))
 
     cells = [(n, seed) for n in n_list for seed in seeds]
-    vals = np.array(list(map_cells(run_cell, cells))).reshape(len(n_list), len(seeds))
+    vals = np.array(map_threads(run_cell, cells, workers)).reshape(len(n_list), len(seeds))
     rows = tuple(
         (n, len(seeds), float(np.median(v)), float(v.mean()), float(v.std()))
         for n, v in zip(n_list, vals)
@@ -241,12 +236,13 @@ def freeness_sweep(
 
 
 def _loglog_slope(ns, vals) -> float:
-    """Least-squares slope of log(vals) on log(ns); NaN below two distinct sizes."""
+    """Least-squares slope of log(vals) on log(ns); NaN below two distinct
+    sizes or when a value is not positive, as log has no finite value there."""
     xs = np.log(np.asarray(ns, dtype=np.float64))
-    ys = np.log(np.maximum(np.asarray(vals, dtype=np.float64), 1e-300))
-    if np.unique(xs).size < 2:
+    vals = np.asarray(vals, dtype=np.float64)
+    if np.unique(xs).size < 2 or not np.all(vals > 0):
         return math.nan
-    return float(np.polyfit(xs, ys, 1)[0])
+    return float(np.polyfit(xs, np.log(vals), 1)[0])
 
 
 # ---------------------------------------------------------------------------

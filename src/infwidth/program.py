@@ -195,7 +195,6 @@ class Program:
     vector_class: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
     cdc_of_class: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
     class_ratio: Mapping[str, float] = field(default_factory=dict, compare=False, repr=False)
-    gvars: frozenset[str] = field(default_factory=frozenset, compare=False, repr=False)
     # (names, mean, factor L with L L^T = covariance) of each class's initial vectors
     init_blocks: Mapping[str, InitBlock] = field(default_factory=dict, compare=False, repr=False)
 
@@ -205,12 +204,6 @@ class Program:
             if m.name == name:
                 return m
         raise UndeclaredSymbol(f"matrix {name!r} not declared")
-
-    def scalar(self, name: str) -> ScalarDecl:
-        for s in self.scalars:
-            if s.name == name:
-                return s
-        raise UndeclaredSymbol(f"scalar {name!r} not declared")
 
     @property
     def vector_names(self) -> tuple[str, ...]:
@@ -234,9 +227,6 @@ class Program:
     def cdc_reps(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.cdc_of_class.values())))
 
-    def ratio_of_cdc(self, rep: str) -> float:
-        return self.class_ratio[rep]
-
     def matrix_ratio(self, name: str, transposed: bool = False) -> float:
         """Limiting rows/cols ratio of the matrix as applied."""
         m = self.matrix(name)
@@ -257,8 +247,8 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
     """Validate an ordered declaration/instruction list into a Program.
 
     Checks symbol uniqueness, reference order, expression arities, and the
-    dimension-class constraints; computes the CDC partition, class ratios,
-    and the G-var set (initial vectors and matmul outputs).
+    dimension-class constraints; computes the CDC partition, class ratios
+    and each class's initial block.
     """
     matrices: list[MatrixDecl] = []
     vectors: list[VectorDecl] = []
@@ -403,10 +393,6 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
     for rep in set(cdc_of_class.values()):
         class_ratio.setdefault(rep, 1.0)
 
-    gvars = frozenset(v.name for v in vectors) | frozenset(
-        i.out for i in instrs if isinstance(i, MatMul)
-    )
-
     return Program(
         matrices=tuple(matrices),
         vectors=tuple(vectors),
@@ -418,7 +404,6 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
         vector_class=dict(vec_class),
         cdc_of_class=cdc_of_class,
         class_ratio=class_ratio,
-        gvars=gvars,
         init_blocks=_init_blocks(vectors, covs, cdc_of_class),
     )
 

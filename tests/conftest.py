@@ -1,4 +1,5 @@
-"""Shared generators for fuzz/property tests, and the reference matrix draw."""
+"""Shared generators for fuzz/property tests, the reference matrix draw and
+the dense matrix of one sampler."""
 
 import math
 import random
@@ -6,7 +7,7 @@ import random
 import numpy as np
 
 from infwidth import exprs as E
-from infwidth.finite import BLOCK_ENTRIES
+from infwidth.finite import BLOCK_ENTRIES, form_dense
 from infwidth.numerics import stream
 from infwidth.program import (
     CovDecl,
@@ -131,3 +132,11 @@ def block_reference(seed, name, r, c, sigma2):
         labels = ("matrix", name, b) if b else ("matrix", name)
         parts.append(stream(seed, *labels).standard_normal((min(rows, r - start), c)))
     return np.concatenate(parts) * math.sqrt(sigma2 / c)
+
+
+def dense(sampler):
+    """One W consistent with every product of sampler, in a new array:
+    form_dense on that sampler alone."""
+    w = np.empty(sampler.shape)
+    form_dense([sampler], [w])
+    return w

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import infwidth
-from infwidth import cli
+from infwidth import cli, freeness
 from infwidth.cli import build_parser, run, sweep_passes
 from infwidth.finite import ELEMENT_CAP
 from infwidth.laws import semicircle_moment
@@ -37,19 +37,26 @@ def test_sim_deterministic_bytes(tmp_path):
 
 
 def test_workers_do_not_change_output(tmp_path):
-    base = ["sim", "--program", "@semicircle", "--n", "64,128", "--seeds", "4",
-            "--test", "x1 * x2:z0,z2"]
-    _, b1 = _run(tmp_path, *base, "--workers", "1")
-    _, b8 = _run(tmp_path, *base, "--workers", "8")
-    assert b1 == b8
+    # every cell is a pure function of its (n, seed): jacobian forms its W_l
+    # at --size 200 (exact path) and samples probe blocks at --size 1100
+    # (probe path)
+    for argv in (
+        ["sim", "--program", "@semicircle", "--n", "64,128", "--seeds", "4",
+         "--test", "x1 * x2:z0,z2"],
+        ["jacobian", "--layers", "3", "--phi", "relu", "--size", "200", "--seeds", "2",
+         "--kmax", "4"],
+        ["jacobian", "--layers", "2", "--phi", "relu", "--size", "1100", "--seeds", "2",
+         "--kmax", "3"],
+    ):
+        runs = {_run(tmp_path, *argv, "--workers", workers) for workers in ("1", "2", "8")}
+        assert len(runs) == 1 and next(iter(runs))[0] == 0, argv
 
 
 def test_workers_do_not_change_multi_block_draws(tmp_path):
-    # W : 2100 x 2100 spans two keyed row blocks; sim samples its products
+    # sim samples every product of W : 2100 x 2100 without forming it
     base = ["sim", "--program", "@semicircle", "--n", "2100", "--seeds", "2"]
-    _, b1 = _run(tmp_path, *base, "--workers", "1")
-    _, b2 = _run(tmp_path, *base, "--workers", "2")
-    assert b1 == b2
+    runs = {_run(tmp_path, *base, "--workers", workers) for workers in ("1", "2", "8")}
+    assert len(runs) == 1 and next(iter(runs))[0] == 0
 
 
 def test_verify_workers_identical_and_exit_code(tmp_path):
@@ -208,43 +215,11 @@ z2 = nonlin p1 * x1 (z1 ; m1)
 m2 = moment x1^2 (z2)
 """
 
-# sha256 of CSV bytes + NUL + stderr, recorded before the trace estimators,
-# initial-vector samplers and finite cell runners were merged.  Sizes that
-# are not powers of two catch a change of normalisation order.  jacobian_dense
-# and jacobian_probe were re-recorded when the Jacobian moments stopped using
-# an SVD and J^T J probe products: their empirical moments moved by at most
-# 1.1e-15 relative.  limit_r1, limit_r4, verify and free_hutch_witness were
-# re-recorded when the limit engine replaced its pseudoinverse solves by one
-# Cholesky factor per Gaussian family: their values moved by at most 3.4e-13
-# stderr.  jacobian_dense was re-recorded when the power traces of the
-# symmetric Gram matrix became contiguous inner products: its empirical
-# moments moved by at most 1.1e-15 relative.  jacobian_dense and
-# jacobian_probe were re-recorded when series inversion moved from Newton
-# to Lagrange: their limit moments moved by at most 6.6e-16 relative.  sim,
-# verify, free_exact, free_auto and free_hutch_witness were re-recorded when
-# every matrix at every size became product-sampled (drawn whole only for
-# the Jacobian): their products are new draws from the same law, and free
-# forms each matrix given its products.  jacobian_probe was re-recorded
-# when the probe path stopped drawing its W_l and sampled each product with
-# a probe block instead: new draws from the same law.  free_auto was
-# re-recorded when the probe moments of a mirror word R^T R started to apply
-# R or R^T once per moment: the centering constant of word_a's
-# mat W | mat W^T moved, and with it the n = 600 row by at most 3.9e-16
-# relative and the decay slope by 2.3e-15 relative.  jacobian_relu_dense
-# was recorded after the exact Jacobian path started to multiply on J's
-# kept columns only.  When the Jacobian's exact path stopped drawing its
-# W_l and formed each given its forward product instead, jacobian_dense and
-# jacobian_relu_dense were re-recorded (new draws from the same law), and
-# jacobian_tanh_deep and jacobian_relu_700 were recorded; in the same
-# change free_exact, free_auto and free_hutch_witness were re-recorded,
-# because forming a matrix now sums W~ Q^T with numpy instead of BLAS gemv,
-# which moves their values by about 1e-15 relative.  The five jacobian
-# goldens were re-recorded when gaussian_expect took numpy's order-200
-# Gauss-Hermite rule instead of scipy's: their empirical columns kept their
-# bytes, and limit moved by at most 1.3e-13 relative.  free_auto was
-# re-recorded when word_apply started to multiply zero-padded operands: its
-# n = 600 row moved by at most 1.6e-15 relative, to the bytes the parent
-# printed with one BLAS thread.
+# sha256 of CSV bytes + NUL + stderr of each configuration.  Sizes that are
+# not powers of two catch a change of normalisation order, and the jacobian
+# sizes take the exact path (150 to 700, with relu's half-empty diagonals at
+# 200 and 700) and the probe path (1100).  A digest is re-recorded only with
+# a reason in CHANGES.md, which keeps the history of every re-record.
 _GOLDEN = {
     "sim": ["sim", "--program", "{prog}", "--n", "48,96", "--seeds", "3",
             "--test", "x1 * x2:z0,z2", "--test", "x1^2:z1"],
@@ -277,9 +252,7 @@ _GOLDEN = {
     "law_mp_density": ["law", "mp", "--rho", "0.5", "--density", "--xmin", "0",
                        "--xmax", "3", "--points", "31"],
     "law_catalan_density": ["law", "catalan", "--density", "--rmax", "5"],
-    # W : 2100 x 2100 spans several keyed row blocks, and sim samples its
-    # products without drawing it; re-recorded when they stopped being
-    # products with a dense draw
+    # sim samples every product of W : 2100 x 2100 without forming it
     "sim_multiblock": ["sim", "--program", "@semicircle", "--n", "2100", "--seeds", "2",
                        "--test", "x1 * x2:z0,z2"],
 }
@@ -717,13 +690,13 @@ def test_free_cells_on_threads_keep_their_bytes(monkeypatch, tmp_path, capsys):
     # its cell, so the CSV and the decay slope keep their bytes
     argv = _golden_argv(tmp_path, "free_auto")
     mapped = []
-    real = cli._map_cells
+    real = freeness.map_threads
 
     def spy(fn, cells, workers):
         mapped.append((len(cells), workers))
         return real(fn, cells, workers)
 
-    monkeypatch.setattr(cli, "_map_cells", spy)
+    monkeypatch.setattr(freeness, "map_threads", spy)
     outputs = []
     for workers in ("1", "2"):
         capsys.readouterr()

@@ -70,7 +70,7 @@ def test_non_finite_declaration_numbers_are_rejected(line, message):
 def test_scalar_rule_roundtrip():
     text = "scalar th limit 0.0 rule u / (1.0 + u)\nvector v : c\n"
     prog = dsl.parse_program(text)
-    assert prog.scalar("th").rule.value(4) == pytest.approx(0.25 / 1.25)
+    assert prog.scalars[0].rule.value(4) == pytest.approx(0.25 / 1.25)
     again = dsl.parse_program(dsl.print_program(prog))
     assert again == prog
 
@@ -134,9 +134,3 @@ def test_word_file_parsing_groups_and_sums():
     assert dsl.parse_word_factors("mat W\nmat W^T\n") == groups[:1]
     for parsed in (groups, auto, diags):
         assert len(word_from_groups(parsed)) == len(parsed)  # no NotAlternating
-
-
-def test_word_file_roundtrip():
-    for name in corpus.WORD_NAMES:
-        groups = dsl.parse_word_factors(corpus.word_text(name))
-        assert dsl.parse_word_factors(dsl.print_word_factors(groups)) == groups

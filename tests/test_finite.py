@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import infwidth
-from conftest import block_reference, random_bounded_expr
+from conftest import block_reference, dense, random_bounded_expr
 from infwidth import corpus
 from infwidth import exprs as E
 from infwidth.errors import (
@@ -47,7 +47,7 @@ from infwidth.finite import (
 )
 from infwidth.freeness import ACTIVATIONS, jacobian_finite, jacobian_word, mlp_program
 from infwidth.laws import mp_atom, mp_density
-from infwidth.numerics import stream
+from infwidth.numerics import sample_init_block, stream
 from infwidth.program import (
     MatMul,
     MatrixDecl,
@@ -574,8 +574,8 @@ def test_matrix_of_one_block_keeps_the_unblocked_draw():
     # a fresh sampler forms its matrix as the dense draw
     w = stream(13, "matrix", "W").standard_normal((r, c)) * math.sqrt(0.5 / c)
     v = stream(13, "matrix", "V").standard_normal((c, c)) * math.sqrt(2.0 / c)
-    assert np.array_equal(ProductSampler(13, "W", r, c, 0.5).dense(), w)
-    assert np.array_equal(ProductSampler(13, "V", c, c, 2.0).dense(), v)
+    assert np.array_equal(dense(ProductSampler(13, "W", r, c, 0.5)), w)
+    assert np.array_equal(dense(ProductSampler(13, "V", c, c, 2.0)), v)
 
 
 @pytest.mark.parametrize("m, ratio", [(2100, 1.0), (1500, 2.0)])
@@ -611,18 +611,21 @@ def test_block_draws_do_not_depend_on_threads(monkeypatch):
 
 _FORM_700 = """
 import hashlib
-from infwidth.finite import ProductSampler
+import numpy as np
+from infwidth.finite import ProductSampler, form_dense
 from infwidth.numerics import stream
 s = ProductSampler(3, "W", 700, 700, 1.0)
 s.apply(stream(3, "x").standard_normal((700, 3)))
 s.apply(stream(3, "y").standard_normal((700, 2)), transposed=True)
-print(hashlib.sha256(s.dense().tobytes()).hexdigest())
+w = np.empty(s.shape)
+form_dense([s], [w])
+print(hashlib.sha256(w.tobytes()).hexdigest())
 """
 
 
 def test_formed_matrix_does_not_depend_on_blas_threads():
     # at n = 700 OpenBLAS gemm and gemv give different bytes under 1 and 2
-    # threads; ProductSampler.dense takes its correction with numpy sums
+    # threads; form_dense takes its correction with numpy sums
     src = str(Path(infwidth.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):
@@ -641,7 +644,7 @@ def test_formed_matrix_does_not_depend_on_blas_threads():
 
 def _product_features(program, dims, seed):
     """Coordinate 0 of every product of one run, with each matrix drawn
-    densely (ProductSampler.dense of a fresh sampler) and with each behind a
+    densely (formed from a fresh sampler) and with each behind a
     ProductSampler.  After the program, each matrix W takes a block
     [x, g, x + g], with x its last input normalised and g fresh, then W^T
     takes [W (x + g), h, 0] with h fresh: the columns x, x + g and 0 add no
@@ -653,8 +656,10 @@ def _product_features(program, dims, seed):
             for m in program.matrices
         }
 
-    initial = instantiate(program, dims, seed).vectors
-    drawn = {name: sampler.dense() for name, sampler in fresh().items()}
+    initial = {}  # the initial vectors, drawn as instantiate draws them
+    for rep, block in program.init_blocks.items():
+        initial.update(sample_init_block(seed, "vector", *block, dims[rep]))
+    drawn = {name: dense(sampler) for name, sampler in fresh().items()}
     samplers = fresh()
     sides = []
     for matrix_free in (False, True):
@@ -801,7 +806,7 @@ def test_forming_a_matrix_allocates_about_the_matrix(n):
     s.apply(stream(6, "y").standard_normal(n), transposed=True)
     tracemalloc.start()
     try:
-        s.dense()
+        dense(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

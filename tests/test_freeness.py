@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense
 from infwidth import corpus, freeness
 from infwidth import exprs as E
 from infwidth.errors import NotAlternating
@@ -26,7 +27,6 @@ from infwidth.freeness import (
     WordPoly,
     alternating_word,
     centered_trace,
-    cyclic_rotation,
     d_squared_moments,
     fip_witness_program,
     freeness_sweep,
@@ -151,6 +151,9 @@ def test_loglog_slope_needs_two_distinct_sizes():
     assert math.isnan(_loglog_slope([64], [0.1]))
     assert math.isnan(_loglog_slope([64, 64], [0.1, 0.2]))
     assert _loglog_slope([64, 256], [0.1, 0.05]) == pytest.approx(-0.5)
+    # a median of exactly 0 has no logarithm: the slope is not fitted to a clamp
+    assert math.isnan(_loglog_slope([1, 2], [0.0, 0.3]))
+    assert math.isnan(_loglog_slope([64, 256], [0.1, -0.05]))
 
 
 def test_freeness_sweep_negative_control_flat():
@@ -165,7 +168,8 @@ def test_cyclic_rotation_invariance():
     word = alternating_word(STEP_DIAG, W_PLUS_WT)
     r = _real(256, 9)
     base = centered_trace(r, word, method="exact")
-    rot = centered_trace(r, cyclic_rotation(word, 1), method="exact")
+    rot = centered_trace(r, AlternatingWord(word.factors[1:] + word.factors[:1]),
+                         method="exact")
     assert rot == pytest.approx(base, abs=1e-10)
 
 
@@ -378,7 +382,7 @@ def test_jacobian_forms_every_weight_from_its_sampler(monkeypatch, layers, n):
         assert [len(q) for q in sampler.q] == [1, 0] and sampler.draws == 1
         replay = ProductSampler(3, f"W{l}", n, n, 1.0)
         assert np.array_equal(replay.apply(r.vectors[f"x{l - 1}"]), r.vectors[f"h{l}"])
-        assert np.array_equal(r.matrices[f"W{l}"], replay.dense())
+        assert np.array_equal(r.matrices[f"W{l}"], dense(replay))
 
 
 def test_jacobian_probe_path_draws_no_matrix(monkeypatch):

@@ -45,7 +45,6 @@ def test_semicircle_step_program_single_cdc():
         ]
     )
     assert len(compute_cdc(prog)) == 1
-    assert prog.gvars == {"v", "x", "y"}
 
 
 def test_empty_program_is_valid():
@@ -134,16 +133,6 @@ def test_tie_merges_ratio_conflict():
                 TieDecl("v", "w"),
             ]
         )
-
-
-def test_gvar_set_exact():
-    rng = random.Random(5)
-    for _ in range(20):
-        prog = random_program(rng)
-        expected = {v.name for v in prog.vectors} | {
-            i.out for i in prog.instructions if isinstance(i, MatMul)
-        }
-        assert prog.gvars == expected
 
 
 def test_duplicate_symbol():
@@ -253,7 +242,7 @@ def test_scalar_rule_limit_validation():
     # u/(1+u) -> 0: consistent
     rule = ScalarRule(E.x(0), E.add(E.const(1.0), E.x(0)))
     prog = build_program([ScalarDecl("th", 0.0, rule)])
-    assert prog.scalar("th").rule.value(10) == pytest.approx((0.1) / 1.1)
+    assert prog.scalars[0].rule.value(10) == pytest.approx((0.1) / 1.1)
     # declared limit inconsistent with the rule
     with pytest.raises(ValueError):
         build_program([ScalarDecl("th", 1.0, rule)])
