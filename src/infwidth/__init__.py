@@ -20,6 +20,7 @@ from .errors import (
     NotAlternating,
     ParseError,
     ShapeMismatch,
+    StepAtJump,
     UndeclaredSymbol,
     UnknownSymbol,
 )

@@ -42,18 +42,12 @@ from .limits import DEFAULT_SAMPLES, build_replicated
 from .program import Moment, Program
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: str | None, header: tuple[str, ...], rows: list[tuple]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(c) for c in row])
+        writer.writerow([repr(c) if isinstance(c, float) else str(c) for c in row])
     text = buf.getvalue()
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -165,12 +159,16 @@ def _limit_rows(program: Program, state, tests):
     return rows
 
 
+def _limit_state(program: Program, args):
+    """The limit of a program under --ensemble, --seed and --replicas."""
+    return build_replicated(program, n_samples=args.ensemble, seed=args.seed,
+                            replicas=args.replicas)
+
+
 def cmd_limit(args) -> int:
     name, program = _resolve_program(args.program)
     tests = _parse_tests(program, name, args.test)
-    state = build_replicated(
-        program, n_samples=args.ensemble, seed=args.seed, replicas=args.replicas
-    )
+    state = _limit_state(program, args)
     _write_csv(args.out, ("object", "kind", "value", "stderr"), _limit_rows(program, state, tests))
     return 0
 
@@ -246,9 +244,7 @@ def cmd_verify(args) -> int:
     if sizes != sorted(sizes):
         raise ValueError("size sweep must be ascending")
     seeds = _seed_list(args)
-    state = build_replicated(
-        program, n_samples=args.ensemble, seed=args.seed, replicas=args.replicas
-    )
+    state = _limit_state(program, args)
     rows, all_pass = consistency_table(
         program, tests, sizes, seeds, state, workers=args.workers, tol=args.tol
     )
@@ -293,8 +289,6 @@ def cmd_law(args) -> int:
         elif args.law == "catalan":
             for r in range(0, args.rmax + 1):
                 rows.append(("catalan", "", r, float(laws.catalan(r))))
-        else:
-            raise ValueError(f"unknown law {args.law!r}")
     except OverflowError:
         raise ValueError(
             f"{args.law} law moment {r} exceeds the float range: lower --rmax (got {args.rmax})"
@@ -315,10 +309,7 @@ def cmd_free(args) -> int:
     print(f"decay_slope {report.slope!r}", file=sys.stderr)
     if args.witness:
         witness = fip_witness_program(program, word)
-        state = build_replicated(
-            witness.program, n_samples=args.ensemble, seed=args.seed,
-            replicas=args.replicas,
-        )
+        state = _limit_state(witness.program, args)
         val, se = state.scalar_limit(witness.final_scalar)
         print(f"witness_limit {val!r} stderr {se!r}", file=sys.stderr)
     return 0
@@ -368,11 +359,12 @@ def cmd_canon(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, *, ensemble=False, sweep=False):
+def _add_common(p, *, cells=True, ensemble=False, sweep=False):
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds")
-    p.add_argument("--workers", type=int, default=1, help="worker threads")
+    if cells:
+        p.add_argument("--seeds", type=int, default=1, help="number of seeds")
+        p.add_argument("--workers", type=int, default=1, help="worker threads")
     if ensemble:
         p.add_argument("--ensemble", type=int, default=DEFAULT_SAMPLES,
                        help="limit-ensemble sample count (total over replicas)")
@@ -395,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="limit report")
     p.add_argument("--program", required=True)
     p.add_argument("--test", action="append", default=[])
-    _add_common(p, ensemble=True)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted, but replicas are built one at a time")
+    _add_common(p, cells=False, ensemble=True)
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("verify", help="consistency sweep of finite vs limit")

@@ -53,21 +53,15 @@ VERIFY_TESTS: dict[str, list[tuple[str, list[str]]]] = {
 }
 
 
-def program_text(name: str) -> str:
+def load_program(name: str) -> Program:
     if name not in PROGRAM_NAMES:
         raise KeyError(f"no bundled program {name!r}; have {PROGRAM_NAMES}")
-    return resources.files("infwidth").joinpath(f"programs/{name}.ntp").read_text()
-
-
-def load_program(name: str) -> Program:
-    return dsl.parse_program(program_text(name))
-
-
-def word_text(name: str) -> str:
-    if name not in WORD_NAMES:
-        raise KeyError(f"no bundled word {name!r}; have {WORD_NAMES}")
-    return resources.files("infwidth").joinpath(f"words/{name}.word").read_text()
+    text = resources.files("infwidth").joinpath(f"programs/{name}.ntp").read_text()
+    return dsl.parse_program(text)
 
 
 def load_word(name: str) -> AlternatingWord:
-    return word_from_groups(dsl.parse_word_factors(word_text(name)))
+    if name not in WORD_NAMES:
+        raise KeyError(f"no bundled word {name!r}; have {WORD_NAMES}")
+    text = resources.files("infwidth").joinpath(f"words/{name}.word").read_text()
+    return word_from_groups(dsl.parse_word_factors(text))

@@ -29,6 +29,11 @@ class NonPSDCovariance(ProgramError, ValueError):
     """A class's declared initial covariance has a NaN or a negative eigenvalue beyond roundoff."""
 
 
+class StepAtJump(ProgramError):
+    """A step of scalar parameters alone is on its jump at their limit values
+    but not at their finite-size values, so the limit misses the finite sizes."""
+
+
 class ShapeMismatch(Exception):
     """Word factors or probes do not compose."""
 

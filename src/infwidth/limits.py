@@ -55,6 +55,7 @@ from .errors import (
     ArityMismatch,
     NonFiniteEstimate,
     NonPSDExtension,
+    StepAtJump,
     UnknownSymbol,
 )
 from .numerics import sample_init_block, stream
@@ -62,6 +63,7 @@ from .program import MatMul, Moment, Nonlin, Program
 
 DEFAULT_SAMPLES = 200_000
 STDERR_BLOCK_ROWS = 4096  # rows per block of the correction stderr pass
+JUMP_N = 10**6  # the size whose scalar rule values stand for the finite sizes
 
 __all__ = [
     "LimitState",
@@ -137,14 +139,9 @@ class LimitState:
         self.scalar_limits: dict[str, tuple[float, float]] = {}
         self.correction_info: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
         self.diagnostics: list[str] = []
-        self._init_ensemble()
-
-    # -- construction ------------------------------------------------------
-
-    def _init_ensemble(self):
-        for block in self.program.init_blocks.values():
+        for block in program.init_blocks.values():
             self.cols.update(sample_init_block(self.seed, "init", *block, self.n_samples))
-        for s in self.program.scalars:
+        for s in program.scalars:
             self.scalar_limits[s.name] = (s.limit, 0.0)
 
     # -- family machinery ----------------------------------------------------
@@ -289,6 +286,7 @@ class LimitState:
         if not isinstance(instr, (Nonlin, Moment)):
             raise TypeError(f"cannot advance over {instr!r}")
         pars = tuple(self.scalar_limits[nm][0] for nm in instr.params)
+        self._check_steps(instr, pars)
         cols = tuple(self.cols[nm] for nm in instr.inputs)
         if isinstance(instr, Nonlin):
             self.cols[instr.out] = exprs.evaluate_columns(instr.expr, cols, pars)
@@ -296,6 +294,26 @@ class LimitState:
             vals = np.asarray(exprs.evaluate(instr.expr, cols, pars), dtype=np.float64)
             self.scalar_limits[instr.out] = self._mean_stderr(vals, f"moment {instr.out}")
         return self
+
+    def _check_steps(self, instr: Nonlin | Moment, pars: tuple[float, ...]) -> None:
+        """Raise StepAtJump where a step of parameters alone differs between their
+        limit values and their rule values at n = JUMP_N: the Master Theorem needs
+        nonlinearities continuous in their parameters at the limit values."""
+        rules = {s.name: s.rule for s in self.program.scalars if s.rule is not None}
+        for e in _nodes(instr.expr):
+            if e.op != "step" or exprs.n_inputs(e):
+                continue  # a step of an input jumps on a null set of its samples
+            finite = [rules[nm].value(JUMP_N) if nm in rules else v
+                      for nm, v in zip(instr.params, pars)]
+            at_limit, at_n = (float(exprs.evaluate(e, (), ps)) for ps in (pars, finite))
+            if at_limit != at_n:
+                named = ", ".join(sorted({f"p{a.index + 1} = {instr.params[a.index]}"
+                                          for a in _nodes(e) if a.op == "param"}))
+                raise StepAtJump(
+                    f"{type(instr).__name__.lower()} {instr.out}: {exprs.format_expr(e)} with "
+                    f"{named} is {at_limit!r} at the limit values but {at_n!r} at the rule "
+                    f"values for n = {JUMP_N}"
+                )
 
     def _advance_matmul(self, instr: MatMul):
         family = self._family(instr.matrix, instr.transposed)
@@ -354,6 +372,13 @@ class LimitState:
         return self.correction_info[gvar]
 
 
+def _nodes(e: exprs.Expr):
+    """Every node of an expression tree, root first."""
+    yield e
+    for a in e.args:
+        yield from _nodes(a)
+
+
 def build_limit(
     program: Program, n_samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> LimitState:
@@ -405,11 +430,7 @@ class ReplicatedLimit:
         mean, se = self._pool([st.scalar_limit(name) for st in self.states])
         return float(mean), float(se)
 
-    def correction_coeffs(self, gvar: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """(inputs, pooled coefficients, pooled stderr) of the correction part."""
-        if gvar not in self.correction_info:
-            raise UnknownSymbol(f"{gvar!r} is not a matmul output")
-        return self.correction_info[gvar]
+    correction_coeffs = LimitState.correction_coeffs  # over the pooled correction_info
 
     def diagnostics(self) -> list[str]:
         """Every replica's diagnostics in first-seen order, duplicates dropped."""

@@ -133,9 +133,13 @@ def test_jacobian_empty_support_prints_zero_moments(tmp_path):
 
 
 def test_error_produces_csv_row_and_rc2(tmp_path):
-    rc, data = _run(tmp_path, "sim", "--program", "@nope", "--n", "64")
-    assert rc == 2
-    assert data.decode().splitlines()[0] == "error,kind,message"
+    for argv in (["sim", "--program", "@nope", "--n", "64"],
+                 ["free", "--program", "@fipbase", "--word", "@nope", "--n", "64"]):
+        rc, data = _run(tmp_path, *argv)
+        assert rc == 2
+        lines = data.decode().splitlines()
+        assert lines[0] == "error,kind,message"
+        assert lines[1].startswith("error,KeyError,")
 
 
 def test_non_psd_covariance_is_a_named_error(tmp_path):
@@ -146,6 +150,25 @@ def test_non_psd_covariance_is_a_named_error(tmp_path):
     assert data.decode().splitlines()[1].startswith(
         'error,NonPSDCovariance,"initial covariance of v, w in class \'a\': matrix is not PSD'
     )
+
+
+# th = 1/n > 0 at every finite size, so step(th) is 1 there but 0 at th's limit
+_STEP_AT_JUMP = "vector v : c\nscalar th limit 0.0 rule u\nm = moment step(p1) (v ; th)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--ensemble", "2000"],
+    ["verify", "--n", "64,256", "--seeds", "2", "--ensemble", "2000"],
+])
+def test_step_of_a_parameter_on_its_jump_is_a_named_error(tmp_path, argv):
+    prog = tmp_path / "jump.ntp"
+    prog.write_text(_STEP_AT_JUMP)
+    rc, data = _run(tmp_path, argv[0], "--program", str(prog), *argv[1:])
+    assert rc == 2
+    lines = data.decode().splitlines()
+    assert lines[0] == "error,kind,message"
+    assert lines[1].startswith("error,StepAtJump,moment m: step(p1) with p1 = th is 0.0 ")
+    assert len(lines) == 2
 
 
 # x1^400 of a standard Gaussian overflows the squares inside the stderr
@@ -186,8 +209,11 @@ def test_canon_roundtrip(tmp_path):
 
 
 def test_parser_rejects_unknown_command():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["frobnicate"])
+    # limit builds one limit, so it takes no --seeds; law's choices bar any other law
+    for argv in (["frobnicate"], ["limit", "--program", "@atav", "--seeds", "2"],
+                 ["law", "gaussian"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 def test_sweep_verdict_monotone_in_tolerance():

@@ -201,12 +201,16 @@ def test_scalar_limits():
             VectorDecl("v", "c"),
             ScalarDecl("th", 0.0, rule),
             Moment("m2", E.pow_(E.x(0), 2), ("v",)),
+            # continuous in th: the jump of step(x1 - th) is a null set of v
+            Moment("ms", E.step(E.sub(E.x(0), E.p(0))), ("v",), ("th",)),
         ]
     )
     st = build_limit(prog, n_samples=N, seed=4)
     assert st.scalar_limit("th") == (0.0, 0.0)
     m, se = st.scalar_limit("m2")
     assert abs(m - 1.0) <= 3.0 * se
+    m, se = st.scalar_limit("ms")
+    assert abs(m - 0.5) <= 3.0 * se
     with pytest.raises(UnknownSymbol):
         st.scalar_limit("nope")
 
@@ -341,6 +345,8 @@ def test_replicated_equals_manual_pool_of_independent_builds(replicas, monkeypat
     assert all(np.isnan(st.correction_info["y1"][2]).all() == (replicas > 1) for st in rep.states)
     with pytest.raises(UnknownSymbol):
         rep.correction_coeffs("z1")
+    with pytest.raises(UnknownSymbol):
+        rep.states[0].correction_coeffs("z1")
 
 
 def test_build_replicated_rejects_zero_replicas():
