@@ -39,6 +39,14 @@ preallocated ``(n_samples, capacity)`` store, capacity being the program's
 number of products by that matrix in that direction, so no column is ever
 copied into a stacked matrix and no Gram matrix is formed or refactored.
 
+A product's full column (Gaussian part plus correction) is stored only when
+a later matmul of the program reads it as its input, because Gram rows and
+corrections re-read those columns at every later product.  Any other
+product's column is formed from its Gaussian part and ``correction_info``
+each time it is read (by a nonlin or moment, by ``expect`` or through
+``cols[name]``), with the same operations as a stored one, so the bytes are
+the same.  Initial vectors and nonlin outputs are always stored.
+
 Scalars produced by moment instructions converge to the ensemble mean of
 the expression over the children's limit samples.  Replicas split the sample
 budget over independent ensembles and are pooled through one rule.
@@ -116,6 +124,34 @@ class GaussianFamily:
         return self.factor[np.ix_(self.kept, self.kept)]
 
 
+class _Columns(dict):
+    """Every vector's limit column by name, forming unstored products on read.
+
+    The dict holds the stored columns; a product that is not stored is formed
+    by ``form`` on each lookup and is neither a key nor counted by ``len``.
+    The map refers to the ``gauss_cols`` and ``correction_info`` dicts and
+    never to its state, so a state is freed by reference counting alone.
+    """
+
+    def __init__(self, gauss_cols: dict, correction_info: dict):
+        super().__init__()
+        self._gauss_cols = gauss_cols
+        self._correction_info = correction_info
+
+    def form(self, name: str) -> np.ndarray:
+        """A product's column: its Gaussian part plus its correction terms in order."""
+        ys, coeffs, _ = self._correction_info[name]
+        col = self._gauss_cols[name].copy()
+        for a, nm in zip(coeffs, ys):
+            col += a * self[nm]
+        return col
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if name not in self._correction_info:
+            raise KeyError(name)
+        return self.form(name)
+
+
 class LimitState:
     """Joint limit sample ensemble of a program, built by appending instructions.
 
@@ -133,11 +169,13 @@ class LimitState:
         self.seed = int(seed)
         # False in replicas, which report their spread: correction stderrs are NaN
         self._with_stderr = _with_stderr
-        self.cols: dict[str, np.ndarray] = {}
         self.gauss_cols: dict[str, np.ndarray] = {}
+        self.correction_info: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
+        self.cols = _Columns(self.gauss_cols, self.correction_info)
+        # the vectors a matmul reads: a product among them has its column stored
+        self._matmul_inputs = {i.vin for i in program.instructions if isinstance(i, MatMul)}
         self.families: dict[tuple[str, bool], GaussianFamily] = {}
         self.scalar_limits: dict[str, tuple[float, float]] = {}
-        self.correction_info: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
         self.diagnostics: list[str] = []
         for block in program.init_blocks.values():
             self.cols.update(sample_init_block(self.seed, "init", *block, self.n_samples))
@@ -296,24 +334,36 @@ class LimitState:
         return self
 
     def _check_steps(self, instr: Nonlin | Moment, pars: tuple[float, ...]) -> None:
-        """Raise StepAtJump where a step of parameters alone differs between their
-        limit values and their rule values at n = JUMP_N: the Master Theorem needs
-        nonlinearities continuous in their parameters at the limit values."""
+        """Raise StepAtJump where a step of parameters alone is on its jump: where it
+        differs between their limit values and their rule values at n = JUMP_N, or
+        where moving one of them by 3 of its ensemble stderr either way changes it
+        (a moment scalar's limit is known only to within that stderr).  The Master
+        Theorem needs nonlinearities continuous in their parameters at the limit values."""
         rules = {s.name: s.rule for s in self.program.scalars if s.rule is not None}
         for e in _nodes(instr.expr):
             if e.op != "step" or exprs.n_inputs(e):
                 continue  # a step of an input jumps on a null set of its samples
-            finite = [rules[nm].value(JUMP_N) if nm in rules else v
-                      for nm, v in zip(instr.params, pars)]
-            at_limit, at_n = (float(exprs.evaluate(e, (), ps)) for ps in (pars, finite))
-            if at_limit != at_n:
-                named = ", ".join(sorted({f"p{a.index + 1} = {instr.params[a.index]}"
-                                          for a in _nodes(e) if a.op == "param"}))
-                raise StepAtJump(
-                    f"{type(instr).__name__.lower()} {instr.out}: {exprs.format_expr(e)} with "
-                    f"{named} is {at_limit!r} at the limit values but {at_n!r} at the rule "
-                    f"values for n = {JUMP_N}"
-                )
+            used = sorted({a.index for a in _nodes(e) if a.op == "param"})
+            others = [([rules[nm].value(JUMP_N) if nm in rules else v
+                        for nm, v in zip(instr.params, pars)],
+                       f"at the rule values for n = {JUMP_N}")]
+            for j in used:
+                se = self.scalar_limits[instr.params[j]][1]
+                for shift in (-3.0 * se, 3.0 * se):
+                    moved = list(pars)
+                    moved[j] += shift
+                    others.append((moved, f"with {instr.params[j]} moved by {shift:+.3g}, "
+                                          f"3 of its ensemble stderr {se:.3g}"))
+            at_limit = float(exprs.evaluate(e, (), pars))
+            for ps, where in others:
+                at_other = float(exprs.evaluate(e, (), ps))
+                if at_other != at_limit:
+                    named = ", ".join(sorted(f"p{j + 1} = {instr.params[j]}" for j in used))
+                    raise StepAtJump(
+                        f"{type(instr).__name__.lower()} {instr.out}: {exprs.format_expr(e)} "
+                        f"with {named} is {at_limit!r} at the limit values but {at_other!r} "
+                        f"{where}"
+                    )
 
     def _advance_matmul(self, instr: MatMul):
         family = self._family(instr.matrix, instr.transposed)
@@ -322,16 +372,12 @@ class LimitState:
         gram_row = np.array([float(self.cols[nm] @ xcol) / n for nm in family.inputs])
         gcol = self.extend_family(family, gram_row, float(xcol @ xcol) / n, label=instr.out)
 
-        ys, coeffs, stderr = self._correction(instr)
-        self.correction_info[instr.out] = (ys, coeffs, stderr)
-
-        col = gcol.copy()
-        for a, nm in zip(coeffs, ys):
-            col += a * self.cols[nm]
+        self.correction_info[instr.out] = self._correction(instr)
         family.inputs.append(instr.vin)
         family.outputs.append(instr.out)
         self.gauss_cols[instr.out] = gcol
-        self.cols[instr.out] = col
+        if instr.out in self._matmul_inputs:
+            self.cols[instr.out] = self.cols.form(instr.out)
 
     # -- queries -------------------------------------------------------------
 

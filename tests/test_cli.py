@@ -171,6 +171,29 @@ def test_step_of_a_parameter_on_its_jump_is_a_named_error(tmp_path, argv):
     assert len(lines) == 2
 
 
+# m1's limit is 0, on the jump of step, and its ensemble mean falls on either
+# side by the seed: step(m1) read 0.0 at seed 0 and 1.0 at seed 3, stderr 0.0
+_STEP_OF_A_MOMENT = "vector v : c\nm1 = moment x1 (v)\nm2 = moment step(p1) (v ; m1)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--ensemble", "20000", "--seed", "0"],
+    ["limit", "--ensemble", "20000", "--seed", "3"],
+    ["verify", "--n", "64,256", "--seeds", "4", "--ensemble", "20000"],
+])
+def test_step_of_a_moment_scalar_on_its_jump_is_a_named_error(tmp_path, argv):
+    prog = tmp_path / "jump.ntp"
+    prog.write_text(_STEP_OF_A_MOMENT)
+    rc, data = _run(tmp_path, argv[0], "--program", str(prog), *argv[1:])
+    assert rc == 2
+    lines = data.decode().splitlines()
+    assert lines[0] == "error,kind,message"
+    assert lines[1].startswith('error,StepAtJump,"moment m2: step(p1) with p1 = m1 is ')
+    # the scalar moved and its stderr, 1/sqrt(20000) = 0.00707 to 3 digits
+    assert "with m1 moved by " in lines[1] and ", 3 of its ensemble stderr 0.007" in lines[1]
+    assert len(lines) == 2
+
+
 # x1^400 of a standard Gaussian overflows the squares inside the stderr
 _OVERFLOW_PROGRAM = """\
 matrix W : c x c var 1

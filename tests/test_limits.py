@@ -1,5 +1,8 @@
+import gc
 import math
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +206,8 @@ def test_scalar_limits():
             Moment("m2", E.pow_(E.x(0), 2), ("v",)),
             # continuous in th: the jump of step(x1 - th) is a null set of v
             Moment("ms", E.step(E.sub(E.x(0), E.p(0))), ("v",), ("th",)),
+            # m2's limit 1 is far from the jump at 0.5 in units of its stderr
+            Moment("mj", E.step(E.sub(E.p(0), E.const(0.5))), ("v",), ("m2",)),
         ]
     )
     st = build_limit(prog, n_samples=N, seed=4)
@@ -211,6 +216,7 @@ def test_scalar_limits():
     assert abs(m - 1.0) <= 3.0 * se
     m, se = st.scalar_limit("ms")
     assert abs(m - 0.5) <= 3.0 * se
+    assert st.scalar_limit("mj") == (1.0, 0.0)
     with pytest.raises(UnknownSymbol):
         st.scalar_limit("nope")
 
@@ -533,3 +539,58 @@ def test_dependent_input_gets_zero_coefficient():
     correction = st.cols["h"] - st.gauss_cols["h"]
     np.testing.assert_allclose(correction, (want[0] + want[1]) * st.cols["v"], rtol=0, atol=1e-10)
     assert any(d.startswith("DegenerateGVar: g2 ") for d in st.diagnostics)
+
+
+def test_deep_chain_stores_no_product_column():
+    # x_i and y_i are read once, by z_i, so the build holds the two family
+    # stores of 16 Gaussian parts each, the 17 z_i and a few temporaries
+    n = 2**16
+    tracemalloc.start()
+    try:
+        build_limit(_chain(["x1 + x2"] * 16), n_samples=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * 16 + 17 + 4) * 8 * n
+
+
+# x is read by a matmul, so it is stored; y and h are read by no matmul
+_FORMED = """\
+matrix W : c x c var 1.0
+vector v : c
+x = matmul W v
+y = matmul W^T x
+z = nonlin tanh(x1) + x2 (x, y)
+h = matmul W z
+"""
+
+
+def test_only_products_a_matmul_reads_are_stored():
+    st = build_limit(dsl.parse_program(_FORMED), n_samples=5000, seed=2)
+    assert sorted(st.cols) == ["v", "x", "z"]
+    assert st.cols["x"] is st.cols["x"]
+    for nm in ("y", "h"):
+        ys, coeffs, _ = st.correction_info[nm]
+        assert ys
+        want = st.gauss_cols[nm].copy()
+        for a, y in zip(coeffs, ys):
+            want += a * st.cols[y]
+        first = st.cols[nm]
+        assert first.tobytes() == want.tobytes()
+        assert st.cols[nm] is not first and st.cols[nm].tobytes() == want.tobytes()
+    with pytest.raises(KeyError):
+        st.cols["nope"]
+
+
+def test_a_state_is_freed_by_reference_counting_alone():
+    prog = dsl.parse_program(_FORMED)
+    gc.disable()
+    try:
+        st = build_limit(prog, n_samples=1000, seed=0)
+        rep = build_replicated(prog, n_samples=2000, seed=0, replicas=2)
+        refs = [weakref.ref(st)] + [weakref.ref(s) for s in rep.states]
+        assert all(r() is not None for r in refs)
+        del st, rep
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
