@@ -159,16 +159,17 @@ def _limit_rows(program: Program, state, tests):
     return rows
 
 
-def _limit_state(program: Program, args):
-    """The limit of a program under --ensemble, --seed and --replicas."""
+def _limit_state(program: Program, args, with_stderr: bool = False):
+    """The limit of a program under --ensemble, --seed and --replicas; only
+    `limit` prints correction stderrs, so only it asks for them."""
     return build_replicated(program, n_samples=args.ensemble, seed=args.seed,
-                            replicas=args.replicas)
+                            replicas=args.replicas, with_stderr=with_stderr)
 
 
 def cmd_limit(args) -> int:
     name, program = _resolve_program(args.program)
     tests = _parse_tests(program, name, args.test)
-    state = _limit_state(program, args)
+    state = _limit_state(program, args, with_stderr=True)
     _write_csv(args.out, ("object", "kind", "value", "stderr"), _limit_rows(program, state, tests))
     return 0
 

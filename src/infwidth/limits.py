@@ -19,9 +19,9 @@ The limit of a matmul output splits into two parts:
   the current input, and rho_applied is the limiting rows/cols ratio of the
   matrix as applied.  This form needs no derivatives and is exact for
   non-differentiable nonlinearities as well.  The coefficients'
-  delta-method stderr is computed only for a single ensemble, the one case
-  that reports it (replicas report their spread), in fixed row blocks
-  through one small reused buffer.
+  delta-method stderr is computed only for a single ensemble whose caller
+  reads it (replicas report their spread), in fixed row blocks through one
+  small reused buffer.
 
 Both parts solve against one Gram matrix, that of the family's inputs, and
 each family keeps it as an incremental Cholesky factor ``L``.  A new member's
@@ -47,6 +47,18 @@ each time it is read (by a nonlin or moment, by ``expect`` or through
 ``cols[name]``), with the same operations as a stored one, so the bytes are
 the same.  Initial vectors and nonlin outputs are always stored.
 
+A build runs its sequential chain on the calling thread: Gram rows,
+conditioning, correction solves and column forms.  When 2 or more CPUs are
+usable, one helper thread takes work the chain does not wait on: every
+correction stderr, which only the end of the build reads, or, in a build
+that computes none, every member's fresh normals, drawn into its store
+column from a stream keyed by (seed, matrix, direction, index) and queued up
+front in program order.  The stderrs alone keep the helper busier than the
+chain, so beside them the calling thread draws the normals.  The chain's
+n-length dots and products are numpy sums, not BLAS, so they run on one core
+and the bytes do not depend on the BLAS thread count; with one usable CPU,
+or under a direct ``advance``, everything runs inline with the same bytes.
+
 Scalars produced by moment instructions converge to the ensemble mean of
 the expression over the children's limit samples.  Replicas split the sample
 budget over independent ensembles and are pooled through one rule.
@@ -55,6 +67,7 @@ budget over independent ensembles and are pooled through one rule.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -66,6 +79,7 @@ from .errors import (
     StepAtJump,
     UnknownSymbol,
 )
+from .finite import helper_thread
 from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
@@ -167,8 +181,13 @@ class LimitState:
         if self.n_samples < 2:
             raise ValueError(f"a limit ensemble needs at least 2 samples (got {self.n_samples})")
         self.seed = int(seed)
-        # False in replicas, which report their spread: correction stderrs are NaN
+        # False in replicas, which report their spread, and for callers that
+        # never read them: correction stderrs are NaN
         self._with_stderr = _with_stderr
+        # while _process builds: its helper thread and each family member's
+        # queued fill of fresh normals, by (matrix, transposed, index)
+        self._helper = None
+        self._fills: dict[tuple[str, bool, int], Future] = {}
         self.gauss_cols: dict[str, np.ndarray] = {}
         self.correction_info: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
         self.cols = _Columns(self.gauss_cols, self.correction_info)
@@ -230,30 +249,37 @@ class LimitState:
                 f"extension for {label} is not PSD (conditional variance {cond_var:.3e})"
             )
 
-        xi = stream(self.seed, "fresh", family.matrix, family.transposed, k).standard_normal(
-            self.n_samples
-        )
         weights = np.zeros(k)
         weights[kept] = np.linalg.solve(low.T, whitened)
+        mean = np.einsum("ij,j->i", family.store[:, :k], weights)
+        # the slot gets its fresh normals xi, then scale * xi + mean in place
         col = family.store[:, k]
-        np.matmul(family.store[:, :k], weights, out=col)
+        fill = self._fills.pop((family.matrix, family.transposed, k), None)
+        if fill is None:
+            _draw_fresh(self.seed, family, k)
+        else:
+            fill.result()
         family.factor[k, kept] = whitened
         if cond_var <= 1e-10 * max(variance, 1e-30):
             self.diagnostics.append(
                 f"DegenerateGVar: {label} has vanishing conditional variance; "
                 "its Gaussian part is a deterministic image of earlier members"
             )
+            col[:] = mean
         else:
             family.factor[k, k] = math.sqrt(pivot2)
             kept.append(k)
-            col += math.sqrt(cond_var) * xi
+            col *= math.sqrt(cond_var)
+            col += mean
         return col
 
     def _correction(self, instr: MatMul) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Coefficients of the correction part over earlier opposite inputs.
 
         Returns (input names, coefficients, first-order standard errors); the
-        standard errors are NaN in a state built without them.
+        standard errors are NaN in a state built without them, and a Future
+        of them on the helper thread while _process builds, since nothing
+        reads them before the build ends.
         """
         opposite = self.families.get((instr.matrix, not instr.transposed))
         if opposite is None or len(opposite) == 0:
@@ -262,7 +288,7 @@ class LimitState:
         ys = tuple(opposite.inputs)
         h = opposite.store[:, :k]
         xcol = self.cols[instr.vin]
-        b = h.T @ xcol / self.n_samples
+        b = np.einsum("ij,i->j", h, xcol) / self.n_samples
         rho_applied = self.program.matrix_ratio(instr.matrix, instr.transposed)
         # C^-1 = L_K^-T L_K^-1 on the kept inputs and 0 on the dependent ones
         kept = opposite.kept
@@ -270,11 +296,15 @@ class LimitState:
         w = np.zeros(k)
         w[kept] = linv.T @ (linv @ b[kept])
         # the delta-method stderr is reported only by a single ensemble
-        # (replicas report their spread), so only a single ensemble pays for it
+        # (replicas report their spread), so only a state built with it pays for it
         if self._with_stderr:
             m = np.zeros((k, k))
             m[np.ix_(kept, kept)] = linv.T @ linv / rho_applied
-            stderr = self._correction_stderr(h, xcol, [self.cols[nm] for nm in ys], w, m)
+            job = (h, xcol, [self.cols[nm] for nm in ys], w, m)
+            if self._helper is None:
+                stderr = self._correction_stderr(*job)
+            else:
+                stderr = self._helper.submit(self._correction_stderr, *job)
         else:
             stderr = np.full(k, np.nan)
         return ys, w / rho_applied, stderr
@@ -369,8 +399,8 @@ class LimitState:
         family = self._family(instr.matrix, instr.transposed)
         xcol = self.cols[instr.vin]
         n = self.n_samples
-        gram_row = np.array([float(self.cols[nm] @ xcol) / n for nm in family.inputs])
-        gcol = self.extend_family(family, gram_row, float(xcol @ xcol) / n, label=instr.out)
+        gram_row = np.array([_dot(self.cols[nm], xcol) / n for nm in family.inputs])
+        gcol = self.extend_family(family, gram_row, _dot(xcol, xcol) / n, label=instr.out)
 
         self.correction_info[instr.out] = self._correction(instr)
         family.inputs.append(instr.vin)
@@ -418,6 +448,18 @@ class LimitState:
         return self.correction_info[gvar]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b as a numpy sum: one thread, and the same bytes under any BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _draw_fresh(seed: int, family: GaussianFamily, k: int) -> None:
+    """Member k's fresh standard normals, in place in its store column."""
+    stream(seed, "fresh", family.matrix, family.transposed, k).standard_normal(
+        out=family.store[:, k]
+    )
+
+
 def _nodes(e: exprs.Expr):
     """Every node of an expression tree, root first."""
     yield e
@@ -433,8 +475,29 @@ def build_limit(
 
 
 def _process(state: LimitState) -> LimitState:
-    for instr in state.program.instructions:
-        state.advance(instr)
+    """Advance over the whole program.  This thread runs the chain; a helper
+    thread, when there is one, computes the correction stderrs, collected at
+    the end, or, in a build without them, draws every member's fresh normals,
+    queued up front in program order (see the module docstring)."""
+    with helper_thread() as helper:
+        state._helper = helper
+        queue_fills = helper is not None and not state._with_stderr
+        try:
+            slots: dict[tuple[str, bool], int] = {}
+            for instr in state.program.instructions:
+                if queue_fills and isinstance(instr, MatMul):
+                    key = (instr.matrix, instr.transposed)
+                    k = slots[key] = slots.get(key, -1) + 1
+                    state._fills[(*key, k)] = helper.submit(
+                        _draw_fresh, state.seed, state._family(*key), k)
+            for instr in state.program.instructions:
+                state.advance(instr)
+            for g, (ys, coeffs, stderr) in list(state.correction_info.items()):
+                if isinstance(stderr, Future):
+                    state.correction_info[g] = (ys, coeffs, stderr.result())
+        finally:
+            state._helper = None
+            state._fills.clear()
     return state
 
 
@@ -488,16 +551,21 @@ def build_replicated(
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     replicas: int = 1,
+    *,
+    with_stderr: bool = True,
 ) -> ReplicatedLimit:
     """Split the sample budget over independent ensembles (see ReplicatedLimit).
 
     Each replica gets n_samples // replicas samples, which must be at least 2.
+    A single ensemble computes its correction stderrs unless with_stderr is
+    False (a caller that never reads them); replicas never do.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     states = [
         _process(LimitState(program, n_samples=n_samples // replicas,
-                            seed=seed * 1_000_003 + r, _with_stderr=replicas == 1))
+                            seed=seed * 1_000_003 + r,
+                            _with_stderr=with_stderr and replicas == 1))
         for r in range(replicas)
     ]
     return ReplicatedLimit(states)

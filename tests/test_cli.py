@@ -17,6 +17,7 @@ from infwidth import cli, freeness
 from infwidth.cli import build_parser, run, sweep_passes
 from infwidth.finite import ELEMENT_CAP
 from infwidth.laws import semicircle_moment
+from infwidth.limits import LimitState
 
 
 def _run(tmp_path, *argv):
@@ -308,12 +309,13 @@ _GOLDEN = {
 
 # Recorded with Python 3.11, numpy 2.4.6 (scipy-openblas 0.3.31), scipy 1.17.1
 # and OPENBLAS_NUM_THREADS=2 on x86_64; the BLAS thread count changes the
-# summation order of some products, so limit_r4, verify, the free goldens
-# without a witness and the jacobian goldens are checked to give the same
-# bytes with one thread.  By design: the exact Jacobian path, word_apply
-# and the exact centered trace multiply operands whose sides are multiples
-# of finite.SUPPORT_ALIGN (kept index sets, and full sides padded with
-# zeros), and the Jacobian forms each W_l with numpy sums, not BLAS gemv.
+# summation order of some products, so the limit goldens, verify, the free
+# goldens and the jacobian goldens are checked to give the same bytes with
+# one thread.  By design: the exact Jacobian path, word_apply and the exact
+# centered trace multiply operands whose sides are multiples of
+# finite.SUPPORT_ALIGN (kept index sets, and full sides padded with zeros),
+# the Jacobian forms each W_l with numpy sums, not BLAS gemv, and the limit
+# chain takes its n-length dots and products as numpy sums too.
 # jacobian_tanh_deep differed between 1 and 2 threads before that,
 # jacobian_relu_700 does when the formation uses gemv, and free_auto did
 # when word_apply multiplied its unpadded n = 600 operands.  OpenBLAS
@@ -324,15 +326,15 @@ _GOLDEN_SHA = {
     "sim":
         "b2af752bb6740197fe58a5da334ae9172c352f87670db3fde2b9ca71df2f8fd7",
     "limit_r1":
-        "11a85feb7257e7b63ffbef8fffe2f15cb8ffcc3f0d47c8fb8493d025abca09f5",
+        "18f28a822b4fd8df10dde682e05231012090d5d801f98d901e2745bee217cc29",
     "limit_r4":
-        "f7cfe8e04592c69844b4713261ac803448a090ffe167f4143a2b937780158dde",
+        "749140a558e242a6c0dcc7471914d90e4026d050c0da7dc1e8d65f21b1dd05ae",
     "verify":
-        "600f62c2aa34c02e0ec21894f8039b446b9a7fdb9095c37c50732bfb05383a54",
+        "7f92ed8f546b31ec1e5ff7879b577e465d3975c172a5c1b141413b28672044b8",
     "free_exact":
         "56cafd99675b6e603d63ad1445bf1edcc2714cfc02f2cafc03787ce4897edf8d",
     "free_hutch_witness":
-        "e122b579fb8b2c056cfc25d4e9b0a6b5751f401823f1ce0fd2ed0778c0a1b10e",
+        "198bc17dd9092200fd86d6f707e5772ac83c1cbb328cf21c9849c700521ea724",
     "free_auto":
         "807426d1f9d57d150c9bb3515602dd7bf2c00d472e44faa95155b7feeeada4a2",
     "jacobian_dense":
@@ -374,7 +376,8 @@ def test_golden_bytes(tmp_path, capsys, name):
     assert digest == _GOLDEN_SHA[name]
 
 
-@pytest.mark.parametrize("name", ["limit_r4", "verify", "free_exact", "free_auto",
+@pytest.mark.parametrize("name", ["limit_r1", "limit_r4", "verify", "free_exact",
+                                  "free_hutch_witness", "free_auto",
                                   "jacobian_dense", "jacobian_probe",
                                   "jacobian_relu_dense", "jacobian_tanh_deep",
                                   "jacobian_relu_700"])
@@ -420,9 +423,8 @@ def test_sim_and_verify_cells_draw_no_matrix(monkeypatch, tmp_path, command):
     assert peak < 2048 * 1024 * 8
 
 
-def test_sampled_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
-    argv = ["verify", "--program", "@mp_two", "--n", "256,1024,4096", "--seeds", "2",
-            "--ensemble", "4000"]
+def _bytes_under_blas_threads(tmp_path, argv) -> list[bytes]:
+    """CSV bytes + NUL + stderr of argv, run under 1 and under 2 OpenBLAS threads."""
     src = str(Path(infwidth.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -433,7 +435,45 @@ def test_sampled_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
                               env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes() + b"\0" + proc.stderr)
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_sampled_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    argv = ["verify", "--program", "@mp_two", "--n", "256,1024,4096", "--seeds", "2",
+            "--ensemble", "4000"]
+    one, two = _bytes_under_blas_threads(tmp_path, argv)
+    assert one == two
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--program", "@semicircle", "--ensemble", "200000", "--replicas", "1"],
+    ["limit", "--program", "@mp_two", "--ensemble", "200000", "--replicas", "8"],
+], ids=["semicircle_r1", "mp_two_r8"])
+def test_limit_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
+    # at these sizes OpenBLAS would split n-length dots and gemv over its threads
+    one, two = _bytes_under_blas_threads(tmp_path, argv)
+    assert one == two
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["verify", "--program", "@atav", "--n", "64,128", "--seeds", "2",
+      "--ensemble", "4000", "--replicas", "1"], 0),
+    (["free", "--program", "@fipbase", "--word", "@word_a", "--n", "32,64", "--seeds", "2",
+      "--witness", "--ensemble", "4000", "--replicas", "1"], 0),
+    (["limit", "--program", "@atav", "--ensemble", "4000", "--replicas", "1"], 1),
+], ids=["verify", "free_witness", "limit"])
+def test_only_limit_computes_correction_stderrs(monkeypatch, tmp_path, argv, calls):
+    # verify and free --witness print no correction stderr, so they pay for none
+    seen = []
+    real = LimitState._correction_stderr
+
+    def spy(self, *args):
+        seen.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(LimitState, "_correction_stderr", spy)
+    rc, _ = _run(tmp_path, *argv)
+    assert rc == 0 and len(seen) == calls
 
 
 def test_jacobian_over_the_element_cap_samples_its_products(tmp_path):

@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -7,9 +10,9 @@ import weakref
 import numpy as np
 import pytest
 
-from infwidth import corpus, dsl
+from infwidth import corpus, dsl, limits
 from infwidth import exprs as E
-from infwidth.errors import NonPSDExtension, UnknownSymbol
+from infwidth.errors import NonPSDExtension, StepAtJump, UnknownSymbol
 from infwidth.laws import catalan, semicircle_b_coeff
 from infwidth.limits import STDERR_BLOCK_ROWS, LimitState, build_limit, build_replicated
 from infwidth.numerics import hermite_pair_expectation, pseudoinverse
@@ -521,13 +524,16 @@ def test_affine_chain_coefficients_match_exact_oracle(seed):
     assert not st.diagnostics
 
 
+# W v twice: the second input is an exact copy, so the first carries the sum
+_DUPLICATED = (
+    "matrix W : c x c var 1.0\nvector v : c\n"
+    "g1 = matmul W v\ng2 = matmul W v\n"
+    "u = nonlin tanh(x1) + x1 (g1)\nh = matmul W^T u\n"
+)
+
+
 def test_dependent_input_gets_zero_coefficient():
-    # W v twice: the second input is an exact copy, so the first carries the sum
-    prog = dsl.parse_program(
-        "matrix W : c x c var 1.0\nvector v : c\n"
-        "g1 = matmul W v\ng2 = matmul W v\n"
-        "u = nonlin tanh(x1) + x1 (g1)\nh = matmul W^T u\n"
-    )
+    prog = dsl.parse_program(_DUPLICATED)
     st = build_limit(prog, n_samples=20_000, seed=5)
     ys, coeffs, ses = st.correction_coeffs("h")
     assert ys == ("v", "v")
@@ -594,3 +600,98 @@ def test_a_state_is_freed_by_reference_counting_alone():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def _same_state(a, b, prog):
+    assert a.correction_info.keys() == b.correction_info.keys()
+    for g, (ys, coeffs, ses) in a.correction_info.items():
+        assert isinstance(ses, np.ndarray)
+        want = b.correction_info[g]
+        assert ys == want[0]
+        assert coeffs.tobytes() == want[1].tobytes() and ses.tobytes() == want[2].tobytes()
+    vectors = [v.name for v in prog.vectors] + [
+        i.out for i in prog.instructions if not isinstance(i, Moment)]
+    for nm in vectors:
+        assert a.cols[nm].tobytes() == b.cols[nm].tobytes(), nm
+        assert a.expect(XY, [vectors[0], nm]) == b.expect(XY, [vectors[0], nm])
+    assert a.scalar_limits == b.scalar_limits
+    assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("name", ["affine8", "mixed8", "duplicated"])
+def test_helper_thread_and_one_cpu_build_the_same_bytes(monkeypatch, name):
+    prog = {"affine8": lambda: _chain(["x1 + x2"] * 8), "mixed8": lambda: _chain(_MIXED),
+            "duplicated": lambda: dsl.parse_program(_DUPLICATED)}[name]()
+    on_helper = {"fills": [], "stderrs": []}
+
+    def spy(kind, real):
+        def run(*args):
+            on_helper[kind].append(threading.current_thread() is not threading.main_thread())
+            return real(*args)
+        return run
+
+    monkeypatch.setattr(limits, "_draw_fresh", spy("fills", limits._draw_fresh))
+    monkeypatch.setattr(LimitState, "_correction_stderr",
+                        spy("stderrs", LimitState._correction_stderr))
+
+    def builds():  # a single ensemble with its stderrs, and two replicas without
+        return (build_limit(prog, n_samples=20_000, seed=6),
+                build_replicated(prog, n_samples=40_000, seed=6, replicas=2))
+
+    helped = builds()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = builds()
+    matmuls = sum(isinstance(i, MatMul) for i in prog.instructions)
+    solves = sum(bool(ys) for ys, _, _ in helped[0].correction_info.values())
+    # with a helper, the single ensemble's stderrs and the replicas' normals ran on it
+    assert on_helper["fills"] == [False] * matmuls + [True] * 2 * matmuls + [False] * 3 * matmuls
+    assert on_helper["stderrs"] == [True] * solves + [False] * solves
+    _same_state(helped[0], inline[0], prog)
+    assert all(np.isfinite(ses).all() for _, _, ses in helped[0].correction_info.values())
+    for a, b in zip(helped[1].states, inline[1].states):
+        _same_state(a, b, prog)
+    assert any(d.startswith("DegenerateGVar") for d in helped[0].diagnostics) == (name == "duplicated")
+
+
+# m1's limit is 0, on the jump of step, so m2 raises StepAtJump after 4 of the
+# 16 products
+_JUMP_AFTER_DEPTH_2 = "\n".join(
+    ["matrix W : c x c var 0.5", "vector z0 : c"]
+    + [line for i in range(1, 9) for line in (
+        f"x{i} = matmul W z{i - 1}", f"y{i} = matmul W^T z{i - 1}",
+        f"z{i} = nonlin x1 + x2 (x{i}, y{i})",
+        *(["m1 = moment x1 (z2)", "m2 = moment step(p1) (z2 ; m1)"] if i == 2 else []))]
+) + "\n"
+
+
+@pytest.mark.parametrize("with_stderr", [False, True])
+@pytest.mark.parametrize("error", [StepAtJump, NonPSDExtension])
+def test_an_error_part_way_cancels_the_queued_jobs(monkeypatch, error, with_stderr):
+    prog = dsl.parse_program(_JUMP_AFTER_DEPTH_2)
+    if error is NonPSDExtension:  # the same chain, failing at its fifth product instead
+        prog = _chain(["x1 + x2"] * 8)
+        real_extend = LimitState.extend_family
+
+        def extend(self, family, gram_row, gram_diag, label):
+            return real_extend(self, family, gram_row, -1.0 if label == "x3" else gram_diag,
+                               label)
+
+        monkeypatch.setattr(LimitState, "extend_family", extend)
+    ran = []
+
+    def slow(real):
+        def run(*args):
+            time.sleep(0.02)
+            ran.append(real(*args))
+        return run
+
+    monkeypatch.setattr(limits, "_draw_fresh", slow(limits._draw_fresh))
+    monkeypatch.setattr(LimitState, "_correction_stderr", slow(LimitState._correction_stderr))
+    threads = threading.active_count()
+    with pytest.raises(error):
+        build_replicated(prog, n_samples=2000, seed=1, with_stderr=with_stderr)
+    after = len(ran)
+    assert threading.active_count() == threads
+    time.sleep(0.2)
+    # the single ensemble draws its normals on this thread, the helper the others
+    assert len(ran) == after and (with_stderr or after < 16)
