@@ -159,17 +159,21 @@ def _limit_rows(program: Program, state, tests):
     return rows
 
 
-def _limit_state(program: Program, args, with_stderr: bool = False):
-    """The limit of a program under --ensemble, --seed and --replicas; only
-    `limit` prints correction stderrs, so only it asks for them."""
+def _limit_state(program: Program, args, tests, with_stderr: bool = False):
+    """The limit of a program under --ensemble, --seed and --replicas, which
+    answers the expectations of `tests` (label, expr, vectors) and every
+    scalar and correction; each replica is reduced to those answers as soon
+    as it is built.  Only `limit` prints correction stderrs, so only it asks
+    for them."""
     return build_replicated(program, n_samples=args.ensemble, seed=args.seed,
-                            replicas=args.replicas, with_stderr=with_stderr)
+                            replicas=args.replicas, with_stderr=with_stderr,
+                            tests=[(expr, vecs) for _, expr, vecs in tests])
 
 
 def cmd_limit(args) -> int:
     name, program = _resolve_program(args.program)
     tests = _parse_tests(program, name, args.test)
-    state = _limit_state(program, args, with_stderr=True)
+    state = _limit_state(program, args, tests, with_stderr=True)
     _write_csv(args.out, ("object", "kind", "value", "stderr"), _limit_rows(program, state, tests))
     return 0
 
@@ -245,7 +249,7 @@ def cmd_verify(args) -> int:
     if sizes != sorted(sizes):
         raise ValueError("size sweep must be ascending")
     seeds = _seed_list(args)
-    state = _limit_state(program, args)
+    state = _limit_state(program, args, tests)
     rows, all_pass = consistency_table(
         program, tests, sizes, seeds, state, workers=args.workers, tol=args.tol
     )
@@ -310,7 +314,7 @@ def cmd_free(args) -> int:
     print(f"decay_slope {report.slope!r}", file=sys.stderr)
     if args.witness:
         witness = fip_witness_program(program, word)
-        state = _limit_state(witness.program, args)
+        state = _limit_state(witness.program, args, [])
         val, se = state.scalar_limit(witness.final_scalar)
         print(f"witness_limit {val!r} stderr {se!r}", file=sys.stderr)
     return 0

@@ -61,7 +61,12 @@ or under a direct ``advance``, everything runs inline with the same bytes.
 
 Scalars produced by moment instructions converge to the ensemble mean of
 the expression over the children's limit samples.  Replicas split the sample
-budget over independent ensembles and are pooled through one rule.
+budget over independent ensembles and are pooled through one rule.  A caller
+that declares its expectation tests before the build keeps of each replica
+only a ``ReplicaAnswers`` record (those expectations, the scalar limits,
+``correction_info`` and the diagnostics), made right after the replica is
+built, so its columns and family stores are freed before the next one is
+built and an R-replica build holds one replica's ensemble at a time.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ JUMP_N = 10**6  # the size whose scalar rule values stand for the finite sizes
 
 __all__ = [
     "LimitState",
+    "ReplicaAnswers",
     "ReplicatedLimit",
     "build_limit",
     "build_replicated",
@@ -501,6 +507,35 @@ def _process(state: LimitState) -> LimitState:
     return state
 
 
+class ReplicaAnswers:
+    """What a caller reads of one replica, kept in place of its columns.
+
+    Made right after the replica is built, from the expectation tests its
+    caller declared before the build: their expectations, the scalar
+    limits, ``correction_info`` and the diagnostics, a few floats per query
+    where the state holds every column and family store.  Its ``expect`` and
+    ``scalar_limit`` give a state's floats.
+    """
+
+    def __init__(self, state: LimitState, tests):
+        self.expectations = {(test, tuple(vectors)): state.expect(test, vectors)
+                             for test, vectors in tests}
+        self.scalar_limits = state.scalar_limits
+        self.correction_info = state.correction_info
+        self.diagnostics = state.diagnostics
+
+    def expect(self, test: exprs.Expr, vectors: list[str]) -> tuple[float, float]:
+        key = (test, tuple(vectors))
+        if key not in self.expectations:
+            raise UnknownSymbol(
+                f"expectation of {exprs.format_expr(test)} over {','.join(vectors)} "
+                "is not among the tests declared before the build"
+            )
+        return self.expectations[key]
+
+    scalar_limit = LimitState.scalar_limit
+
+
 class ReplicatedLimit:
     """Limit estimates pooled over independent ensembles.
 
@@ -509,9 +544,13 @@ class ReplicatedLimit:
     ensemble, so they understate the total uncertainty on deep programs.
     Splitting the sample budget across independent replicas and reporting
     the replica spread gives honest error bars at the same total cost.
+
+    ``states`` holds one entry per replica, a full ``LimitState`` or a
+    ``ReplicaAnswers`` record (see ``build_replicated``); both are pooled
+    through the same methods and the same rule.
     """
 
-    def __init__(self, states: list[LimitState]):
+    def __init__(self, states: list[LimitState | ReplicaAnswers]):
         if not states:
             raise ValueError("need at least one replica")
         self.states = states
@@ -553,19 +592,30 @@ def build_replicated(
     replicas: int = 1,
     *,
     with_stderr: bool = True,
+    tests: list[tuple[exprs.Expr, list[str]]] | None = None,
 ) -> ReplicatedLimit:
     """Split the sample budget over independent ensembles (see ReplicatedLimit).
 
     Each replica gets n_samples // replicas samples, which must be at least 2.
     A single ensemble computes its correction stderrs unless with_stderr is
     False (a caller that never reads them); replicas never do.
+
+    With ``tests``, the (expression, vectors) pairs whose expectations the
+    caller will ask for, each replica is reduced to a ``ReplicaAnswers``
+    record as soon as it is built, and its columns, Gaussian parts and
+    family stores are freed before the next replica is built; ``expect`` of
+    any other test raises UnknownSymbol.  Without it every replica's full
+    state is kept until the result is dropped; that path serves only the
+    benchmark replay, which reads ``states``, and goes when the replay is
+    replaced by a library-owned run trace.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    states = [
-        _process(LimitState(program, n_samples=n_samples // replicas,
-                            seed=seed * 1_000_003 + r,
-                            _with_stderr=with_stderr and replicas == 1))
-        for r in range(replicas)
-    ]
+    states = []
+    for r in range(replicas):
+        state = _process(LimitState(program, n_samples=n_samples // replicas,
+                                    seed=seed * 1_000_003 + r,
+                                    _with_stderr=with_stderr and replicas == 1))
+        states.append(state if tests is None else ReplicaAnswers(state, tests))
+        del state  # with tests, this frees the replica before the next is built
     return ReplicatedLimit(states)

@@ -212,6 +212,10 @@ _OVERFLOW_MOMENT = "y = nonlin x1^400 (h)\ns = moment x1 (y)\n"
      "moment s has a non-finite estimate: mean 2.7"),
     ("", ["limit", "--ensemble", "20000", "--replicas", "2", "--test", "x1^400:h"],
      "expectation of x1^400 over h has a non-finite estimate"),
+    # raised as the first replica is built, before any finite cell runs
+    ("", ["verify", "--n", "32", "--seeds", "1", "--ensemble", "20000", "--replicas", "2",
+          "--test", "x1^400:h"],
+     "expectation of x1^400 over h has a non-finite estimate"),
 ])
 def test_non_finite_limit_estimate_is_a_named_error(tmp_path, body, argv, message):
     prog = tmp_path / "overflow.ntp"

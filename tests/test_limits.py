@@ -389,6 +389,86 @@ def test_replicated_diagnostics_cover_every_replica():
     assert rep.diagnostics() == shared + ["DegenerateGVar: seen in replica 1 only"]
 
 
+def _answered_program(name):
+    """A program and the (test, vectors) pairs a build of it is asked for."""
+    if name in corpus.VERIFY_TESTS:
+        prog = corpus.load_program(name)
+        tests = [(E.parse_expr(t), vecs) for t, vecs in corpus.VERIFY_TESTS[name]]
+    else:
+        prog = dsl.parse_program({"pool": _POOL_PROGRAM, "duplicated": _DUPLICATED}[name])
+        tests = []
+    vectors = [v.name for v in prog.vectors] + [
+        i.out for i in prog.instructions if not isinstance(i, Moment)]
+    tests += [(XY, [nm, nm]) for nm in vectors] + [(E.tanh(E.x(0)), [vectors[-1]])]
+    return prog, tests
+
+
+@pytest.mark.parametrize("with_stderr", [True, False])
+@pytest.mark.parametrize("replicas", [1, 3, 8])
+@pytest.mark.parametrize("name", ["semicircle", "mp_two", "giabreak", "pool", "duplicated"])
+def test_answers_records_pool_to_the_kept_states_floats(name, replicas, with_stderr):
+    prog, tests = _answered_program(name)
+    kw = dict(n_samples=2400, seed=9, replicas=replicas, with_stderr=with_stderr)
+    kept = build_replicated(prog, **kw)
+    answered = build_replicated(prog, **kw, tests=tests)
+    assert all(isinstance(st, LimitState) for st in kept.states)
+    assert all(isinstance(st, limits.ReplicaAnswers) for st in answered.states)
+    for test, vecs in tests:
+        assert answered.expect(test, vecs) == kept.expect(test, vecs)
+    for nm in prog.scalar_names:
+        assert answered.scalar_limit(nm) == kept.scalar_limit(nm)
+    assert answered.correction_info.keys() == kept.correction_info.keys()
+    for g, (ys, coeffs, ses) in kept.correction_info.items():
+        got = answered.correction_info[g]
+        assert got[0] == ys
+        assert got[1].tobytes() == coeffs.tobytes() and got[2].tobytes() == ses.tobytes()
+    assert answered.diagnostics() == kept.diagnostics()
+    assert any(d.startswith("DegenerateGVar") for d in answered.diagnostics()) == (
+        name == "duplicated")
+
+
+def test_answers_records_answer_only_the_declared_tests():
+    prog = corpus.load_program("semicircle")
+    rep = build_replicated(prog, n_samples=2000, seed=1, replicas=2,
+                           tests=[(XY, ["z0", "z2"])])
+    rep.expect(XY, ["z0", "z2"])
+    for test, vecs in [(XY, ["z0", "z1"]), (E.tanh(E.x(0)), ["z2"])]:
+        with pytest.raises(UnknownSymbol) as err:
+            rep.expect(test, vecs)
+        assert str(err.value).startswith(
+            f"expectation of {E.format_expr(test)} over {','.join(vecs)} is not among")
+    with pytest.raises(UnknownSymbol):
+        rep.states[0].scalar_limit("nope")
+
+
+@pytest.mark.parametrize("replicas", [1, 8])
+def test_a_build_with_tests_frees_each_replica_before_the_next(monkeypatch, replicas):
+    """No family store, Gaussian part or stored column of a replica outlives its
+    answers: each is gone before the next replica is built and when the build
+    returns, by reference counting alone."""
+    refs = []
+    real = limits._process
+
+    def process(state):
+        assert all(r() is None for r in refs)
+        state = real(state)
+        refs.extend(weakref.ref(a) for a in [
+            *(f.store for f in state.families.values()),
+            *state.gauss_cols.values(), *dict.values(state.cols)])
+        return state
+
+    monkeypatch.setattr(limits, "_process", process)
+    gc.disable()
+    try:
+        rep = build_replicated(corpus.load_program("semicircle"), n_samples=800 * replicas,
+                               seed=5, replicas=replicas, tests=[(XY, ["z0", "z2"])])
+        assert len(refs) == replicas * (2 + 12 + 7)
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+    assert len(rep.states) == replicas
+
+
 def _chain(maps):
     """z_i = f_i(W z_{i-1}, W^T z_{i-1}) over one square matrix."""
     lines = ["matrix W : c x c var 0.5", "vector z0 : c"]
