@@ -20,8 +20,9 @@ The limit of a matmul output splits into two parts:
   matrix as applied.  This form needs no derivatives and is exact for
   non-differentiable nonlinearities as well.  The coefficients'
   delta-method stderr is computed only for a single ensemble whose caller
-  reads it (replicas report their spread), in fixed row blocks through one
-  small reused buffer.
+  reads it (replicas report their spread), from the covariance of its first
+  ``STDERR_ROWS`` samples, in fixed row blocks through one small reused
+  buffer.
 
 Both parts solve against one Gram matrix, that of the family's inputs, and
 each family keeps it as an incremental Cholesky factor ``L``.  A new member's
@@ -49,12 +50,11 @@ the same.  Initial vectors and nonlin outputs are always stored.
 
 A build runs its sequential chain on the calling thread: Gram rows,
 conditioning, correction solves and column forms.  When 2 or more CPUs are
-usable, one helper thread takes work the chain does not wait on: every
-correction stderr, which only the end of the build reads, or, in a build
-that computes none, every member's fresh normals, drawn into its store
-column from a stream keyed by (seed, matrix, direction, index) and queued up
-front in program order.  The stderrs alone keep the helper busier than the
-chain, so beside them the calling thread draws the normals.  The chain's
+usable, one helper thread takes the work the chain does not wait on, in one
+queue: first every member's fresh normals, drawn into its store column from
+a stream keyed by (seed, matrix, direction, index) and queued up front in
+program order, then, in a single ensemble, each correction stderr as its
+solve queues it, which only the end of the build reads.  The chain's
 n-length dots and products are numpy sums, not BLAS, so they run on one core
 and the bytes do not depend on the BLAS thread count; with one usable CPU,
 or under a direct ``advance``, everything runs inline with the same bytes.
@@ -90,6 +90,10 @@ from .program import MatMul, Moment, Nonlin, Program
 
 DEFAULT_SAMPLES = 200_000
 STDERR_BLOCK_ROWS = 4096  # rows per block of the correction stderr pass
+# rows whose influence covariance the correction stderr estimates: rows are
+# iid, so these estimate it to about 1% of its value, and reading all 200000
+# took the helper as long as the whole chain, leaving no room for the normals
+STDERR_ROWS = 8 * STDERR_BLOCK_ROWS
 JUMP_N = 10**6  # the size whose scalar rule values stand for the finite sizes
 
 __all__ = [
@@ -284,8 +288,8 @@ class LimitState:
 
         Returns (input names, coefficients, first-order standard errors); the
         standard errors are NaN in a state built without them, and a Future
-        of them on the helper thread while _process builds, since nothing
-        reads them before the build ends.
+        of them, queued on the helper behind the normals, while _process
+        builds, since nothing reads them before the build ends.
         """
         opposite = self.families.get((instr.matrix, not instr.transposed))
         if opposite is None or len(opposite) == 0:
@@ -323,21 +327,24 @@ class LimitState:
 
         Sample s moves b and the Gram matrix by the influence
         ``r_sj = h_sj x_s - y_sj (y_s . w)``, so ``std_j = sqrt((m^T Cov(r) m)_jj / n)``.
-        ``Cov(r) = (sum r^T r - n rbar rbar^T) / (n - 1)`` is summed over
-        fixed row blocks in one reused ``(block, k)`` buffer.  ``rbar = b - C w``
-        is the solve residual, close to 0, so this one-pass form loses no
+        Rows are iid, so ``Cov(r)`` is estimated from the first ``u =
+        min(n, STDERR_ROWS)`` of them as ``(sum r^T r - u rbar rbar^T) / (u - 1)``,
+        summed over fixed row blocks in one reused ``(block, k)`` buffer; the
+        division is still by all n.  ``rbar`` is close to 0 (over all n rows
+        it is the solve residual ``b - C w``), so this one-pass form loses no
         precision to cancellation.
         """
         k = w.size
         n = self.n_samples
-        rows = min(n, STDERR_BLOCK_ROWS)
+        used = min(n, STDERR_ROWS)
+        rows = min(used, STDERR_BLOCK_ROWS)
         buf = np.empty((rows, k), order="F")
         yw = np.empty(rows)
         tmp = np.empty(rows)
         rtr = np.zeros((k, k))
         rsum = np.zeros(k)
-        for s in range(0, n, rows):
-            e = min(s + rows, n)
+        for s in range(0, used, rows):
+            e = min(s + rows, used)
             r, ywb, t = buf[: e - s], yw[: e - s], tmp[: e - s]
             np.multiply(ys[0][s:e], w[0], out=ywb)
             for a, y in zip(w[1:], ys[1:]):
@@ -347,7 +354,7 @@ class LimitState:
                 rj -= np.multiply(y[s:e], ywb, out=t)
             rtr += r.T @ r
             rsum += r.sum(axis=0)
-        cov = (rtr - np.outer(rsum, rsum) / n) / (n - 1)
+        cov = (rtr - np.outer(rsum, rsum) / used) / (used - 1)
         var = np.sum(m * (cov @ m), axis=0)
         return np.sqrt(np.maximum(var, 0.0) / n)
 
@@ -482,16 +489,15 @@ def build_limit(
 
 def _process(state: LimitState) -> LimitState:
     """Advance over the whole program.  This thread runs the chain; a helper
-    thread, when there is one, computes the correction stderrs, collected at
-    the end, or, in a build without them, draws every member's fresh normals,
-    queued up front in program order (see the module docstring)."""
+    thread, when there is one, draws every member's fresh normals, queued up
+    front in program order, then computes the correction stderrs the solves
+    queue behind them, collected at the end (see the module docstring)."""
     with helper_thread() as helper:
         state._helper = helper
-        queue_fills = helper is not None and not state._with_stderr
         try:
             slots: dict[tuple[str, bool], int] = {}
             for instr in state.program.instructions:
-                if queue_fills and isinstance(instr, MatMul):
+                if helper is not None and isinstance(instr, MatMul):
                     key = (instr.matrix, instr.transposed)
                     k = slots[key] = slots.get(key, -1) + 1
                     state._fills[(*key, k)] = helper.submit(

@@ -14,7 +14,13 @@ from infwidth import corpus, dsl, limits
 from infwidth import exprs as E
 from infwidth.errors import NonPSDExtension, StepAtJump, UnknownSymbol
 from infwidth.laws import catalan, semicircle_b_coeff
-from infwidth.limits import STDERR_BLOCK_ROWS, LimitState, build_limit, build_replicated
+from infwidth.limits import (
+    STDERR_BLOCK_ROWS,
+    STDERR_ROWS,
+    LimitState,
+    build_limit,
+    build_replicated,
+)
 from infwidth.numerics import hermite_pair_expectation, pseudoinverse
 from infwidth.program import (
     CovDecl,
@@ -627,6 +633,75 @@ def test_dependent_input_gets_zero_coefficient():
     assert any(d.startswith("DegenerateGVar: g2 ") for d in st.diagnostics)
 
 
+def _dense_stderr(st, instr):
+    """A correction's stderr from the engine's own solve, recomputed densely on
+    the first STDERR_ROWS samples: the influence ``r = h x - y (y . w)``, its
+    covariance, then ``sqrt(diag(m^T Cov(r) m) / n)`` over all n samples."""
+    ys, coeffs, _ = st.correction_info[instr.out]
+    opposite = st.families[(instr.matrix, not instr.transposed)]
+    k, u = len(ys), min(st.n_samples, STDERR_ROWS)
+    rho = st.program.matrix_ratio(instr.matrix, instr.transposed)
+    kept = [j for j in opposite.kept if j < k]  # the inputs with a pivot at the solve
+    linv = np.linalg.inv(opposite.factor[np.ix_(kept, kept)])
+    m = np.zeros((k, k))
+    m[np.ix_(kept, kept)] = linv.T @ linv / rho
+    y = np.column_stack([st.cols[nm][:u] for nm in ys])
+    r = opposite.store[:u, :k] * st.cols[instr.vin][:u, None] - y * (y @ (coeffs * rho))[:, None]
+    cov = np.atleast_2d(np.cov(r, rowvar=False))
+    return np.sqrt(np.diag(m.T @ cov @ m) / st.n_samples)
+
+
+@pytest.mark.parametrize("n", [20_000, STDERR_ROWS, STDERR_ROWS + 1, 50_000])
+@pytest.mark.parametrize("name", ["semicircle", "mixed8", "mp_two", "duplicated"])
+def test_correction_stderr_reads_the_first_stderr_rows(monkeypatch, name, n):
+    if name == "mixed8":
+        prog = _chain(_MIXED)
+    elif name == "duplicated":
+        prog = dsl.parse_program(_DUPLICATED)
+    else:
+        prog = corpus.load_program(name)
+    st = build_limit(prog, n_samples=n, seed=4)
+    matmuls = [i for i in prog.instructions if isinstance(i, MatMul)]
+    solved = [i for i in matmuls if st.correction_info[i.out][0]]
+    assert solved
+    for instr in solved:
+        ses = st.correction_info[instr.out][2]
+        want = _dense_stderr(st, instr)
+        assert np.all(np.abs(ses - want) <= 1e-12 * want), instr.out
+    if n <= STDERR_ROWS:  # a small ensemble reads every sample, as before
+        monkeypatch.setattr(limits, "STDERR_ROWS", n)
+        every = build_limit(prog, n_samples=n, seed=4)
+        for instr in matmuls:
+            assert (st.correction_info[instr.out][2].tobytes()
+                    == every.correction_info[instr.out][2].tobytes()), instr.out
+
+
+def _answers(prog, n_samples, seed):
+    """Correction info, every XY expectation against the first vector, and the
+    scalar limits of a single ensemble; its columns are freed on return."""
+    st = build_limit(prog, n_samples=n_samples, seed=seed)
+    vectors = [v.name for v in prog.vectors] + [
+        i.out for i in prog.instructions if not isinstance(i, Moment)]
+    expects = [st.expect(XY, [vectors[0], nm]) for nm in vectors]
+    return dict(st.correction_info), expects, dict(st.scalar_limits)
+
+
+@pytest.mark.parametrize("name", ["affine16", "mixed16", "semicircle"])
+def test_stderr_rows_move_the_stderrs_by_under_5_percent(monkeypatch, name):
+    prog = {"affine16": lambda: _chain(["x1 + x2"] * 16), "mixed16": lambda: _chain(_MIXED * 2),
+            "semicircle": lambda: corpus.load_program("semicircle")}[name]()
+    n = 200_000
+    info, expects, scalars = _answers(prog, n, seed=11)
+    monkeypatch.setattr(limits, "STDERR_ROWS", n)  # every sample, as before
+    want_info, want_expects, want_scalars = _answers(prog, n, seed=11)
+    assert expects == want_expects and scalars == want_scalars
+    assert info.keys() == want_info.keys()
+    for g, (ys, coeffs, ses) in info.items():
+        want_ys, want_coeffs, want_ses = want_info[g]
+        assert ys == want_ys and coeffs.tobytes() == want_coeffs.tobytes(), g
+        assert np.all(np.abs(ses - want_ses) <= 0.05 * want_ses), g
+
+
 def test_deep_chain_stores_no_product_column():
     # x_i and y_i are read once, by z_i, so the build holds the two family
     # stores of 16 Gaussian parts each, the 17 z_i and a few temporaries
@@ -723,8 +798,8 @@ def test_helper_thread_and_one_cpu_build_the_same_bytes(monkeypatch, name):
     inline = builds()
     matmuls = sum(isinstance(i, MatMul) for i in prog.instructions)
     solves = sum(bool(ys) for ys, _, _ in helped[0].correction_info.values())
-    # with a helper, the single ensemble's stderrs and the replicas' normals ran on it
-    assert on_helper["fills"] == [False] * matmuls + [True] * 2 * matmuls + [False] * 3 * matmuls
+    # with a helper, every build's normals and the single ensemble's stderrs ran on it
+    assert on_helper["fills"] == [True] * 3 * matmuls + [False] * 3 * matmuls
     assert on_helper["stderrs"] == [True] * solves + [False] * solves
     _same_state(helped[0], inline[0], prog)
     assert all(np.isfinite(ses).all() for _, _, ses in helped[0].correction_info.values())
@@ -773,5 +848,6 @@ def test_an_error_part_way_cancels_the_queued_jobs(monkeypatch, error, with_stde
     after = len(ran)
     assert threading.active_count() == threads
     time.sleep(0.2)
-    # the single ensemble draws its normals on this thread, the helper the others
-    assert len(ran) == after and (with_stderr or after < 16)
+    # every build queues its 16 fills up front, and the stderrs behind them:
+    # the error cancels what has not started
+    assert len(ran) == after and after < 16
