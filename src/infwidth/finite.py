@@ -43,6 +43,10 @@ EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
 # products allocate none
 ELEMENT_CAP = 1 << 26
 HUTCHINSON_PROBES = 32
+# probe columns per separately keyed block of probe_forms, so a probe
+# estimate holds a few n x 128 blocks whatever its probe count; 128 keeps
+# every default (32-probe) run in one block, with its bytes
+PROBE_BLOCK = 128
 # entries per separately keyed row block of a formed matrix's W~; form_dense
 # fills the blocks of every matrix it forms on one pool of the usable CPUs
 BLOCK_ENTRIES = 1 << 22
@@ -662,22 +666,28 @@ def probe_forms(
 ) -> np.ndarray:
     """Per-probe quadratic forms z^T A^r z for r = 1..k, shape (k, probes).
 
-    apply maps an (n, probes) block to B times it, and the probes z are
-    drawn from stream(seed, *labels).  Without adjoint, A = B.  With
-    adjoint, a map to B^T times a block, A = B^T B, and
-    z^T A^r z = |x_r|^2 for x_0 = z and x_r = B x_{r-1} (r odd) or
-    B^T x_{r-1} (r even): one application of B or B^T per form, not two.
+    apply maps a block of probe columns to B times it.  The probes z come
+    in blocks of PROBE_BLOCK columns, block 0 drawn from
+    stream(seed, *labels) and block b >= 1 from stream(seed, *labels, b);
+    each block runs through all k moments before the next is drawn, so the
+    memory does not grow with `probes`.  Without adjoint, A = B.  With adjoint, a map to B^T times a
+    block, A = B^T B, and z^T A^r z = |x_r|^2 for x_0 = z and x_r = B x_{r-1}
+    (r odd) or B^T x_{r-1} (r even): one application of B or B^T per form,
+    not two.
     """
-    z = stream(seed, *labels).standard_normal((n, probes))
     out = np.empty((k, probes))
-    v = z
-    for r in range(k):
-        if adjoint is None:
-            v = apply(v)
-            out[r] = np.einsum("ip,ip->p", z, v)
-        else:
-            v = (adjoint if r % 2 else apply)(v)
-            out[r] = np.einsum("ip,ip->p", v, v)
+    for b, start in enumerate(range(0, probes, PROBE_BLOCK)):
+        cols = slice(start, min(start + PROBE_BLOCK, probes))
+        key = (*labels, b) if b else labels
+        z = stream(seed, *key).standard_normal((n, cols.stop - start))
+        v = z
+        for r in range(k):
+            if adjoint is None:
+                v = apply(v)
+                out[r, cols] = np.einsum("ip,ip->p", z, v)
+            else:
+                v = (adjoint if r % 2 else apply)(v)
+                out[r, cols] = np.einsum("ip,ip->p", v, v)
     return out
 
 

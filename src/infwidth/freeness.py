@@ -144,11 +144,14 @@ def _word_side(program: Program, word: AlternatingWord) -> str:
 
 
 def _poly_sum(poly: WordPoly, apply) -> np.ndarray:
-    """Sum of c * apply(w) over the polynomial's terms c * w."""
+    """Sum of c * apply(w) over the polynomial's terms c * w, summed in the
+    first term's array; apply must return a fresh array."""
     out = None
     for c, w in poly.terms:
-        term = c * apply(w)
-        out = term if out is None else out + term
+        term = apply(w)
+        if c != 1.0:
+            term *= c
+        out = term if out is None else np.add(out, term, out=out)
     return out
 
 
@@ -164,7 +167,11 @@ def centered_trace(
     Each centering constant tau_i is the normalized trace of that polynomial
     on the same realization.  Exact up to the side `cap`, which is at most
     finite.EXACT_CAP, Gaussian-probe estimated above it (method as in
-    finite.trace_probes).
+    finite.trace_probes).  The probe estimate applies the centered product
+    to blocks of finite.PROBE_BLOCK probes (finite.probe_forms) and centers
+    in place: each factor after the first subtracts tau_i v in the previous
+    factor's output, so it holds a few n x PROBE_BLOCK blocks besides the
+    formed matrices, whatever `probes` is.
     """
     side = _word_side(realization.program, word)
     if not side:
@@ -186,9 +193,14 @@ def centered_trace(
         for poly in polys
     ]
 
-    def apply(v):
+    def apply(z):
+        v = z
         for poly, tau in zip(polys, taus):
-            v = _poly_sum(poly, lambda w: word_apply(realization, w, v)) - tau * v
+            out = _poly_sum(poly, lambda w: word_apply(realization, w, v))
+            # the probe forms still read z; a later factor's input is the
+            # previous factor's own output, so it is scaled in place
+            out -= tau * v if v is z else np.multiply(v, tau, out=v)
+            v = out
         return v
 
     forms = probe_forms(

@@ -12,7 +12,7 @@ import pytest
 
 import infwidth
 from conftest import block_reference, dense, random_bounded_expr
-from infwidth import corpus
+from infwidth import corpus, finite
 from infwidth import exprs as E
 from infwidth.errors import (
     CapExceeded,
@@ -491,6 +491,38 @@ def test_non_mirror_forms_keep_the_full_word_path():
         want = [(float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(HUTCHINSON_PROBES)))
                 for est in forms / 96]
         assert spectral_moments(r, word, 3, method="hutch") == want
+
+
+def _block_forms_reference(b, z, k, adjoint):
+    """z^T (B^T B)^r z (adjoint) or z^T B^r z for r = 1..k on the block z."""
+    out, v = [], z
+    for r in range(k):
+        v = (b.T if adjoint and r % 2 else b) @ v
+        out.append(np.einsum("ip,ip->p", v, v) if adjoint else np.einsum("ip,ip->p", z, v))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("probes", [3, 4, 11])
+def test_probe_forms_run_keyed_probe_blocks(monkeypatch, adjoint, probes):
+    # blocks of PROBE_BLOCK columns, block 0 from (seed, *labels) and block
+    # b >= 1 from (seed, *labels, b), each through every moment; a single
+    # block is the one (n, probes) draw of the whole probe set
+    monkeypatch.setattr(finite, "PROBE_BLOCK", 4)
+    b = stream(0, "test-matrix").standard_normal((64, 64)) / 8
+    got = probe_forms(lambda v: b @ v, 64, 3, probes, 5, "hutch", "w",
+                      adjoint=(lambda v: b.T @ v) if adjoint else None)
+    starts = range(0, probes, 4)
+    keys = [("hutch", "w")] + [("hutch", "w", j) for j in range(1, len(starts))]
+    want = np.hstack([
+        _block_forms_reference(b, stream(5, *key).standard_normal((64, min(4, probes - start))),
+                               3, adjoint)
+        for key, start in zip(keys, starts)
+    ])
+    assert np.array_equal(got, want)
+    if probes <= 4:
+        whole = stream(5, "hutch", "w").standard_normal((64, probes))
+        assert np.array_equal(got, _block_forms_reference(b, whole, 3, adjoint))
 
 
 def test_trace_probes_takes_method_names_only():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,57 @@ def test_centered_trace_hutch_close_to_exact():
     exact = centered_trace(r, word, method="exact")
     est = centered_trace(r, word, method="hutch", probes=256)
     assert est == pytest.approx(exact, abs=0.02)
+
+
+def _centered_trace_copying(r, word, probes):
+    """The probe path of centered_trace with every centered factor a fresh
+    sum, _poly_sum(...) - tau * v, as the in-place centering must match."""
+    polys = [poly for _, poly in word.factors]
+    n = r.dims["c"]
+    taus = [math.fsum(c * trace_moment(r, w, "hutch", probes)[0] for c, w in poly.terms)
+            for poly in polys]
+
+    def poly_sum(poly, v):
+        out = None
+        for c, w in poly.terms:
+            term = c * word_apply(r, w, v)
+            out = term if out is None else out + term
+        return out
+
+    def apply(v):
+        for poly, tau in zip(polys, taus):
+            v = poly_sum(poly, v) - tau * v
+        return v
+
+    forms = probe_forms(apply, n, 1, probes, r.seed, "ctrace", "|".join(q.key() for q in polys))
+    return float(np.mean(forms[0]) / n)
+
+
+@pytest.mark.parametrize("probes", [32, 200])
+def test_in_place_centering_keeps_the_bytes(probes):
+    # three alternating factors, one of them a weighted two-term polynomial
+    poly = WordPoly(
+        ((0.5, MatrixWord((MatFactor("W"),))), (2.0, MatrixWord((MatFactor("W", True),))))
+    )
+    word = alternating_word(poly, STEP_DIAG, WWT)
+    r = _real(160, 4)
+    got = centered_trace(r, word, method="hutch", probes=probes)
+    assert got == _centered_trace_copying(r, word, probes)
+
+
+def test_probe_centered_trace_memory_stays_flat_in_the_probe_count():
+    # the probes run in blocks of PROBE_BLOCK columns and the centering
+    # works in place, so 1024 probes at n = 1024 hold a few 1 MiB blocks,
+    # not several 8 MiB (n, 1024) ones
+    r = _real(1024, 2)
+    r.form("W")
+    tracemalloc.start()
+    try:
+        centered_trace(r, corpus.load_word("word_a"), method="hutch", probes=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_freeness_sweep_free_word_decays():
