@@ -13,10 +13,11 @@ empirical moments of J^T J, from power traces of the Gram matrix of J's
 kept columns (those its diagonals do not zero out, with every W_l formed
 together, each given its forward product) or from probe forms that apply
 J or J^T once per moment, against the free multiplicative convolution of
-the per-layer square-derivative laws with Marchenko-Pastur factors.  A
-centering constant of a mirror monomial R^T R, such as W W^T, takes its
-probe forms the same way, one application of R or R^T per moment
-(finite.spectral_moments).
+the per-layer square-derivative laws with Marchenko-Pastur factors.  Above
+the dense cap, the centering constant of a diagonal monomial, of one with a
+single matrix factor, or of a mirror W D W^T E such as W W^T, is an exact
+O(n^2) sum over the formed matrices (monomial_trace); only other monomials
+take probe forms (finite.spectral_moments).
 """
 
 from __future__ import annotations
@@ -155,6 +156,49 @@ def _poly_sum(poly: WordPoly, apply) -> np.ndarray:
     return out
 
 
+def _diag_product(realization: Realization, factors, n: int) -> np.ndarray:
+    """The entrywise product of the diagonal factors among `factors`; ones if none."""
+    d = np.ones(n)
+    for f in factors:
+        if isinstance(f, DiagFactor):
+            d *= diag_entries(realization, f)
+    return d
+
+
+def monomial_trace(realization: Realization, word: MatrixWord, probes: int) -> float:
+    """Normalized trace (1/n) tr(word) of a square monomial, exact when it is cheap.
+
+    With D and E products of diagonal factors, a word of diagonals only is
+    (1/n) sum d, one with a single matrix factor M is (1/n) sum_i M_ii d_i,
+    and one whose only matrix factors are W and W^T, cyclically W D W^T E
+    or W^T D W E, is a weighted sum of the squared entries of W.  Each sum
+    reads the formed W in its own layout with numpy, not BLAS, and no n x n
+    temporary.  Any other word is trace_moment(..., "hutch", probes).
+    """
+    n = realization.dims[square_class(realization.program, word)]
+    fs = word.factors
+    mats = [i for i, f in enumerate(fs) if isinstance(f, MatFactor)]
+    if not mats:
+        return float(_diag_product(realization, fs, n).sum()) / n
+    if len(mats) == 1:
+        (w,) = realization.form(fs[mats[0]].name)
+        return float(np.einsum("ii,i->", w, _diag_product(realization, fs, n))) / n
+    if len(mats) == 2:
+        i, j = mats
+        left, right = fs[i], fs[j]
+        if left.name == right.name and left.transposed != right.transposed:
+            # the diagonals between the two weight the side of W they
+            # contract (its columns in W D W^T, its rows in W^T D W), the
+            # rest, cyclically, its other side
+            (w,) = realization.form(left.name)
+            inner = _diag_product(realization, fs[i + 1:j], w.shape[1 - left.transposed])
+            outer = _diag_product(realization, fs[j + 1:] + fs[:i], n)
+            rows, cols = (inner, outer) if left.transposed else (outer, inner)
+            sq = np.einsum("ij,ij,j->i", w, w, cols)
+            return float(np.einsum("i,i->", rows, sq)) / n
+    return trace_moment(realization, word, "hutch", probes)[0]
+
+
 def centered_trace(
     realization: Realization,
     word: AlternatingWord,
@@ -167,11 +211,14 @@ def centered_trace(
     Each centering constant tau_i is the normalized trace of that polynomial
     on the same realization.  Exact up to the side `cap`, which is at most
     finite.EXACT_CAP, Gaussian-probe estimated above it (method as in
-    finite.trace_probes).  The probe estimate applies the centered product
-    to blocks of finite.PROBE_BLOCK probes (finite.probe_forms) and centers
-    in place: each factor after the first subtracts tau_i v in the previous
-    factor's output, so it holds a few n x PROBE_BLOCK blocks besides the
-    formed matrices, whatever `probes` is.
+    finite.trace_probes).  Above the cap, tau_i sums its monomials'
+    monomial_trace: exact from the formed matrices for diagonal words, words
+    with one matrix factor and W D W^T E mirrors, probe estimates for the
+    rest.  The centered product is applied to blocks of finite.PROBE_BLOCK
+    probes (finite.probe_forms) and centered in place: each factor after the
+    first subtracts tau_i v in the previous factor's output, so it holds a
+    few n x PROBE_BLOCK blocks besides the formed matrices, whatever
+    `probes` is.
     """
     side = _word_side(realization.program, word)
     if not side:
@@ -189,7 +236,7 @@ def centered_trace(
         return float(np.trace(acc[:n, :n])) / n
 
     taus = [
-        math.fsum(c * trace_moment(realization, w, "hutch", p)[0] for c, w in poly.terms)
+        math.fsum(c * monomial_trace(realization, w, p) for c, w in poly.terms)
         for poly in polys
     ]
 

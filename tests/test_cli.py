@@ -338,9 +338,9 @@ _GOLDEN_SHA = {
     "free_exact":
         "56cafd99675b6e603d63ad1445bf1edcc2714cfc02f2cafc03787ce4897edf8d",
     "free_hutch_witness":
-        "198bc17dd9092200fd86d6f707e5772ac83c1cbb328cf21c9849c700521ea724",
+        "97a20ad742282cb4ed09a4f47e0b9257008f878aa67a311e4be0ac27f0add2ab",
     "free_auto":
-        "807426d1f9d57d150c9bb3515602dd7bf2c00d472e44faa95155b7feeeada4a2",
+        "1459b5911ca3435f124ca46e9edaa2660f0547da04c9c274a36e553ccd4ee543",
     "jacobian_dense":
         "b60cca68949e8aa80086b44e6306db5e05582ad51f9ea50d1fdbc26c22d1a31b",
     "jacobian_probe":

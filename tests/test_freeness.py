@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import dense
-from infwidth import corpus, freeness
+from infwidth import corpus, finite, freeness
 from infwidth import exprs as E
+from infwidth.cli import run
 from infwidth.errors import NotAlternating
 from infwidth.finite import (
     DiagFactor,
@@ -37,6 +38,7 @@ from infwidth.freeness import (
     mlp_forward_variances,
     mlp_program,
     monomial,
+    monomial_trace,
     FREENESS_PROBES,
     JACOBIAN_KMAX,
     _loglog_slope,
@@ -145,7 +147,7 @@ def _centered_trace_copying(r, word, probes):
     sum, _poly_sum(...) - tau * v, as the in-place centering must match."""
     polys = [poly for _, poly in word.factors]
     n = r.dims["c"]
-    taus = [math.fsum(c * trace_moment(r, w, "hutch", probes)[0] for c, w in poly.terms)
+    taus = [math.fsum(c * monomial_trace(r, w, probes) for c, w in poly.terms)
             for poly in polys]
 
     def poly_sum(poly, v):
@@ -174,6 +176,63 @@ def test_in_place_centering_keeps_the_bytes(probes):
     r = _real(160, 4)
     got = centered_trace(r, word, method="hutch", probes=probes)
     assert got == _centered_trace_copying(r, word, probes)
+
+
+STEP = DiagFactor(("xv",), E.step(E.x(0)))
+TANH = DiagFactor(("xv",), E.tanh(E.x(0)))
+W, WT = MatFactor("W"), MatFactor("W", True)
+A, AT = MatFactor("A"), MatFactor("A", True)
+
+
+@pytest.mark.parametrize("name,factors", [
+    ("fipbase", (STEP,)),
+    ("fipbase", (STEP, TANH)),
+    ("fipbase", (W,)),
+    ("fipbase", (WT,)),
+    ("fipbase", (STEP, W, TANH)),
+    ("fipbase", (W, WT)),
+    ("fipbase", (WT, STEP, W)),
+    ("fipbase", (TANH, W, STEP, WT, STEP)),
+    # A : m x n with m = 2n, so A A^T acts on m and A^T A on n
+    ("mp_two", (A, AT)),
+    ("mp_two", (AT, A)),
+    ("mp_two", (DiagFactor(("v1",), E.tanh(E.x(0))), A, DiagFactor(("u1",), E.tanh(E.x(0))), AT)),
+    ("mp_two", (AT, DiagFactor(("v1",), E.tanh(E.x(0))), A)),
+])
+def test_monomial_trace_is_exact_on_cheap_forms(name, factors):
+    prog = corpus.load_program(name)
+    r = instantiate(prog, dims_for_scale(prog, 96), 5)
+    word = MatrixWord(factors)
+    n = r.dims[finite.square_class(prog, word)]
+    want = np.trace(materialize(r, word)) / n
+    assert monomial_trace(r, word, 16) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("factors", [(W, W), (W, WT, W, WT)])
+def test_monomial_trace_keeps_probes_elsewhere(factors):
+    # W W reads W against its own transpose, and a four-matrix mirror is
+    # no single W D W^T E: both stay on the probes of trace_moment
+    r = _real(128, 6)
+    word = MatrixWord(factors)
+    assert monomial_trace(r, word, 24) == trace_moment(r, word, "hutch", 24)[0]
+
+
+@pytest.mark.parametrize("word", ["word_a", "word_b"])
+def test_probe_centered_trace_draws_no_centering_probes(monkeypatch, tmp_path, word):
+    # every centering constant of word_a and word_b is exact, so the only
+    # probe streams are those of the centered product
+    drawn = []
+    real = finite.stream
+
+    def spy(seed, *labels):
+        drawn.append(labels[0])
+        return real(seed, *labels)
+
+    monkeypatch.setattr(finite, "stream", spy)
+    rc = run(["free", "--program", "@fipbase", "--word", f"@{word}", "--method", "hutch:8",
+              "--n", "64,96", "--seeds", "2", "--out", str(tmp_path / "free.csv")])
+    assert rc == 0
+    assert drawn.count("ctrace") == 4 and "hutch" not in drawn
 
 
 def test_probe_centered_trace_memory_stays_flat_in_the_probe_count():
