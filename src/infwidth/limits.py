@@ -50,14 +50,17 @@ the same.  Initial vectors and nonlin outputs are always stored.
 
 A build runs its sequential chain on the calling thread: Gram rows,
 conditioning, correction solves and column forms.  When 2 or more CPUs are
-usable, one helper thread takes the work the chain does not wait on, in one
-queue: first every member's fresh normals, drawn into its store column from
-a stream keyed by (seed, matrix, direction, index) and queued up front in
-program order, then, in a single ensemble, each correction stderr as its
-solve queues it, which only the end of the build reads.  The chain's
-n-length dots and products are numpy sums, not BLAS, so they run on one core
-and the bytes do not depend on the BLAS thread count; with one usable CPU,
-or under a direct ``advance``, everything runs inline with the same bytes.
+usable, one helper thread per build takes the work the chain does not wait
+on, in one queue: first every member's fresh normals, drawn into its store
+column from a stream keyed by (seed, matrix, direction, index) and queued up
+front in program order, then, in a single ensemble, each correction stderr
+as its solve queues it, which only the end of the build reads.  A replicated
+build shares its helper among its replicas and queues replica r + 1's
+normals behind replica r's before r's chain runs, so the helper draws them
+while the chain runs.  The chain's n-length dots and products are numpy
+sums, not BLAS, so they run on one core and the bytes do not depend on the
+BLAS thread count; with one usable CPU, or under a direct ``advance``,
+everything runs inline with the same bytes.
 
 Scalars produced by moment instructions converge to the ensemble mean of
 the expression over the children's limit samples.  Replicas split the sample
@@ -65,8 +68,10 @@ budget over independent ensembles and are pooled through one rule.  A caller
 that declares its expectation tests before the build keeps of each replica
 only a ``ReplicaAnswers`` record (those expectations, the scalar limits,
 ``correction_info`` and the diagnostics), made right after the replica is
-built, so its columns and family stores are freed before the next one is
-built and an R-replica build holds one replica's ensemble at a time.
+built, so its columns and family stores are freed before another replica is
+built and an R-replica build holds at most two replicas' ensembles at a
+time: the one whose chain runs and the next, whose normals the helper draws
+meanwhile (one, with no helper).
 """
 
 from __future__ import annotations
@@ -194,8 +199,8 @@ class LimitState:
         # False in replicas, which report their spread, and for callers that
         # never read them: correction stderrs are NaN
         self._with_stderr = _with_stderr
-        # while _process builds: its helper thread and each family member's
-        # queued fill of fresh normals, by (matrix, transposed, index)
+        # from _queue_fills until _run_chain ends: its helper thread and each
+        # family member's queued fill of fresh normals, by (matrix, transposed, index)
         self._helper = None
         self._fills: dict[tuple[str, bool, int], Future] = {}
         self.gauss_cols: dict[str, np.ndarray] = {}
@@ -288,8 +293,8 @@ class LimitState:
 
         Returns (input names, coefficients, first-order standard errors); the
         standard errors are NaN in a state built without them, and a Future
-        of them, queued on the helper behind the normals, while _process
-        builds, since nothing reads them before the build ends.
+        of them, queued on the helper behind the normals, while _run_chain
+        runs with one, since nothing reads them before the chain ends.
         """
         opposite = self.families.get((instr.matrix, not instr.transposed))
         if opposite is None or len(opposite) == 0:
@@ -483,33 +488,43 @@ def _nodes(e: exprs.Expr):
 def build_limit(
     program: Program, n_samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> LimitState:
-    """Process a whole program into its limit state."""
-    return _process(LimitState(program, n_samples=n_samples, seed=seed))
-
-
-def _process(state: LimitState) -> LimitState:
-    """Advance over the whole program.  This thread runs the chain; a helper
-    thread, when there is one, draws every member's fresh normals, queued up
-    front in program order, then computes the correction stderrs the solves
-    queue behind them, collected at the end (see the module docstring)."""
+    """Process a whole program into its limit state, with a helper thread of
+    its own when there is one (see the module docstring)."""
     with helper_thread() as helper:
-        state._helper = helper
-        try:
-            slots: dict[tuple[str, bool], int] = {}
-            for instr in state.program.instructions:
-                if helper is not None and isinstance(instr, MatMul):
-                    key = (instr.matrix, instr.transposed)
-                    k = slots[key] = slots.get(key, -1) + 1
-                    state._fills[(*key, k)] = helper.submit(
-                        _draw_fresh, state.seed, state._family(*key), k)
-            for instr in state.program.instructions:
-                state.advance(instr)
-            for g, (ys, coeffs, stderr) in list(state.correction_info.items()):
-                if isinstance(stderr, Future):
-                    state.correction_info[g] = (ys, coeffs, stderr.result())
-        finally:
-            state._helper = None
-            state._fills.clear()
+        return _run_chain(_queue_fills(LimitState(program, n_samples=n_samples, seed=seed),
+                                       helper))
+
+
+def _queue_fills(state: LimitState, helper) -> LimitState:
+    """Give the state its helper and queue on it every member's fresh normals
+    in program order, behind whatever the helper already has.  With a
+    helper, the family stores are allocated here, on the calling thread, so
+    their pages come from its arena and go back to it when the state is
+    freed."""
+    state._helper = helper
+    if helper is not None:
+        slots: dict[tuple[str, bool], int] = {}
+        for instr in state.program.instructions:
+            if isinstance(instr, MatMul):
+                key = (instr.matrix, instr.transposed)
+                k = slots[key] = slots.get(key, -1) + 1
+                state._fills[(*key, k)] = helper.submit(
+                    _draw_fresh, state.seed, state._family(*key), k)
+    return state
+
+
+def _run_chain(state: LimitState) -> LimitState:
+    """Run the state's chain on this thread, waiting on its queued fills, then
+    collect the correction stderrs its solves queued behind them."""
+    try:
+        for instr in state.program.instructions:
+            state.advance(instr)
+        for g, (ys, coeffs, stderr) in list(state.correction_info.items()):
+            if isinstance(stderr, Future):
+                state.correction_info[g] = (ys, coeffs, stderr.result())
+    finally:
+        state._helper = None
+        state._fills.clear()
     return state
 
 
@@ -606,10 +621,15 @@ def build_replicated(
     A single ensemble computes its correction stderrs unless with_stderr is
     False (a caller that never reads them); replicas never do.
 
+    The replicas share one helper thread (see the module docstring).  With
+    one, replica r + 1 is built and its normals queued before replica r's
+    chain runs, so the build holds two replicas' ensembles while a chain
+    runs; with none, one.
+
     With ``tests``, the (expression, vectors) pairs whose expectations the
     caller will ask for, each replica is reduced to a ``ReplicaAnswers``
     record as soon as it is built, and its columns, Gaussian parts and
-    family stores are freed before the next replica is built; ``expect`` of
+    family stores are freed before another replica is built; ``expect`` of
     any other test raises UnknownSymbol.  Without it every replica's full
     state is kept until the result is dropped; that path serves only the
     benchmark replay, which reads ``states``, and goes when the replay is
@@ -618,10 +638,21 @@ def build_replicated(
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     states = []
-    for r in range(replicas):
-        state = _process(LimitState(program, n_samples=n_samples // replicas,
-                                    seed=seed * 1_000_003 + r,
-                                    _with_stderr=with_stderr and replicas == 1))
-        states.append(state if tests is None else ReplicaAnswers(state, tests))
-        del state  # with tests, this frees the replica before the next is built
+    with helper_thread() as helper:
+        def replica(r: int) -> LimitState:
+            return _queue_fills(LimitState(program, n_samples=n_samples // replicas,
+                                           seed=seed * 1_000_003 + r,
+                                           _with_stderr=with_stderr and replicas == 1), helper)
+
+        # with a helper, replica r + 1 is built and its fills queued behind
+        # replica r's before r's chain runs, so the helper draws its normals
+        # meanwhile; inline, each replica is built when its chain runs
+        lead = 0 if helper is None else 1
+        queued = [replica(r) for r in range(lead)]
+        for r in range(replicas):
+            if r + lead < replicas:
+                queued.append(replica(r + lead))
+            state = _run_chain(queued.pop(0))
+            states.append(state if tests is None else ReplicaAnswers(state, tests))
+            del state  # with tests, this frees the replica before another is built
     return ReplicatedLimit(states)

@@ -449,27 +449,40 @@ def test_answers_records_answer_only_the_declared_tests():
 
 @pytest.mark.parametrize("replicas", [1, 8])
 def test_a_build_with_tests_frees_each_replica_before_the_next(monkeypatch, replicas):
-    """No family store, Gaussian part or stored column of a replica outlives its
-    answers: each is gone before the next replica is built and when the build
-    returns, by reference counting alone."""
-    refs = []
-    real = limits._process
+    """At most two replicas are alive: when replica r's chain starts, the states
+    alive are r's and r + 1's, whose normals the helper draws meanwhile, and
+    every family store, Gaussian part and stored column of replica r - 2 is
+    gone (r - 1's last fill may still be leaving the helper).  All are gone
+    when the build returns, by reference counting alone."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # with a helper
+    built = []  # every replica's state, in order
+    refs = []  # per replica whose chain has run
+    real_queue, real = limits._queue_fills, limits._run_chain
 
-    def process(state):
-        assert all(r() is None for r in refs)
+    def queue(state, helper):
+        built.append(weakref.ref(state))
+        return real_queue(state, helper)
+
+    def run_chain(state):
+        r = len(refs)
+        assert [i for i, st in enumerate(built) if st() is not None] == list(
+            range(r, min(r + 2, replicas)))
+        assert all(ref() is None for rs in refs[:-1] for ref in rs)
         state = real(state)
-        refs.extend(weakref.ref(a) for a in [
+        refs.append([weakref.ref(a) for a in [
             *(f.store for f in state.families.values()),
-            *state.gauss_cols.values(), *dict.values(state.cols)])
+            *state.gauss_cols.values(), *dict.values(state.cols)]])
         return state
 
-    monkeypatch.setattr(limits, "_process", process)
+    monkeypatch.setattr(limits, "_queue_fills", queue)
+    monkeypatch.setattr(limits, "_run_chain", run_chain)
     gc.disable()
     try:
         rep = build_replicated(corpus.load_program("semicircle"), n_samples=800 * replicas,
                                seed=5, replicas=replicas, tests=[(XY, ["z0", "z2"])])
-        assert len(refs) == replicas * (2 + 12 + 7)
-        assert all(r() is None for r in refs)
+        assert [len(rs) for rs in refs] == [2 + 12 + 7] * replicas
+        assert all(ref() is None for rs in refs for ref in rs)
+        assert all(st() is None for st in built)
     finally:
         gc.enable()
     assert len(rep.states) == replicas
@@ -851,3 +864,66 @@ def test_an_error_part_way_cancels_the_queued_jobs(monkeypatch, error, with_stde
     # every build queues its 16 fills up front, and the stderrs behind them:
     # the error cancels what has not started
     assert len(ran) == after and after < 16
+
+
+def test_an_error_in_a_replicated_chain_cancels_the_next_replicas_fills(monkeypatch):
+    """Replica 0's chain raises after replica 1's fills are queued behind its
+    own: the error propagates, no fill of replica 1 runs and the helper is
+    joined, so the build leaves no thread behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # with a helper
+    queued, ran = [], []
+    real_queue, real_draw = limits._queue_fills, limits._draw_fresh
+
+    def queue(state, helper):
+        queued.append(state.seed)
+        return real_queue(state, helper)
+
+    def slow(seed, family, k):
+        time.sleep(0.02)
+        ran.append(seed)
+        real_draw(seed, family, k)
+
+    monkeypatch.setattr(limits, "_queue_fills", queue)
+    monkeypatch.setattr(limits, "_draw_fresh", slow)
+    threads = threading.active_count()
+    with pytest.raises(StepAtJump):
+        build_replicated(dsl.parse_program(_JUMP_AFTER_DEPTH_2), n_samples=8 * 2000, seed=1,
+                         replicas=8, tests=[])
+    after = len(ran)
+    assert threading.active_count() == threads
+    assert queued == [1_000_003, 1_000_004]
+    time.sleep(0.2)
+    # replica 0 stopped after 4 of its 16 products, before its last fills ran
+    assert len(ran) == after and set(ran) == {1_000_003} and after < 16
+
+
+def _info_bytes(info):
+    return {g: (ys, coeffs.tobytes(), ses.tobytes()) for g, (ys, coeffs, ses) in info.items()}
+
+
+@pytest.mark.parametrize("name", ["semicircle", "mixed8"])
+def test_a_pipelined_replicated_build_has_the_bytes_of_an_inline_one(monkeypatch, name):
+    """An R = 8 build whose helper draws the next replica's normals while a
+    chain runs gives the answers and kept states of one built inline on one CPU."""
+    prog = corpus.load_program("semicircle") if name == "semicircle" else _chain(_MIXED)
+    vectors = [v.name for v in prog.vectors] + [
+        i.out for i in prog.instructions if not isinstance(i, Moment)]
+    tests = [(XY, [vectors[0], nm]) for nm in vectors]
+
+    def builds():  # answers, and kept states as the replay reads them
+        return (build_replicated(prog, n_samples=8 * 1500, seed=4, replicas=8, tests=tests),
+                build_replicated(prog, n_samples=8 * 1500, seed=4, replicas=8))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    helped = builds()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = builds()
+    assert len(helped[0].states) == len(inline[0].states) == 8
+    for a, b in zip(helped[0].states, inline[0].states):
+        assert a.expectations == b.expectations
+        assert a.scalar_limits == b.scalar_limits
+        assert _info_bytes(a.correction_info) == _info_bytes(b.correction_info)
+        assert a.diagnostics == b.diagnostics
+    assert len(helped[1].states) == len(inline[1].states) == 8
+    for a, b in zip(helped[1].states, inline[1].states):
+        _same_state(a, b, prog)
