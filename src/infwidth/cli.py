@@ -77,6 +77,9 @@ def _parse_int_list(text: str) -> list[int]:
     vals = [int(t) for t in text.split(",") if t]
     if not vals or any(v < 1 for v in vals):
         raise ValueError("sizes must be positive integers")
+    repeated = sorted({v for v in vals if vals.count(v) > 1})
+    if repeated:  # each cell of a repeated size would be counted once per copy
+        raise ValueError(f"sizes must be distinct; repeated: {','.join(map(str, repeated))}")
     return vals
 
 
@@ -159,21 +162,20 @@ def _limit_rows(program: Program, state, tests):
     return rows
 
 
-def _limit_state(program: Program, args, tests, with_stderr: bool = False):
+def _limit_state(program: Program, args, tests):
     """The limit of a program under --ensemble, --seed and --replicas, which
     answers the expectations of `tests` (label, expr, vectors) and every
     scalar and correction; each replica is reduced to those answers as soon
-    as it is built.  Only `limit` prints correction stderrs, so only it asks
-    for them."""
+    as it is built."""
     return build_replicated(program, n_samples=args.ensemble, seed=args.seed,
-                            replicas=args.replicas, with_stderr=with_stderr,
+                            replicas=args.replicas,
                             tests=[(expr, vecs) for _, expr, vecs in tests])
 
 
 def cmd_limit(args) -> int:
     name, program = _resolve_program(args.program)
     tests = _parse_tests(program, name, args.test)
-    state = _limit_state(program, args, tests, with_stderr=True)
+    state = _limit_state(program, args, tests)
     _write_csv(args.out, ("object", "kind", "value", "stderr"), _limit_rows(program, state, tests))
     return 0
 
@@ -443,13 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Run one command; on error, emit a machine-readable error row and rc 2."""
+    """Run one command; on error, emit a machine-readable error row and rc 2,
+    to --out, or to stdout when --out cannot be written."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:  # deliberate: errors become CSV + nonzero exit
-        _write_csv(getattr(args, "out", None), ("error", "kind", "message"),
-                   [("error", type(exc).__name__, str(exc))])
+        row = [("error", type(exc).__name__, str(exc))]
+        try:
+            _write_csv(getattr(args, "out", None), ("error", "kind", "message"), row)
+        except OSError:
+            _write_csv(None, ("error", "kind", "message"), row)
         return 2
 
 

@@ -16,7 +16,6 @@ tr M = E z^T M z.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
@@ -216,22 +215,6 @@ def map_threads(fn, items, workers: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, items))
-
-
-@contextlib.contextmanager
-def helper_thread():
-    """One worker thread beside the caller when 2 or more CPUs are usable,
-    else None, and the caller runs that work inline.  On leaving, work not
-    yet started is cancelled (there is none unless the block raised) and
-    the thread is joined, so an error propagates only after both."""
-    if len(os.sched_getaffinity(0)) < 2:
-        yield None
-        return
-    pool = ThreadPoolExecutor(1)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _split(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,10 +19,9 @@ The limit of a matmul output splits into two parts:
   the current input, and rho_applied is the limiting rows/cols ratio of the
   matrix as applied.  This form needs no derivatives and is exact for
   non-differentiable nonlinearities as well.  The coefficients'
-  delta-method stderr is computed only for a single ensemble whose caller
-  reads it (replicas report their spread), from the covariance of its first
-  ``STDERR_ROWS`` samples, in fixed row blocks through one small reused
-  buffer.
+  delta-method stderr is computed only for a single ensemble (replicas
+  report their spread), from the covariance of its first ``STDERR_ROWS``
+  samples, in fixed row blocks through one small reused buffer.
 
 Both parts solve against one Gram matrix, that of the family's inputs, and
 each family keeps it as an incremental Cholesky factor ``L``.  A new member's
@@ -49,18 +48,18 @@ each time it is read (by a nonlin or moment, by ``expect`` or through
 the same.  Initial vectors and nonlin outputs are always stored.
 
 A build runs its sequential chain on the calling thread: Gram rows,
-conditioning, correction solves and column forms.  When 2 or more CPUs are
-usable, one helper thread per build takes the work the chain does not wait
-on, in one queue: first every member's fresh normals, drawn into its store
-column from a stream keyed by (seed, matrix, direction, index) and queued up
-front in program order, then, in a single ensemble, each correction stderr
-as its solve queues it, which only the end of the build reads.  A replicated
-build shares its helper among its replicas and queues replica r + 1's
-normals behind replica r's before r's chain runs, so the helper draws them
-while the chain runs.  The chain's n-length dots and products are numpy
-sums, not BLAS, so they run on one core and the bytes do not depend on the
-BLAS thread count; with one usable CPU, or under a direct ``advance``,
-everything runs inline with the same bytes.
+conditioning, correction solves and column forms.  One helper thread per
+build takes the work the chain does not wait on, in one queue: first every
+member's fresh normals, drawn into its store column from a stream keyed by
+(seed, matrix, direction, index) and queued up front in program order, then,
+in a single ensemble, each correction stderr as its solve queues it, which
+only the end of the build reads.  A replicated build shares its helper among
+its replicas and queues replica r + 1's normals behind replica r's before
+r's chain runs, so the helper draws them while the chain runs.  The chain's
+n-length dots and products are numpy sums, not BLAS, so they run on one core
+and the bytes do not depend on the BLAS thread count or on the number of
+usable CPUs; a direct ``advance`` draws the normals and computes the stderrs
+inline, with the same bytes.
 
 Scalars produced by moment instructions converge to the ensemble mean of
 the expression over the children's limit samples.  Replicas split the sample
@@ -71,13 +70,13 @@ only a ``ReplicaAnswers`` record (those expectations, the scalar limits,
 built, so its columns and family stores are freed before another replica is
 built and an R-replica build holds at most two replicas' ensembles at a
 time: the one whose chain runs and the next, whose normals the helper draws
-meanwhile (one, with no helper).
+meanwhile.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -89,7 +88,6 @@ from .errors import (
     StepAtJump,
     UnknownSymbol,
 )
-from .finite import helper_thread
 from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
@@ -196,8 +194,7 @@ class LimitState:
         if self.n_samples < 2:
             raise ValueError(f"a limit ensemble needs at least 2 samples (got {self.n_samples})")
         self.seed = int(seed)
-        # False in replicas, which report their spread, and for callers that
-        # never read them: correction stderrs are NaN
+        # False in replicas, which report their spread: correction stderrs are NaN
         self._with_stderr = _with_stderr
         # from _queue_fills until _run_chain ends: its helper thread and each
         # family member's queued fill of fresh normals, by (matrix, transposed, index)
@@ -488,28 +485,49 @@ def _nodes(e: exprs.Expr):
 def build_limit(
     program: Program, n_samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> LimitState:
-    """Process a whole program into its limit state, with a helper thread of
-    its own when there is one (see the module docstring)."""
-    with helper_thread() as helper:
-        return _run_chain(_queue_fills(LimitState(program, n_samples=n_samples, seed=seed),
-                                       helper))
+    """Process a whole program into its limit state, with its correction
+    stderrs (see the module docstring)."""
+    return _build(program, n_samples, [seed], None)[0]
 
 
-def _queue_fills(state: LimitState, helper) -> LimitState:
+def _build(program: Program, n_samples: int, seeds: list[int], tests) -> list:
+    """The one build loop: a state per seed, or its ``ReplicaAnswers`` with
+    ``tests``, on one helper thread (see the module docstring).  On leaving,
+    work not yet started is cancelled (there is none unless a chain raised)
+    and the helper is joined, so an error propagates only after both."""
+    helper = ThreadPoolExecutor(1)
+
+    def queued(seed: int) -> LimitState:
+        return _queue_fills(LimitState(program, n_samples=n_samples, seed=seed,
+                                       _with_stderr=len(seeds) == 1), helper)
+
+    built = []
+    try:
+        nxt = queued(seeds[0])
+        for i in range(len(seeds)):
+            # seed i + 1's fills are queued behind seed i's before seed i's chain runs
+            state, nxt = nxt, queued(seeds[i + 1]) if i + 1 < len(seeds) else None
+            state = _run_chain(state)
+            built.append(state if tests is None else ReplicaAnswers(state, tests))
+            del state  # with tests, this frees the state before another is built
+    finally:
+        helper.shutdown(wait=True, cancel_futures=True)
+    return built
+
+
+def _queue_fills(state: LimitState, helper: ThreadPoolExecutor) -> LimitState:
     """Give the state its helper and queue on it every member's fresh normals
-    in program order, behind whatever the helper already has.  With a
-    helper, the family stores are allocated here, on the calling thread, so
-    their pages come from its arena and go back to it when the state is
-    freed."""
+    in program order, behind whatever the helper already has.  The family
+    stores are allocated here, on the calling thread, so their pages come
+    from its arena and go back to it when the state is freed."""
     state._helper = helper
-    if helper is not None:
-        slots: dict[tuple[str, bool], int] = {}
-        for instr in state.program.instructions:
-            if isinstance(instr, MatMul):
-                key = (instr.matrix, instr.transposed)
-                k = slots[key] = slots.get(key, -1) + 1
-                state._fills[(*key, k)] = helper.submit(
-                    _draw_fresh, state.seed, state._family(*key), k)
+    slots: dict[tuple[str, bool], int] = {}
+    for instr in state.program.instructions:
+        if isinstance(instr, MatMul):
+            key = (instr.matrix, instr.transposed)
+            k = slots[key] = slots.get(key, -1) + 1
+            state._fills[(*key, k)] = helper.submit(
+                _draw_fresh, state.seed, state._family(*key), k)
     return state
 
 
@@ -612,19 +630,13 @@ def build_replicated(
     seed: int = 0,
     replicas: int = 1,
     *,
-    with_stderr: bool = True,
     tests: list[tuple[exprs.Expr, list[str]]] | None = None,
 ) -> ReplicatedLimit:
     """Split the sample budget over independent ensembles (see ReplicatedLimit).
 
     Each replica gets n_samples // replicas samples, which must be at least 2.
-    A single ensemble computes its correction stderrs unless with_stderr is
-    False (a caller that never reads them); replicas never do.
-
-    The replicas share one helper thread (see the module docstring).  With
-    one, replica r + 1 is built and its normals queued before replica r's
-    chain runs, so the build holds two replicas' ensembles while a chain
-    runs; with none, one.
+    A single ensemble computes its correction stderrs; replicas never do.
+    The replicas share one helper thread (see the module docstring).
 
     With ``tests``, the (expression, vectors) pairs whose expectations the
     caller will ask for, each replica is reduced to a ``ReplicaAnswers``
@@ -637,22 +649,5 @@ def build_replicated(
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    states = []
-    with helper_thread() as helper:
-        def replica(r: int) -> LimitState:
-            return _queue_fills(LimitState(program, n_samples=n_samples // replicas,
-                                           seed=seed * 1_000_003 + r,
-                                           _with_stderr=with_stderr and replicas == 1), helper)
-
-        # with a helper, replica r + 1 is built and its fills queued behind
-        # replica r's before r's chain runs, so the helper draws its normals
-        # meanwhile; inline, each replica is built when its chain runs
-        lead = 0 if helper is None else 1
-        queued = [replica(r) for r in range(lead)]
-        for r in range(replicas):
-            if r + lead < replicas:
-                queued.append(replica(r + lead))
-            state = _run_chain(queued.pop(0))
-            states.append(state if tests is None else ReplicaAnswers(state, tests))
-            del state  # with tests, this frees the replica before another is built
-    return ReplicatedLimit(states)
+    seeds = [seed * 1_000_003 + r for r in range(replicas)]
+    return ReplicatedLimit(_build(program, n_samples // replicas, seeds, tests))

@@ -143,6 +143,30 @@ def test_error_produces_csv_row_and_rc2(tmp_path):
         assert lines[1].startswith("error,KeyError,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sim", "--program", "@semicircle", "--n", "64,128,64", "--seeds", "2"],
+    ["verify", "--program", "@semicircle", "--n", "64,64", "--seeds", "4",
+     "--ensemble", "20000"],
+    ["free", "--program", "@fipbase", "--word", "@word_a", "--n", "32,32", "--seeds", "2"],
+], ids=["sim", "verify", "free"])
+def test_a_repeated_size_is_an_error_that_names_it(tmp_path, argv):
+    # each seed of a repeated size would be counted once per copy
+    rc, data = _run(tmp_path, *argv)
+    assert rc == 2
+    size = argv[argv.index("--n") + 1].split(",")[0]
+    assert data.decode().splitlines() == [
+        "error,kind,message", f"error,ValueError,sizes must be distinct; repeated: {size}"]
+
+
+def test_an_unwritable_out_gets_its_error_row_on_stdout(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run(["law", "mp", "--rho", "0.5", "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "error,kind,message"
+    assert lines[1].startswith("error,FileNotFoundError,")
+    assert not out.parent.exists()
+
+
 def test_non_psd_covariance_is_a_named_error(tmp_path):
     prog = tmp_path / "bad.ntp"
     prog.write_text("vector v : a\nvector w : a\ncov v w 2.0\n")
@@ -459,15 +483,19 @@ def test_limit_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     assert one == two
 
 
-@pytest.mark.parametrize("argv,calls", [
-    (["verify", "--program", "@atav", "--n", "64,128", "--seeds", "2",
-      "--ensemble", "4000", "--replicas", "1"], 0),
+@pytest.mark.parametrize("replicas", [1, 8])
+@pytest.mark.parametrize("argv,solves", [
+    (["verify", "--program", "@atav", "--n", "64,128", "--seeds", "2"], 1),
     (["free", "--program", "@fipbase", "--word", "@word_a", "--n", "32,64", "--seeds", "2",
-      "--witness", "--ensemble", "4000", "--replicas", "1"], 0),
-    (["limit", "--program", "@atav", "--ensemble", "4000", "--replicas", "1"], 1),
+      "--witness"], 4),
+    (["limit", "--program", "@atav"], 1),
 ], ids=["verify", "free_witness", "limit"])
-def test_only_limit_computes_correction_stderrs(monkeypatch, tmp_path, argv, calls):
-    # verify and free --witness print no correction stderr, so they pay for none
+def test_a_single_ensemble_and_no_replica_computes_correction_stderrs(
+        monkeypatch, tmp_path, argv, solves, replicas):
+    # one stderr per correction solve at one replica, whatever the command
+    # prints; replicas report their spread, so they compute none
+    calls = solves if replicas == 1 else 0
+    argv = argv + ["--ensemble", "8000", "--replicas", str(replicas)]
     seen = []
     real = LimitState._correction_stderr
 

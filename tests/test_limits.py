@@ -409,13 +409,33 @@ def _answered_program(name):
     return prog, tests
 
 
-@pytest.mark.parametrize("with_stderr", [True, False])
+def _advanced(prog, n_samples, seed, with_stderr=True):
+    """The reference state: every instruction through LimitState.advance,
+    which draws the normals and computes the stderrs inline."""
+    st = LimitState(prog, n_samples=n_samples, seed=seed, _with_stderr=with_stderr)
+    for instr in prog.instructions:
+        st.advance(instr)
+    return st
+
+
+def _advanced_replicas(prog, n_samples, seed, replicas):
+    """build_replicated's states as a manual pool of directly advanced ones."""
+    return [_advanced(prog, n_samples // replicas, seed * 1_000_003 + r, replicas == 1)
+            for r in range(replicas)]
+
+
+@pytest.mark.parametrize("direct", [True, False])
 @pytest.mark.parametrize("replicas", [1, 3, 8])
 @pytest.mark.parametrize("name", ["semicircle", "mp_two", "giabreak", "pool", "duplicated"])
-def test_answers_records_pool_to_the_kept_states_floats(name, replicas, with_stderr):
+def test_answers_records_pool_to_the_kept_states_floats(name, replicas, direct):
+    """The answers of a build with tests are the floats of its kept states, and
+    of a manual pool of directly advanced ones (`direct`)."""
     prog, tests = _answered_program(name)
-    kw = dict(n_samples=2400, seed=9, replicas=replicas, with_stderr=with_stderr)
-    kept = build_replicated(prog, **kw)
+    kw = dict(n_samples=2400, seed=9, replicas=replicas)
+    if direct:
+        kept = limits.ReplicatedLimit(_advanced_replicas(prog, **kw))
+    else:
+        kept = build_replicated(prog, **kw)
     answered = build_replicated(prog, **kw, tests=tests)
     assert all(isinstance(st, LimitState) for st in kept.states)
     assert all(isinstance(st, limits.ReplicaAnswers) for st in answered.states)
@@ -454,7 +474,6 @@ def test_a_build_with_tests_frees_each_replica_before_the_next(monkeypatch, repl
     every family store, Gaussian part and stored column of replica r - 2 is
     gone (r - 1's last fill may still be leaving the helper).  All are gone
     when the build returns, by reference counting alone."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # with a helper
     built = []  # every replica's state, in order
     refs = []  # per replica whose chain has run
     real_queue, real = limits._queue_fills, limits._run_chain
@@ -788,6 +807,8 @@ def _same_state(a, b, prog):
 
 @pytest.mark.parametrize("name", ["affine8", "mixed8", "duplicated"])
 def test_helper_thread_and_one_cpu_build_the_same_bytes(monkeypatch, name):
+    """Builds draw their normals, and a single ensemble its stderrs, on the
+    helper, on any number of CPUs, with the bytes of directly advanced states."""
     prog = {"affine8": lambda: _chain(["x1 + x2"] * 8), "mixed8": lambda: _chain(_MIXED),
             "duplicated": lambda: dsl.parse_program(_DUPLICATED)}[name]()
     on_helper = {"fills": [], "stderrs": []}
@@ -808,16 +829,18 @@ def test_helper_thread_and_one_cpu_build_the_same_bytes(monkeypatch, name):
 
     helped = builds()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    inline = builds()
+    one_cpu = builds()
+    reference = (_advanced(prog, 20_000, 6), _advanced_replicas(prog, 40_000, 6, 2))
     matmuls = sum(isinstance(i, MatMul) for i in prog.instructions)
     solves = sum(bool(ys) for ys, _, _ in helped[0].correction_info.values())
-    # with a helper, every build's normals and the single ensemble's stderrs ran on it
-    assert on_helper["fills"] == [True] * 3 * matmuls + [False] * 3 * matmuls
-    assert on_helper["stderrs"] == [True] * solves + [False] * solves
-    _same_state(helped[0], inline[0], prog)
+    # both builds ran their normals and stderrs on the helper, the reference inline
+    assert on_helper["fills"] == [True] * 6 * matmuls + [False] * 3 * matmuls
+    assert on_helper["stderrs"] == [True] * 2 * solves + [False] * solves
     assert all(np.isfinite(ses).all() for _, _, ses in helped[0].correction_info.values())
-    for a, b in zip(helped[1].states, inline[1].states):
-        _same_state(a, b, prog)
+    for built in (helped, one_cpu):
+        _same_state(built[0], reference[0], prog)
+        for a, b in zip(built[1].states, reference[1], strict=True):
+            _same_state(a, b, prog)
     assert any(d.startswith("DegenerateGVar") for d in helped[0].diagnostics) == (name == "duplicated")
 
 
@@ -832,9 +855,11 @@ _JUMP_AFTER_DEPTH_2 = "\n".join(
 ) + "\n"
 
 
-@pytest.mark.parametrize("with_stderr", [False, True])
+@pytest.mark.parametrize("one_cpu", [False, True])
 @pytest.mark.parametrize("error", [StepAtJump, NonPSDExtension])
-def test_an_error_part_way_cancels_the_queued_jobs(monkeypatch, error, with_stderr):
+def test_an_error_part_way_cancels_the_queued_jobs(monkeypatch, error, one_cpu):
+    if one_cpu:  # the build still queues its work on a helper, and cancels it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     prog = dsl.parse_program(_JUMP_AFTER_DEPTH_2)
     if error is NonPSDExtension:  # the same chain, failing at its fifth product instead
         prog = _chain(["x1 + x2"] * 8)
@@ -857,7 +882,7 @@ def test_an_error_part_way_cancels_the_queued_jobs(monkeypatch, error, with_stde
     monkeypatch.setattr(LimitState, "_correction_stderr", slow(LimitState._correction_stderr))
     threads = threading.active_count()
     with pytest.raises(error):
-        build_replicated(prog, n_samples=2000, seed=1, with_stderr=with_stderr)
+        build_replicated(prog, n_samples=2000, seed=1)
     after = len(ran)
     assert threading.active_count() == threads
     time.sleep(0.2)
@@ -870,7 +895,6 @@ def test_an_error_in_a_replicated_chain_cancels_the_next_replicas_fills(monkeypa
     """Replica 0's chain raises after replica 1's fills are queued behind its
     own: the error propagates, no fill of replica 1 runs and the helper is
     joined, so the build leaves no thread behind."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # with a helper
     queued, ran = [], []
     real_queue, real_draw = limits._queue_fills, limits._draw_fresh
 
@@ -902,28 +926,23 @@ def _info_bytes(info):
 
 
 @pytest.mark.parametrize("name", ["semicircle", "mixed8"])
-def test_a_pipelined_replicated_build_has_the_bytes_of_an_inline_one(monkeypatch, name):
+def test_a_pipelined_replicated_build_has_the_bytes_of_an_inline_one(name):
     """An R = 8 build whose helper draws the next replica's normals while a
-    chain runs gives the answers and kept states of one built inline on one CPU."""
+    chain runs gives the answers and kept states of a manual pool of
+    directly advanced states."""
     prog = corpus.load_program("semicircle") if name == "semicircle" else _chain(_MIXED)
     vectors = [v.name for v in prog.vectors] + [
         i.out for i in prog.instructions if not isinstance(i, Moment)]
     tests = [(XY, [vectors[0], nm]) for nm in vectors]
-
-    def builds():  # answers, and kept states as the replay reads them
-        return (build_replicated(prog, n_samples=8 * 1500, seed=4, replicas=8, tests=tests),
-                build_replicated(prog, n_samples=8 * 1500, seed=4, replicas=8))
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    helped = builds()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    inline = builds()
-    assert len(helped[0].states) == len(inline[0].states) == 8
-    for a, b in zip(helped[0].states, inline[0].states):
-        assert a.expectations == b.expectations
+    kw = dict(n_samples=8 * 1500, seed=4, replicas=8)
+    answered = build_replicated(prog, **kw, tests=tests)
+    kept = build_replicated(prog, **kw)  # as the replay reads them
+    inline = _advanced_replicas(prog, **kw)
+    assert len(answered.states) == len(kept.states) == len(inline) == 8
+    for a, b in zip(answered.states, inline):
+        assert a.expectations == {(t, tuple(vecs)): b.expect(t, vecs) for t, vecs in tests}
         assert a.scalar_limits == b.scalar_limits
         assert _info_bytes(a.correction_info) == _info_bytes(b.correction_info)
         assert a.diagnostics == b.diagnostics
-    assert len(helped[1].states) == len(inline[1].states) == 8
-    for a, b in zip(helped[1].states, inline[1].states):
+    for a, b in zip(kept.states, inline):
         _same_state(a, b, prog)
