@@ -13,11 +13,12 @@ empirical moments of J^T J, from power traces of the Gram matrix of J's
 kept columns (those its diagonals do not zero out, with every W_l formed
 together, each given its forward product) or from probe forms that apply
 J or J^T once per moment, against the free multiplicative convolution of
-the per-layer square-derivative laws with Marchenko-Pastur factors.  Above
-the dense cap, the centering constant of a diagonal monomial, of one with a
-single matrix factor, or of a mirror W D W^T E such as W W^T, is an exact
-O(n^2) sum over the formed matrices (monomial_trace); only other monomials
-take probe forms (finite.spectral_moments).
+the per-layer square-derivative laws with Marchenko-Pastur factors.  A
+centered trace applies its product factor by factor, to the identity up
+to the dense cap and to Gaussian probe blocks above it.  The centering
+constant of a diagonal monomial, of one with a single matrix factor, or of
+a mirror W D W^T E such as W W^T, is an exact O(n^2) sum over the formed
+matrices (monomial_trace); other monomials are traced as the product is.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ from .finite import (
     MatFactor,
     MatrixWord,
     Realization,
-    _take,
     diag_entries,
     dims_for_scale,
     instantiate,
     map_threads,
-    materialize,
     power_traces,
     probe_forms,
     square_class,
@@ -173,7 +172,7 @@ def monomial_trace(realization: Realization, word: MatrixWord, probes: int) -> f
     and one whose only matrix factors are W and W^T, cyclically W D W^T E
     or W^T D W E, is a weighted sum of the squared entries of W.  Each sum
     reads the formed W in its own layout with numpy, not BLAS, and no n x n
-    temporary.  Any other word is trace_moment(..., "hutch", probes).
+    temporary.  Any other word is trace_moment, exact when probes is 0.
     """
     n = realization.dims[square_class(realization.program, word)]
     fs = word.factors
@@ -196,7 +195,7 @@ def monomial_trace(realization: Realization, word: MatrixWord, probes: int) -> f
             rows, cols = (inner, outer) if left.transposed else (outer, inner)
             sq = np.einsum("ij,ij,j->i", w, w, cols)
             return float(np.einsum("i,i->", rows, sq)) / n
-    return trace_moment(realization, word, "hutch", probes)[0]
+    return trace_moment(realization, word, "hutch" if probes else "exact", probes)[0]
 
 
 def centered_trace(
@@ -208,17 +207,18 @@ def centered_trace(
 ) -> float:
     """Normalized trace of the product of centered polynomials.
 
+    Exact up to the side `cap`, which is at most finite.EXACT_CAP,
+    Gaussian-probe estimated above it (method as in finite.trace_probes).
     Each centering constant tau_i is the normalized trace of that polynomial
-    on the same realization.  Exact up to the side `cap`, which is at most
-    finite.EXACT_CAP, Gaussian-probe estimated above it (method as in
-    finite.trace_probes).  Above the cap, tau_i sums its monomials'
-    monomial_trace: exact from the formed matrices for diagonal words, words
-    with one matrix factor and W D W^T E mirrors, probe estimates for the
-    rest.  The centered product is applied to blocks of finite.PROBE_BLOCK
-    probes (finite.probe_forms) and centered in place: each factor after the
-    first subtracts tau_i v in the previous factor's output, so it holds a
-    few n x PROBE_BLOCK blocks besides the formed matrices, whatever
-    `probes` is.
+    on the same realization: the sum of its monomials' monomial_trace, with
+    the same probe count (0 up to the cap).  One chain, `apply`, multiplies
+    a block by the centered product factor by factor (finite.word_apply,
+    whose padded operands keep the bytes thread-stable) and centers in
+    place: each factor after the first subtracts tau_i v in the previous
+    factor's output.  Up to the cap the trace is that of apply(I); above it
+    apply runs on blocks of finite.PROBE_BLOCK probes (finite.probe_forms),
+    so it holds a few n x PROBE_BLOCK blocks besides the formed matrices,
+    whatever `probes` is.
     """
     side = _word_side(realization.program, word)
     if not side:
@@ -226,15 +226,6 @@ def centered_trace(
     n = realization.dims[side]
     p = trace_probes(n, method, cap, probes)
     polys = [poly for _, poly in word.factors]
-    if p == 0:
-        acc = None
-        for poly in polys:
-            m = _poly_sum(poly, lambda w: materialize(realization, w))
-            m[np.diag_indices(n)] -= np.trace(m) / n
-            m = _take(m, None)  # padded sides keep m @ acc's bytes thread-stable
-            acc = m if acc is None else m @ acc
-        return float(np.trace(acc[:n, :n])) / n
-
     taus = [
         math.fsum(c * monomial_trace(realization, w, p) for c, w in poly.terms)
         for poly in polys
@@ -244,12 +235,14 @@ def centered_trace(
         v = z
         for poly, tau in zip(polys, taus):
             out = _poly_sum(poly, lambda w: word_apply(realization, w, v))
-            # the probe forms still read z; a later factor's input is the
-            # previous factor's own output, so it is scaled in place
+            # z is the caller's; a later factor's input is the previous
+            # factor's own output, so it is scaled in place
             out -= tau * v if v is z else np.multiply(v, tau, out=v)
             v = out
         return v
 
+    if p == 0:
+        return float(np.trace(apply(np.eye(n)))) / n
     forms = probe_forms(
         apply, n, 1, p, realization.seed, "ctrace", "|".join(q.key() for q in polys)
     )

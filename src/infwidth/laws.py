@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,14 +22,11 @@ from .errors import NonInvertibleSeries
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def catalan(k: int) -> int:
-    """Exact k-th Catalan number via the convolution recurrence."""
+    """Exact k-th Catalan number, binom(2k, k) / (k + 1)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return 1
-    return sum(catalan(i) * catalan(k - 1 - i) for i in range(k))
+    return math.comb(2 * k, k) // (k + 1)
 
 
 def semicircle_moment(r: int) -> float:
@@ -65,14 +61,15 @@ def mp_moment(r: int, rho: float, method: str = "explicit") -> float:
         raise ValueError(f"unknown method {method!r}")
     try:  # float powers and fsum raise on overflow, products give inf
         if method == "explicit":
-            total = 0.0
+            total, c = 0.0, 1  # c = C_k, advanced by C_(k+1) = C_k 2(2k+1)/(k+2)
             for k in range(0, (r - 1) // 2 + 1):
                 total += (
                     rho**k
                     * (1.0 + rho) ** (r - 1 - 2 * k)
                     * math.comb(r - 1, 2 * k)
-                    * catalan(k)
+                    * c
                 )
+                c = c * 2 * (2 * k + 1) // (k + 2)
         else:
             m = [1.0]
             for s in range(2, r + 1):

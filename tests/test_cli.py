@@ -158,6 +158,32 @@ def test_a_repeated_size_is_an_error_that_names_it(tmp_path, argv):
         "error,kind,message", f"error,ValueError,sizes must be distinct; repeated: {size}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--program", "@semicircle", "--n", "64,32", "--seeds", "2",
+      "--ensemble", "2000"], "size sweep must be ascending"),
+    (["free", "--program", "@fipbase", "--word", "@word_a", "--n", "64,32", "--seeds", "2"],
+     "n_list must be ascending"),
+], ids=["verify", "free"])
+def test_a_descending_size_sweep_is_an_error(tmp_path, argv, message):
+    rc, data = _run(tmp_path, *argv)
+    assert rc == 2
+    assert _error_row(data) == f"error,ValueError,{message}"
+
+
+def test_free_reads_a_word_file(tmp_path, capsys):
+    # a file holding word_b's lines gives the bytes of the bundled @word_b
+    path = tmp_path / "b.word"
+    path.write_text((Path(infwidth.__file__).parent / "words" / "word_b.word").read_text())
+    outputs = []
+    for word in (str(path), "@word_b"):
+        capsys.readouterr()
+        rc, data = _run(tmp_path, "free", "--program", "@fipbase", "--word", word,
+                        "--n", "64,96", "--seeds", "2")
+        assert rc == 0
+        outputs.append((data, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
 def test_an_unwritable_out_gets_its_error_row_on_stdout(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert run(["law", "mp", "--rho", "0.5", "--out", str(out)]) == 2
@@ -339,8 +365,9 @@ _GOLDEN = {
 # and OPENBLAS_NUM_THREADS=2 on x86_64; the BLAS thread count changes the
 # summation order of some products, so the limit goldens, verify, the free
 # goldens and the jacobian goldens are checked to give the same bytes with
-# one thread.  By design: the exact Jacobian path, word_apply and the exact
-# centered trace multiply operands whose sides are multiples of
+# one thread.  By design: the exact Jacobian path and word_apply, which
+# both centered traces (exact on the identity, probes on probe blocks) run
+# through, multiply operands whose sides are multiples of
 # finite.SUPPORT_ALIGN (kept index sets, and full sides padded with zeros),
 # the Jacobian forms each W_l with numpy sums, not BLAS gemv, and the limit
 # chain takes its n-length dots and products as numpy sums too.
@@ -360,11 +387,11 @@ _GOLDEN_SHA = {
     "verify":
         "7f92ed8f546b31ec1e5ff7879b577e465d3975c172a5c1b141413b28672044b8",
     "free_exact":
-        "56cafd99675b6e603d63ad1445bf1edcc2714cfc02f2cafc03787ce4897edf8d",
+        "6a06ade1deab82df8139fbb6e95790e8fabf9a6e82f6f83069b768084c5a5a86",
     "free_hutch_witness":
         "97a20ad742282cb4ed09a4f47e0b9257008f878aa67a311e4be0ac27f0add2ab",
     "free_auto":
-        "1459b5911ca3435f124ca46e9edaa2660f0547da04c9c274a36e553ccd4ee543",
+        "ac5fec74716b573356277c7b1969f6bfad430f4931aa50bf1d396803415aad33",
     "jacobian_dense":
         "b60cca68949e8aa80086b44e6306db5e05582ad51f9ea50d1fdbc26c22d1a31b",
     "jacobian_probe":

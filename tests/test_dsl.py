@@ -5,10 +5,10 @@ import pytest
 from conftest import random_program
 from infwidth import corpus, dsl
 from infwidth import exprs as E
-from infwidth.errors import DimClassConflict, ParseError
+from infwidth.errors import DimClassConflict, ParseError, UndeclaredSymbol
 from infwidth.finite import DiagFactor, MatFactor
 from infwidth.freeness import word_from_groups
-from infwidth.program import MatMul, Moment, Nonlin, Program
+from infwidth.program import MatMul, Moment, Nonlin, Program, TieDecl
 
 SEMICIRCLE_STEP = """
 matrix W : c x c var 0.5
@@ -73,6 +73,33 @@ def test_scalar_rule_roundtrip():
     assert prog.scalars[0].rule.value(4) == pytest.approx(0.25 / 1.25)
     again = dsl.parse_program(dsl.print_program(prog))
     assert again == prog
+
+
+def test_tie_merges_classes_and_roundtrips():
+    prog = dsl.parse_program("vector v : a\nvector w : b\ntie v w\n")
+    assert prog.ties == (TieDecl("v", "w"),)
+    assert prog.cdc_of_class == {"a": "a", "b": "a"}
+    text = dsl.print_program(prog)
+    assert "tie v w" in text.splitlines()
+    assert dsl.parse_program(text) == prog
+
+
+def test_tie_of_an_unknown_vector_is_undeclared():
+    with pytest.raises(UndeclaredSymbol, match="tie references unknown vector 'v' or 'q'"):
+        dsl.parse_program("vector v : a\ntie v q\n")
+
+
+def test_numbers_with_exponents_in_expressions_and_rules():
+    text = (
+        "scalar th limit 1e-3 rule 1e-3 + 2.5E+2 * u\n"
+        "vector v : c\n"
+        "z = nonlin 2.5E+2 * x1 - 1e-3 (v)\n"
+    )
+    prog = dsl.parse_program(text)
+    assert prog.scalars[0].limit == 1e-3
+    assert prog.scalars[0].rule.value(4) == 1e-3 + 250.0 / 4
+    assert prog.instructions[0].expr == E.sub(E.mul(E.const(250.0), E.x(0)), E.const(1e-3))
+    assert dsl.parse_program(dsl.print_program(prog)) == prog
 
 
 def test_moment_and_params_roundtrip():

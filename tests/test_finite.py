@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -128,6 +129,18 @@ def test_dims_must_cover_and_agree():
     prog = semicircle_program(1)
     with pytest.raises(DimClassConflict):
         resolve_dims(prog, {})
+
+
+def test_dims_off_the_declared_ratio_warn():
+    # mp_two declares class m at twice class n: at n = 64, 129 rows are
+    # within 1% and one entry of the ratio, 150 are not
+    prog = corpus.load_program("mp_two")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_dims(prog, {"m": 129, "n": 64}) == {"m": 129, "n": 64}
+    with pytest.warns(UserWarning, match=r"dimension 150 of class 'm' is more than 1% away "
+                      r"from the declared limiting ratio \(expected ~128\)"):
+        resolve_dims(prog, {"m": 150, "n": 64})
 
 
 def test_empirical_average_lln():

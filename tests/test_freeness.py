@@ -112,26 +112,32 @@ def test_negative_control_matches_coordinatewise_oracle():
 
 
 def test_exact_centered_trace_matches_dense_product():
-    # weighted two-monomial polynomial 0.5*W + 2*W^T alternating with a step
-    # diagonal, against tr prod(P_i - tau_i I) / n built directly in numpy
-    poly = WordPoly(
+    # tr prod(P_i - tau_i I) / n built directly in numpy, for a weighted
+    # two-monomial polynomial 0.5*W + 2*W^T alternating with a step diagonal,
+    # and for W W, whose tau has no cheap form and takes the exact trace of
+    # monomial_trace's fallback, at the unaligned n = 300
+    weighted = WordPoly(
         (
             (0.5, MatrixWord((MatFactor("W"),))),
             (2.0, MatrixWord((MatFactor("W", True),))),
         )
     )
-    word = alternating_word(poly, STEP_DIAG, poly, STEP_DIAG)
-    r = _real(200, 9)
-    w = r.form("W")[0]
-    n = w.shape[0]
-    mats = [0.5 * w + 2.0 * w.T, np.diag((r.vectors["xv"] > 0).astype(float))] * 2
-    acc = np.eye(n)
-    for m in mats:
-        acc = (m - np.trace(m) / n * np.eye(n)) @ acc
-    want = float(np.trace(acc)) / n
-    got = centered_trace(r, word, method="exact")
-    assert got == pytest.approx(want, rel=1e-12)
-    assert abs(want) > 1e-6
+    ww = monomial(MatrixWord((MatFactor("W"), MatFactor("W"))))
+    for poly, dense_poly, n in [
+        (weighted, lambda w: 0.5 * w + 2.0 * w.T, 200),
+        (ww, lambda w: w @ w, 300),
+    ]:
+        word = alternating_word(poly, STEP_DIAG, poly, STEP_DIAG)
+        r = _real(n, 9)
+        w = r.form("W")[0]
+        mats = [dense_poly(w), np.diag((r.vectors["xv"] > 0).astype(float))] * 2
+        acc = np.eye(n)
+        for m in mats:
+            acc = (m - np.trace(m) / n * np.eye(n)) @ acc
+        want = float(np.trace(acc)) / n
+        got = centered_trace(r, word, method="exact")
+        assert got == pytest.approx(want, rel=1e-12)
+        assert abs(want) > 1e-6
 
 
 def test_centered_trace_hutch_close_to_exact():
@@ -217,10 +223,8 @@ def test_monomial_trace_keeps_probes_elsewhere(factors):
     assert monomial_trace(r, word, 24) == trace_moment(r, word, "hutch", 24)[0]
 
 
-@pytest.mark.parametrize("word", ["word_a", "word_b"])
-def test_probe_centered_trace_draws_no_centering_probes(monkeypatch, tmp_path, word):
-    # every centering constant of word_a and word_b is exact, so the only
-    # probe streams are those of the centered product
+def _drawn_streams(monkeypatch) -> list:
+    """The first label of every finite.stream drawn from now on."""
     drawn = []
     real = finite.stream
 
@@ -229,6 +233,25 @@ def test_probe_centered_trace_draws_no_centering_probes(monkeypatch, tmp_path, w
         return real(seed, *labels)
 
     monkeypatch.setattr(finite, "stream", spy)
+    return drawn
+
+
+@pytest.mark.parametrize("factors", [(W, W), (W, WT, W, WT)])
+def test_monomial_trace_without_probes_is_the_exact_trace(monkeypatch, factors):
+    # with 0 probes a monomial with no cheap form falls back on the exact
+    # trace_moment, which draws no probe stream
+    drawn = _drawn_streams(monkeypatch)
+    r = _real(128, 6)
+    word = MatrixWord(factors)
+    assert monomial_trace(r, word, 0) == trace_moment(r, word, "exact")[0]
+    assert "hutch" not in drawn
+
+
+@pytest.mark.parametrize("word", ["word_a", "word_b"])
+def test_probe_centered_trace_draws_no_centering_probes(monkeypatch, tmp_path, word):
+    # every centering constant of word_a and word_b is exact, so the only
+    # probe streams are those of the centered product
+    drawn = _drawn_streams(monkeypatch)
     rc = run(["free", "--program", "@fipbase", "--word", f"@{word}", "--method", "hutch:8",
               "--n", "64,96", "--seeds", "2", "--out", str(tmp_path / "free.csv")])
     assert rc == 0

@@ -81,6 +81,15 @@ def test_catalan_big_integer():
     assert catalan(30) == 3814986502092304
 
 
+def test_catalan_far_past_the_recursion_limit():
+    # a closed form, so no index needs the ones below it first
+    assert catalan(5000) == math.comb(10000, 5000) // 5001
+    # C_1200 and C_5000 are far beyond the float range, which cmd_law reports
+    for call in (lambda: semicircle_moment(10000), lambda: semicircle_b_coeff(2400, 0)):
+        with pytest.raises(OverflowError):
+            call()
+
+
 def test_semicircle_moments():
     assert semicircle_moment(2) == 1.0
     assert semicircle_moment(3) == 0.0
