@@ -70,6 +70,8 @@ def _resolve_word(spec: str):
         return corpus.load_word(spec[1:])
     with open(spec) as fh:
         groups = dsl.parse_word_factors(fh.read())
+    if not groups:  # the empty product would trace to 1 at every size
+        raise ValueError(f"word file {spec!r} holds no factors")
     return word_from_groups(groups)
 
 

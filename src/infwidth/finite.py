@@ -8,10 +8,9 @@ the matrix itself is formed only when a word needs it (Realization.form,
 which forms all of a word's matrices together: the one way to get a dense
 matrix).  On top of realizations this module
 evaluates coordinate averages, applies matrix words (products of program
-matrices and diagonal matrices of bounded coordinatewise images) without
-materializing them, and estimates normalized traces either exactly, from
-power traces of the dense word, or with the Gaussian probe identity
-tr M = E z^T M z.
+matrices and diagonal matrices of bounded coordinatewise images) factor by
+factor, and estimates normalized traces either exactly, from power traces
+of the dense word, or with the Gaussian probe identity tr M = E z^T M z.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .errors import (
 from .numerics import sample_init_block, stream
 from .program import MatMul, Moment, Nonlin, Program
 
-EXACT_CAP = 1024  # largest side for dense materialization / eigendecomposition
+EXACT_CAP = 1024  # largest side of a dense word / eigendecomposition
 # largest dense matrix (entries), checked when Realization.form forms one;
 # products allocate none
 ELEMENT_CAP = 1 << 26
@@ -454,77 +453,71 @@ def diag_entries(realization: Realization, f: DiagFactor) -> np.ndarray:
     return exprs.evaluate_columns(f.expr, tuple(realization.vectors[v] for v in f.vectors))
 
 
-def _apply_factor(realization: Realization, f: WordFactor, probe: np.ndarray) -> np.ndarray:
+def _apply_factor(
+    realization: Realization, f: WordFactor, probe: np.ndarray | None
+) -> np.ndarray:
+    """f @ probe; without a probe, f itself as a fresh dense matrix."""
     if isinstance(f, MatFactor):
         (w,) = realization.form(f.name)
+        if probe is None:
+            return (w.T if f.transposed else w).copy()
         rows = w.shape[int(f.transposed)]
         # padded operands: thread-stable bytes, as in word_block
         out = (w.base.T if f.transposed else w.base) @ _take(probe, None)
         return out[:rows, :probe.shape[1]] if probe.ndim == 2 else out[:rows]
     d = diag_entries(realization, f)
+    if probe is None:
+        return np.diag(d)
     return d[:, None] * probe if probe.ndim == 2 else d * probe
 
 
-def word_apply(realization: Realization, word: MatrixWord, probe: np.ndarray) -> np.ndarray:
-    """word @ probe computed factor-by-factor, never forming the product."""
+def word_apply(
+    realization: Realization, word: MatrixWord, probe: np.ndarray | None = None
+) -> np.ndarray:
+    """word @ probe computed factor by factor, never forming the product.
+
+    Without a probe it is the dense word, with the entries of word @ I (no
+    side above EXACT_CAP), but no factor is applied to an identity: the
+    first factor applied is taken as it is, and the others are applied to
+    it.  The result may be a cropped view of a padded array.
+    """
     rows, cols = word_classes(realization.program, word)
-    probe = np.asarray(probe, dtype=np.float64)
-    if cols and probe.shape[0] != realization.dims[cols]:
-        raise ShapeMismatch(
-            f"probe has {probe.shape[0]} rows; word expects {realization.dims[cols]}"
-        )
+    if probe is None:
+        if not rows:  # empty product: identity on an unknown class
+            raise ShapeMismatch("cannot form the empty word")
+        side = max(realization.dims[rows], realization.dims[cols])
+        if side > EXACT_CAP:
+            raise CapExceeded(f"side {side} exceeds dense cap {EXACT_CAP}")
+    else:
+        probe = np.asarray(probe, dtype=np.float64)
+        if cols and probe.shape[0] != realization.dims[cols]:
+            raise ShapeMismatch(
+                f"probe has {probe.shape[0]} rows; word expects {realization.dims[cols]}"
+            )
     out = probe
     for f in reversed(word.factors):
         out = _apply_factor(realization, f, out)
     return out
 
 
-def materialize(realization: Realization, word: MatrixWord) -> np.ndarray:
-    """The word as a fresh dense matrix, equal to word_apply(realization, word, I)
-    up to the sign of zero entries and the rounding of sums that drop zero
-    terms; neither side may exceed EXACT_CAP.
+def word_block(realization: Realization, word: MatrixWord) -> np.ndarray:
+    """The dense word on the rows and columns its diagonals keep, padded
+    with zeros: it holds every nonzero entry of the word, and its Gram
+    matrix has the power traces of the word's.  The word is not empty, and
+    the caller bounds the side of what it takes from the block (the Gram
+    side of spectral_moments is at most EXACT_CAP).
 
-    It is word_block's block with its zero padding cropped off and the rows
-    and columns the word's diagonals zero out scattered back as zeros.
+    The diagonals applied first are folded into one vector d, which scales
+    the columns of the first matrix factor, and the rest are applied to
+    that.  Each matrix factor is read only where its neighbouring diagonals
+    are nonzero: its columns for those applied just before it (d, for the
+    first), its rows for those just after.  Kept index sets are padded as
+    in _kept, and every operand to sides that are multiples of
+    SUPPORT_ALIGN (_take).  The word's matrices are formed together and read
+    from their padded buffers, so a side that keeps every index copies
+    nothing.  An all-diagonal word, such as the half of diag | diag, is Diag(d).
     """
-    block, rows, cols = word_block(realization, word)
-    shape = tuple(realization.dims[c] for c in word_classes(realization.program, word))
-    if rows is None and cols is None:
-        return np.ascontiguousarray(block[:shape[0], :shape[1]])
-    rows, cols = (np.arange(n) if ix is None else ix for n, ix in zip(shape, (rows, cols)))
-    out = np.zeros(shape)
-    out[np.ix_(rows, cols)] = block[:len(rows), :len(cols)]
-    return out
-
-
-def word_block(
-    realization: Realization, word: MatrixWord
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(block, rows, cols): the dense word is block[:len(rows), :len(cols)]
-    on the index arrays rows and cols (None is every index) and zero
-    elsewhere, and the rest of block is zero; neither side of the word may
-    exceed EXACT_CAP.
-
-    No product with the identity is formed: the diagonal factors applied
-    first are folded into one vector d, the first matrix factor is scaled
-    column-wise by d, and the remaining factors are applied to that.  Each
-    matrix factor is read only on the coordinates its neighbouring diagonal
-    factors keep: the columns where those applied just before it (d, for
-    the first) are nonzero and the rows where those applied just after it
-    are.  So a zero diagonal entry drops a column or row of its neighbouring
-    matrices and of the running product.  Kept index sets are padded as in
-    _kept, and every operand is padded with zeros to sides that are
-    multiples of SUPPORT_ALIGN (_take).  The word's matrices are formed
-    together (Realization.form) and read from their padded buffers, so a
-    side that keeps every index copies nothing.  An all-diagonal word is
-    (Diag(d), None, None).
-    """
-    row_cls, col_cls = word_classes(realization.program, word)
-    if not row_cls:  # empty product: identity on an unknown class is not materializable
-        raise ShapeMismatch("cannot materialize the empty word")
-    side = max(realization.dims[row_cls], realization.dims[col_cls])
-    if side > EXACT_CAP:
-        raise CapExceeded(f"side {side} exceeds dense cap {EXACT_CAP}")
+    col_cls = word_classes(realization.program, word)[1]
     # the matrix factors in order of application, each with the diagonal
     # entries applied right after it; lead holds those applied first
     lead, runs = [], []
@@ -537,7 +530,7 @@ def word_block(
     for e in lead:
         d = e * d
     if not runs:
-        return np.diag(d), None, None
+        return np.diag(d)
     rows = cols = _kept(d != 0)  # rows: the kept rows of the running product
     out = None
     names = [f.name for f, _ in runs]
@@ -553,7 +546,7 @@ def word_block(
         for e in after:
             out = _take(e, keep)[:, None] * out
         rows = keep
-    return out, rows, cols
+    return out
 
 
 def _kept(keep: np.ndarray) -> np.ndarray | None:
@@ -694,17 +687,21 @@ def spectral_moments(
     """[(1/n) tr(word^r) for r = 1..k_max] (see trace_probes, cap EXACT_CAP);
     word must be square (and should be symmetric to read as spectral moments).
 
-    The probe forms of a mirror word R^T R (MatrixWord.mirror_half) apply
-    only R or R^T, one per moment, on the probes of the whole word."""
+    Exact moments are power traces of the dense word (word_apply) or, for
+    a mirror word R^T R (MatrixWord.mirror_half), of the Gram matrix of R's
+    kept block (word_block).  The probe forms of a mirror word apply only R
+    or R^T, one per moment, on the probes of the whole word."""
     side = square_class(realization.program, word)
     if not side:
         return [(1.0, 0.0)] * k_max
     n = realization.dims[side]
     p = trace_probes(n, method, EXACT_CAP, probes)
-    if p == 0:
-        m = materialize(realization, word)
-        return [(t / n, 0.0) for t in power_traces(m, k_max)]
     half = word.mirror_half()
+    if p == 0 and half is None:
+        return [(t / n, 0.0) for t in power_traces(word_apply(realization, word), k_max)]
+    if p == 0:
+        j = word_block(realization, half)
+        return [(t / n, 0.0) for t in power_traces(j.T @ j, k_max, symmetric=True)]
     b = word if half is None else half
     forms = probe_forms(
         lambda v: word_apply(realization, b, v), n, k_max, p,
@@ -718,8 +715,7 @@ def spectral_moments(
 
 
 def eig_spectrum(realization: Realization, word: MatrixWord) -> np.ndarray:
-    """Ascending eigenvalues of the materialized symmetric word (side at most EXACT_CAP)."""
-    if not square_class(realization.program, word):
-        raise ShapeMismatch("cannot take the spectrum of the empty word")
-    m = materialize(realization, word)
+    """Ascending eigenvalues of the dense symmetric word (side at most EXACT_CAP)."""
+    square_class(realization.program, word)
+    m = word_apply(realization, word)
     return np.linalg.eigvalsh(0.5 * (m + m.T))

@@ -9,16 +9,16 @@ grows when the collections are asymptotically free.  This module measures
 those traces over size sweeps, constructs an equivalent scalar program
 whose final moment has the same limit (so the limit engine can check it
 symbolically), and runs the deep-net Jacobian singular-value pipeline:
-empirical moments of J^T J, from power traces of the Gram matrix of J's
-kept columns (those its diagonals do not zero out, with every W_l formed
-together, each given its forward product) or from probe forms that apply
-J or J^T once per moment, against the free multiplicative convolution of
-the per-layer square-derivative laws with Marchenko-Pastur factors.  A
-centered trace applies its product factor by factor, to the identity up
-to the dense cap and to Gaussian probe blocks above it.  The centering
-constant of a diagonal monomial, of one with a single matrix factor, or of
-a mirror W D W^T E such as W W^T, is an exact O(n^2) sum over the formed
-matrices (monomial_trace); other monomials are traced as the product is.
+empirical moments of J^T J, exact from finite.spectral_moments of that
+mirror word (power traces of the Gram matrix of J's kept columns) or from
+probe forms that apply J or J^T once per moment, against the free
+multiplicative convolution of the per-layer square-derivative laws with
+Marchenko-Pastur factors.  A centered trace applies its product factor by
+factor, from no probe (the dense product) up to the dense cap and to
+Gaussian probe blocks above it.  The centering constant of a diagonal
+monomial, of one with a single matrix factor, or of a mirror W D W^T E
+such as W W^T, is an exact O(n^2) sum over the formed matrices
+(monomial_trace); other monomials are traced as the product is.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ from .finite import (
     dims_for_scale,
     instantiate,
     map_threads,
-    power_traces,
     probe_forms,
+    spectral_moments,
     square_class,
     trace_moment,
     trace_probes,
     word_apply,
-    word_block,
 )
 from .numerics import gaussian_expect
 from .program import (
@@ -212,13 +211,12 @@ def centered_trace(
     Each centering constant tau_i is the normalized trace of that polynomial
     on the same realization: the sum of its monomials' monomial_trace, with
     the same probe count (0 up to the cap).  One chain, `apply`, multiplies
-    a block by the centered product factor by factor (finite.word_apply,
-    whose padded operands keep the bytes thread-stable) and centers in
-    place: each factor after the first subtracts tau_i v in the previous
-    factor's output.  Up to the cap the trace is that of apply(I); above it
-    apply runs on blocks of finite.PROBE_BLOCK probes (finite.probe_forms),
-    so it holds a few n x PROBE_BLOCK blocks besides the formed matrices,
-    whatever `probes` is.
+    by the centered product factor by factor (finite.word_apply, whose
+    padded operands keep the bytes thread-stable) and centers in place.  Up
+    to the cap it starts from no probe, so the first polynomial is dense
+    and subtracts tau_1 on its diagonal; above it apply runs on blocks of
+    finite.PROBE_BLOCK probes (finite.probe_forms), so it holds a few
+    n x PROBE_BLOCK blocks besides the formed matrices, whatever `probes` is.
     """
     side = _word_side(realization.program, word)
     if not side:
@@ -235,14 +233,15 @@ def centered_trace(
         v = z
         for poly, tau in zip(polys, taus):
             out = _poly_sum(poly, lambda w: word_apply(realization, w, v))
-            # z is the caller's; a later factor's input is the previous
-            # factor's own output, so it is scaled in place
-            out -= tau * v if v is z else np.multiply(v, tau, out=v)
+            if v is None:  # the dense product: tau I
+                out[np.diag_indices(n)] -= tau
+            else:  # z is the caller's; a later input, the last output, is scaled in place
+                out -= tau * v if v is z else np.multiply(v, tau, out=v)
             v = out
         return v
 
     if p == 0:
-        return float(np.trace(apply(np.eye(n)))) / n
+        return float(np.trace(apply(None))) / n
     forms = probe_forms(
         apply, n, 1, p, realization.seed, "ctrace", "|".join(q.key() for q in polys)
     )
@@ -498,14 +497,12 @@ def jacobian_finite(
 
     No W_l is drawn: the forward pass samples each product exactly
     (finite.ProductSampler).  Up to the dense side `cap` the moments are
-    power traces of J^T J, and finite.word_block forms every W_l together,
-    each given its forward product.  J^T J is taken on J's kept columns
-    only: a zero entry of a D_l drops a row or column of its neighbouring
-    W_l, and J's zero columns add only zero rows and columns to J^T J.
-    Every product there has sides that are multiples of
-    finite.SUPPORT_ALIGN, and the formation sums with numpy, so the moments
-    do not depend on the BLAS thread count.  Above the cap the moments come
-    from Gaussian probe blocks, one application of J or J^T per moment
+    finite.spectral_moments of the mirror word J^T J: power traces of the
+    Gram matrix of J's kept columns (finite.word_block), which forms every
+    W_l together, each given its forward product, and whose products have
+    sides that are multiples of finite.SUPPORT_ALIGN, so the moments do not
+    depend on the BLAS thread count.  Above the cap the moments come from
+    Gaussian probe blocks, one application of J or J^T per moment
     (finite.probe_forms with an adjoint), and no W_l is formed: each
     product with a probe block is sampled exactly given the earlier ones,
     extending the realization's samplers."""
@@ -514,8 +511,7 @@ def jacobian_finite(
     r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
     word = jacobian_word(layers, phi_prime)
     if p == 0:
-        j = word_block(r, word)[0]
-        return np.array(power_traces(j.T @ j, k_max, symmetric=True)) / n
+        return np.array([m for m, _ in spectral_moments(r, word.T * word, k_max, "exact")])
 
     def sampled(w: MatrixWord):
         def apply(x):

@@ -184,6 +184,17 @@ def test_free_reads_a_word_file(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_free_rejects_a_word_file_with_no_factors(tmp_path):
+    # only comments and blank lines: an error row, not a row of 1.0 per size
+    path = tmp_path / "blank.word"
+    path.write_text("# no factors here\n\n   # nor here\n")
+    rc, data = _run(tmp_path, "free", "--program", "@fipbase", "--word", str(path),
+                    "--n", "64,96", "--seeds", "2")
+    assert rc == 2
+    assert data.decode().splitlines() == [
+        "error,kind,message", f"error,ValueError,word file '{path}' holds no factors"]
+
+
 def test_an_unwritable_out_gets_its_error_row_on_stdout(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert run(["law", "mp", "--rho", "0.5", "--out", str(out)]) == 2
@@ -366,8 +377,8 @@ _GOLDEN = {
 # summation order of some products, so the limit goldens, verify, the free
 # goldens and the jacobian goldens are checked to give the same bytes with
 # one thread.  By design: the exact Jacobian path and word_apply, which
-# both centered traces (exact on the identity, probes on probe blocks) run
-# through, multiply operands whose sides are multiples of
+# both centered traces (exact from the dense first polynomial, probes on
+# probe blocks) run through, multiply operands whose sides are multiples of
 # finite.SUPPORT_ALIGN (kept index sets, and full sides padded with zeros),
 # the Jacobian forms each W_l with numpy sums, not BLAS gemv, and the limit
 # chain takes its n-length dots and products as numpy sums too.

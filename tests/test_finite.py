@@ -36,7 +36,6 @@ from infwidth.finite import (
     eig_spectrum,
     empirical_average,
     instantiate,
-    materialize,
     power_traces,
     probe_forms,
     resolve_dims,
@@ -227,7 +226,7 @@ def test_random_words_match_dense(seeded=100):
     ]
     for _ in range(seeded):
         word = MatrixWord(tuple(rng.choice(factories)() for _ in range(rng.randint(1, 6))))
-        dense = materialize(r, word)
+        dense = word_apply(r, word)
         probe = np.asarray(stream_probe := np.random.default_rng(1).standard_normal(96))
         got = word_apply(r, word, probe)
         want = dense @ probe
@@ -283,7 +282,7 @@ def test_hutchinson_unbiased_within_theoretical_stderr():
                 for f in reversed(half.factors)
             )
         )
-        dense = materialize(r, sym)
+        dense = word_apply(r, sym)
         n = dense.shape[0]
         exact = float(np.trace(dense)) / n
         theo_se = math.sqrt(2.0 * float(np.sum(dense * dense))) / (n * math.sqrt(10_000))
@@ -350,12 +349,13 @@ def _rect_realization():
     return instantiate(prog, {"m": 8, "n": 16}, seed=3)
 
 
-def _materialize_cases():
+def _dense_word_cases():
     r, jac = _jacobian_realization(24, 1)
     step = lambda v: DiagFactor((v,), E.step(E.x(0)))  # noqa: E731
     half = DiagFactor(("h1",), E.const(-0.5))  # scalar image, negative: signed zeros
     rect = _rect_realization()
     sign = DiagFactor(("v",), E.sub(E.step(E.x(0)), E.const(0.5)))
+    big, big_jac = _jacobian_realization(300, 2)  # 300 pads to 320
     return {
         "diagonal_first": (r, jac),
         "matrix_first": (r, MatrixWord((step("h3"), MatFactor("W3"), MatFactor("W2")))),
@@ -363,26 +363,33 @@ def _materialize_cases():
                                            MatFactor("W3", True)))),
         "all_diagonal": (r, MatrixWord((step("h1"), half, step("x1")))),
         "rectangular_transpose": (rect, MatrixWord((MatFactor("A", True), sign))),
+        "unaligned_transpose_first": (big, big_jac.T),
     }
 
 
 @pytest.mark.parametrize("case", ["diagonal_first", "matrix_first", "transpose_first",
-                                  "all_diagonal", "rectangular_transpose"])
-def test_materialize_equals_identity_product(case):
-    r, word = _materialize_cases()[case]
-    dense = materialize(r, word)
+                                  "all_diagonal", "rectangular_transpose",
+                                  "unaligned_transpose_first"])
+def test_dense_word_equals_identity_product(case):
+    # without a probe the first factor applied is taken as it is, not
+    # multiplied by the identity, and the entries are the same
+    r, word = _dense_word_cases()[case]
+    dense = word_apply(r, word)
     assert np.array_equal(dense, word_apply(r, word, np.eye(dense.shape[1])))
-    assert dense.flags.c_contiguous
     formed = r.form(*(m.name for m in r.program.matrices))
     assert not any(np.shares_memory(dense, w) for w in formed)
 
 
-def test_materialize_errors():
+def test_dense_word_errors():
     r, jac = _jacobian_realization(EXACT_CAP + 1, 1)
-    with pytest.raises(ShapeMismatch, match="cannot materialize the empty word"):
-        materialize(r, MatrixWord(()))
-    with pytest.raises(CapExceeded, match="side 1025 exceeds dense cap 1024"):
-        materialize(r, jac)
+    with pytest.raises(ShapeMismatch, match="cannot form the empty word"):
+        word_apply(r, MatrixWord(()))
+    # the side is checked before any matrix is formed
+    for dense_path in (lambda: spectral_moments(r, jac.T * jac, 2, "exact"),
+                       lambda: eig_spectrum(r, jac.T * jac),
+                       lambda: word_apply(r, jac)):
+        with pytest.raises(CapExceeded, match="side 1025 exceeds dense cap 1024"):
+            dense_path()
     assert not r.matrices
 
 
@@ -405,49 +412,53 @@ _SUPPORT_WORDS = {
 }
 
 
+def _aligned(m: int) -> int:
+    return -(-m // SUPPORT_ALIGN) * SUPPORT_ALIGN
+
+
+def _assert_kept_block(block, dense, kept):
+    """block is word_block's: the padded kept sizes, the nonzeros of the
+    dense word, and a Gram matrix with the dense Gram's power traces.
+    kept counts the indices of each side the word's diagonals keep: a side
+    that keeps every index is padded with zeros to a multiple of
+    SUPPORT_ALIGN (n = 200 to 224); a kept set is padded to one first."""
+    n = dense.shape[0]
+    assert block.shape == tuple(_aligned(min(n, _aligned(k))) for k in kept)
+    assert np.count_nonzero(block) == np.count_nonzero(dense)
+    scale = np.max(np.abs(dense), initial=0.0)
+    assert np.allclose(np.sort(block[block != 0]), np.sort(dense[dense != 0]),
+                       rtol=0.0, atol=1e-12 * scale)
+    got = power_traces(block.T @ block, 4, symmetric=True)
+    want = power_traces(dense.T @ dense, 4, symmetric=True)
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-12 * scale)
+
+
 @pytest.mark.parametrize("n", [96, 200])
 @pytest.mark.parametrize("case", sorted(_SUPPORT_WORDS))
 def test_materialize_drops_zero_diagonal_coordinates(n, case):
     # word_block reads each W only where its neighbouring diagonals are
-    # nonzero; materialize scatters that block back and still equals the
-    # identity product, and the dropped rows and columns are exactly zero
+    # nonzero, so a row or column a diagonal zeros out is dropped from its
+    # block; inner_zero has no outer diagonal and keeps every index
     r, _ = _jacobian_realization(n, 2)
     word = _SUPPORT_WORDS[case]
-    want = word_apply(r, word, np.eye(n))
-    dense = materialize(r, word)
-    assert np.max(np.abs(dense - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
-    block, rows, cols = word_block(r, word)
-    assert (rows is None and cols is None) == (case == "inner_zero")
-    for kept, nonzero in ((rows, np.any(want, axis=1)), (cols, np.any(want, axis=0))):
-        if kept is None:
-            continue
-        assert len(kept) == min(n, -(-int(nonzero.sum()) // SUPPORT_ALIGN) * SUPPORT_ALIGN)
-        assert set(np.flatnonzero(nonzero)) <= set(kept)
-        assert np.array_equal(kept, np.sort(kept))
-    rows = np.arange(n) if rows is None else rows
-    cols = np.arange(n) if cols is None else cols
-    # a side that keeps every index is padded with zeros to a multiple of
-    # SUPPORT_ALIGN (n = 200 to 224); a kept set already is one
-    aligned = lambda m: -(-m // SUPPORT_ALIGN) * SUPPORT_ALIGN  # noqa: E731
-    assert block.shape == (aligned(len(rows)), aligned(len(cols)))
-    assert np.array_equal(dense[np.ix_(rows, cols)], block[:len(rows), :len(cols)])
-    assert np.count_nonzero(dense) == np.count_nonzero(block)
+    dense = word_apply(r, word, np.eye(n))
+    kept = (n, n) if case == "inner_zero" else (
+        int(np.any(dense, axis=1).sum()), int(np.any(dense, axis=0).sum()))
+    _assert_kept_block(word_block(r, word), dense, kept)
 
 
 def test_word_without_zero_diagonal_entries_keeps_the_full_product():
     # tanh' has no zero: word_block keeps every index and takes the full
-    # product's operations on operands padded with zeros from n = 200 to 224,
-    # and materialize crops that product back to 200 x 200 bit for bit
+    # product's operations on operands padded with zeros from n = 200 to 224
     r, _ = _jacobian_realization(200, 2)
     word = jacobian_word(3, ACTIVATIONS["tanh"][1])
-    block, rows, cols = word_block(r, word)
-    assert rows is None and cols is None
+    block = word_block(r, word)
     pad = lambda a: np.pad(a, [(0, 24)] * a.ndim)  # noqa: E731
     d1, d2 = (pad(diag_entries(r, f)) for f in (word.factors[3], word.factors[1]))
     want = pad(r.form("W3")[0]) @ (d2[:, None] * np.multiply(pad(r.form("W2")[0]), d1, order="C"))
     assert np.array_equal(block, want)
     assert not want[200:].any() and not want[:, 200:].any()
-    assert np.array_equal(materialize(r, word), want[:200, :200])
+    _assert_kept_block(block, word_apply(r, word, np.eye(200)), (200, 200))
 
 
 def test_mirror_half():
@@ -472,6 +483,36 @@ def _mirror_cases():
     jr, jac = _jacobian_realization(96, 3)
     return [(r, MatrixWord((w, wt))), (r, MatrixWord((wt, d, d, w))),
             (jr, jac.T * jac)]
+
+
+def _exact_mirror_cases():
+    r, jac = _jacobian_realization(96, 3)
+    step = DiagFactor(("h2",), E.step(E.x(0)))
+    half = MatrixWord((step, MatFactor("W3", True)))  # W3^T applied first
+    diag = MatrixWord((DiagFactor(("h1",), E.tanh(E.x(0))),))
+    # A : 1040 x 520, so A^T A is within the dense cap and A is not
+    mp_two = corpus.load_program("mp_two")
+    tall = instantiate(mp_two, dims_for_scale(mp_two, 520), 0)
+    return {"relu_jacobian": (r, jac), "transpose_first": (r, half), "diag_diag": (r, diag),
+            "half_above_the_cap": (tall, MatrixWord((MatFactor("A"),)))}
+
+
+@pytest.mark.parametrize("case", ["relu_jacobian", "transpose_first", "diag_diag",
+                                  "half_above_the_cap"])
+def test_exact_mirror_moments_match_dense_power_traces(case):
+    # the exact moments of R^T R are power traces of the Gram matrix of R's
+    # kept block, not of the dense word: they agree
+    r, half = _exact_mirror_cases()[case]
+    word = half.T * half
+    assert word.mirror_half() == half
+    if case == "relu_jacobian":
+        assert word_block(r, half).shape[1] < 96  # J has dropped columns
+    dense = word_apply(r, word)
+    n = len(dense)
+    want = power_traces(dense, 6)
+    got = spectral_moments(r, word, 6, method="exact")
+    assert [se for _, se in got] == [0.0] * 6
+    assert [m for m, _ in got] == pytest.approx([t / n for t in want], rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("case", [0, 1, 2])

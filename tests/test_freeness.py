@@ -16,7 +16,6 @@ from infwidth.finite import (
     ProductSampler,
     dims_for_scale,
     instantiate,
-    materialize,
     power_traces,
     probe_forms,
     trace_moment,
@@ -210,7 +209,7 @@ def test_monomial_trace_is_exact_on_cheap_forms(name, factors):
     r = instantiate(prog, dims_for_scale(prog, 96), 5)
     word = MatrixWord(factors)
     n = r.dims[finite.square_class(prog, word)]
-    want = np.trace(materialize(r, word)) / n
+    want = np.trace(word_apply(r, word)) / n
     assert monomial_trace(r, word, 16) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -245,6 +244,27 @@ def test_monomial_trace_without_probes_is_the_exact_trace(monkeypatch, factors):
     word = MatrixWord(factors)
     assert monomial_trace(r, word, 0) == trace_moment(r, word, "exact")[0]
     assert "hutch" not in drawn
+
+
+def test_dense_paths_multiply_by_no_identity(monkeypatch):
+    # the exact centered trace of word_a (whose first factor applied is
+    # W^T), exact moments of a word that is no mirror and the spectrum take
+    # the first factor applied as it is: no factor is applied to I
+    applied = []
+    real = finite._apply_factor
+
+    def spy(realization, f, probe):
+        applied.append(probe)
+        return real(realization, f, probe)
+
+    monkeypatch.setattr(finite, "_apply_factor", spy)
+    r = _real(96, 3)
+    centered_trace(r, corpus.load_word("word_a"), method="exact")
+    finite.spectral_moments(r, MatrixWord((W, W)), 3, "exact")
+    finite.eig_spectrum(r, MatrixWord((W, WT)))
+    assert len(applied) >= 3
+    assert not any(p is not None and p.shape == (96, 96) and np.array_equal(p, np.eye(96))
+                   for p in applied)
 
 
 @pytest.mark.parametrize("word", ["word_a", "word_b"])
@@ -440,7 +460,7 @@ def _jacobian_case(phi_name, layers, n, seed):
 @pytest.mark.parametrize("phi_name,layers", [("relu", 4), ("tanh", 3)])
 def test_jacobian_dense_moments_match_singular_values(phi_name, layers):
     (phi, dphi), r, word = _jacobian_case(phi_name, layers, 96, 4)
-    s2 = np.linalg.svd(materialize(r, word), compute_uv=False) ** 2
+    s2 = np.linalg.svd(word_apply(r, word), compute_uv=False) ** 2
     want = np.array([np.mean(s2**k) for k in range(1, 8)])
     got = jacobian_finite(layers, 96, phi, dphi, 1.0, 4, 7)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -463,8 +483,8 @@ def test_jacobian_support_moments_match_full_gram(dphi_name, layers, n):
     prog = mlp_program(layers, phi, 1.0)
     r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, 6)
     word = jacobian_word(layers, dphi)
-    assert word_block(r, word)[2] is not None  # J has dropped columns
-    j = word_apply(r, word, np.eye(n))
+    assert word_block(r, word).shape[1] < n  # J has dropped columns
+    j = word_apply(r, word)
     want = np.array(power_traces(j.T @ j, 6, symmetric=True)) / n
     got = jacobian_finite(layers, n, phi, dphi, 1.0, 6, 6)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
