@@ -249,6 +249,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"verify needs a finite --tol >= 0 (got {args.tol})")
     name, program = _resolve_program(args.program)
     tests = _parse_tests(program, name, args.test)
+    if not tests and not any(isinstance(ins, Moment) for ins in program.instructions):
+        raise ValueError(f"program {name!r} has no moment scalar to verify: give a --test")
     sizes = _parse_int_list(args.n)
     if sizes != sorted(sizes):
         raise ValueError("size sweep must be ascending")

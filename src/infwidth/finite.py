@@ -52,7 +52,7 @@ BLOCK_ENTRIES = 1 << 22
 # their temporaries stay in L2
 CHUNK_ENTRIES = 1 << 16
 DEPENDENT_TOL = 1e-12  # relative residual below which an input adds no direction
-SUPPORT_ALIGN = 32  # word_block pads kept index sets and operand sides to multiples of this
+SUPPORT_ALIGN = 32  # _take pads operands, and Realization.form buffers, to multiples of this
 
 
 def dims_for_scale(program: Program, n: int) -> dict[str, int]:
@@ -500,70 +500,61 @@ def word_apply(
     return out
 
 
-def word_block(realization: Realization, word: MatrixWord) -> np.ndarray:
-    """The dense word on the rows and columns its diagonals keep, padded
-    with zeros: it holds every nonzero entry of the word, and its Gram
-    matrix has the power traces of the word's.  The word is not empty, and
-    the caller bounds the side of what it takes from the block (the Gram
-    side of spectral_moments is at most EXACT_CAP).
+def diag_product(realization: Realization, factors, n: int) -> np.ndarray:
+    """The entrywise product of the diagonal factors among `factors`, in
+    order; ones of length n if there are none."""
+    d = np.ones(n)
+    for f in factors:
+        if isinstance(f, DiagFactor):
+            d *= diag_entries(realization, f)
+    return d
 
-    The diagonals applied first are folded into one vector d, which scales
-    the columns of the first matrix factor, and the rest are applied to
-    that.  Each matrix factor is read only where its neighbouring diagonals
-    are nonzero: its columns for those applied just before it (d, for the
-    first), its rows for those just after.  Kept index sets are padded as
-    in _kept, and every operand to sides that are multiples of
-    SUPPORT_ALIGN (_take).  The word's matrices are formed together and read
-    from their padded buffers, so a side that keeps every index copies
-    nothing.  An all-diagonal word, such as the half of diag | diag, is Diag(d).
+
+def word_block(realization: Realization, word: MatrixWord) -> np.ndarray:
+    """The dense word on the rows and columns its diagonals keep, in order,
+    then zero rows and columns (_take): its Gram matrix has the power
+    traces of the word's.  The word is not empty, and the caller bounds
+    the side of what it takes from it (spectral_moments, the Gram side).
+
+    Each maximal run of diagonal factors is folded into one vector
+    (diag_product): the run applied first into d, which scales the columns
+    of the first matrix factor, and the run after each matrix factor into
+    e, which scales that product's rows once.  Each matrix factor is read
+    only where its neighbouring runs are nonzero (_kept): its columns
+    where the run before it is, its rows where e is.  The word's matrices
+    are formed together and read from their padded buffers, so a side that
+    keeps every index copies nothing.  An all-diagonal word, such as the
+    half of diag | diag, is Diag(d).
     """
-    col_cls = word_classes(realization.program, word)[1]
-    # the matrix factors in order of application, each with the diagonal
-    # entries applied right after it; lead holds those applied first
-    lead, runs = [], []
-    for f in word.factors[::-1]:
-        if isinstance(f, MatFactor):
-            runs.append((f, []))
-        else:
-            (runs[-1][1] if runs else lead).append(diag_entries(realization, f))
-    d = np.ones(realization.dims[col_cls])
-    for e in lead:
-        d = e * d
-    if not runs:
+    fs = word.factors
+    mats = [i for i, f in enumerate(fs) if isinstance(f, MatFactor)]
+    n = realization.dims[word_classes(realization.program, word)[1]]
+    d = diag_product(realization, fs[mats[-1] + 1:] if mats else fs, n)
+    if not mats:
         return np.diag(d)
+    names = [fs[i].name for i in mats]
+    formed = dict(zip(names, realization.form(*names)))
     rows = cols = _kept(d != 0)  # rows: the kept rows of the running product
     out = None
-    names = [f.name for f, _ in runs]
-    padded = {name: w.base for name, w in zip(names, realization.form(*names))}
-    for f, after in runs:
-        keep = _kept(np.logical_and.reduce([e != 0 for e in after])) if after else None
-        w = padded[f.name]
-        w = _take(w.T if f.transposed else w, keep, rows)
-        if out is None:
-            out = np.multiply(w, _take(d, cols), order="C")
-        else:
-            out = w @ out
-        for e in after:
+    # the matrix factors in order of application, each with the run after it
+    for start, i in reversed(list(zip([-1] + mats, mats))):
+        f, run = fs[i], fs[start + 1:i]
+        w = formed[f.name]
+        e = diag_product(realization, run, w.shape[f.transposed])
+        keep = _kept(e != 0)
+        w = _take(w.base.T if f.transposed else w.base, keep, rows)
+        out = np.multiply(w, _take(d, cols), order="C") if out is None else w @ out
+        if run:
             out = _take(e, keep)[:, None] * out
         rows = keep
     return out
 
 
 def _kept(keep: np.ndarray) -> np.ndarray | None:
-    """The indices where keep is true, or None if that is every index.
-
-    The set is padded with the first indices where keep is false, up to a
-    multiple of SUPPORT_ALIGN (at most every index).  word_block keeps the
-    indices where diagonal entries are nonzero, so a padded index adds only
-    exact zeros to a product.
-    """
-    count = int(np.count_nonzero(keep))
-    size = min(len(keep), -(-count // SUPPORT_ALIGN) * SUPPORT_ALIGN)
-    if size == len(keep):
-        return None
-    keep = keep.copy()
-    keep[np.flatnonzero(~keep)[:size - count]] = True
-    return np.flatnonzero(keep)
+    """The indices where keep is true, in order, or None if that is every
+    index.  word_block keeps the indices where a run of diagonals is
+    nonzero; _take pads the set."""
+    return None if keep.all() else np.flatnonzero(keep)
 
 
 def _take(
@@ -571,19 +562,24 @@ def _take(
 ) -> np.ndarray:
     """a on the index arrays rows and cols (None keeps every index; a vector
     takes rows only), with zeros appended to each side up to a multiple of
-    SUPPORT_ALIGN; a itself when that changes nothing.
+    SUPPORT_ALIGN; a view of a when that changes nothing.  It is the one
+    place an operand is padded (Realization.form pads its buffers once).
 
     A padded side adds only exact zeros to a product.  OpenBLAS gives the
     same bytes for any thread count on products whose sides are multiples
     of SUPPORT_ALIGN, as it does not on some others (n = 150, or the
-    unpadded, data-dependent sides of kept sets).
+    unpadded, data-dependent sides of kept sets).  The zeros come before the
+    selection's temporary, so freeing it leaves no hole in the heap.
     """
-    if rows is not None:
-        a = a[rows] if cols is None else a[np.ix_(rows, cols)]
-    elif cols is not None:
-        a = a[:, cols]
-    pad = [(0, -n % SUPPORT_ALIGN) for n in a.shape]
-    return np.pad(a, pad) if any(after for _, after in pad) else a
+    index = tuple(slice(None) if i is None else i for i in (rows, cols)[:a.ndim])
+    if rows is not None and cols is not None:
+        index = np.ix_(rows, cols)
+    sides = [n if i is None else len(i) for n, i in zip(a.shape, (rows, cols))]
+    if all(n % SUPPORT_ALIGN == 0 for n in sides):
+        return a[index]
+    out = np.zeros([n + -n % SUPPORT_ALIGN for n in sides])
+    out[tuple(map(slice, sides))] = a[index]
+    return out
 
 
 def square_class(program: Program, word: MatrixWord) -> str:

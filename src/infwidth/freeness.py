@@ -38,6 +38,7 @@ from .finite import (
     MatrixWord,
     Realization,
     diag_entries,
+    diag_product,
     dims_for_scale,
     instantiate,
     map_threads,
@@ -154,22 +155,14 @@ def _poly_sum(poly: WordPoly, apply) -> np.ndarray:
     return out
 
 
-def _diag_product(realization: Realization, factors, n: int) -> np.ndarray:
-    """The entrywise product of the diagonal factors among `factors`; ones if none."""
-    d = np.ones(n)
-    for f in factors:
-        if isinstance(f, DiagFactor):
-            d *= diag_entries(realization, f)
-    return d
-
-
 def monomial_trace(realization: Realization, word: MatrixWord, probes: int) -> float:
     """Normalized trace (1/n) tr(word) of a square monomial, exact when it is cheap.
 
-    With D and E products of diagonal factors, a word of diagonals only is
-    (1/n) sum d, one with a single matrix factor M is (1/n) sum_i M_ii d_i,
-    and one whose only matrix factors are W and W^T, cyclically W D W^T E
-    or W^T D W E, is a weighted sum of the squared entries of W.  Each sum
+    With D and E products of diagonal factors (finite.diag_product, the
+    fold finite.word_block takes too), a word of diagonals only is (1/n)
+    sum d, one with a single matrix factor M is (1/n) sum_i M_ii d_i, and
+    one whose only matrix factors are W and W^T, cyclically W D W^T E or
+    W^T D W E, is a weighted sum of the squared entries of W.  Each sum
     reads the formed W in its own layout with numpy, not BLAS, and no n x n
     temporary.  Any other word is trace_moment, exact when probes is 0.
     """
@@ -177,10 +170,10 @@ def monomial_trace(realization: Realization, word: MatrixWord, probes: int) -> f
     fs = word.factors
     mats = [i for i, f in enumerate(fs) if isinstance(f, MatFactor)]
     if not mats:
-        return float(_diag_product(realization, fs, n).sum()) / n
+        return float(diag_product(realization, fs, n).sum()) / n
     if len(mats) == 1:
         (w,) = realization.form(fs[mats[0]].name)
-        return float(np.einsum("ii,i->", w, _diag_product(realization, fs, n))) / n
+        return float(np.einsum("ii,i->", w, diag_product(realization, fs, n))) / n
     if len(mats) == 2:
         i, j = mats
         left, right = fs[i], fs[j]
@@ -189,8 +182,8 @@ def monomial_trace(realization: Realization, word: MatrixWord, probes: int) -> f
             # contract (its columns in W D W^T, its rows in W^T D W), the
             # rest, cyclically, its other side
             (w,) = realization.form(left.name)
-            inner = _diag_product(realization, fs[i + 1:j], w.shape[1 - left.transposed])
-            outer = _diag_product(realization, fs[j + 1:] + fs[:i], n)
+            inner = diag_product(realization, fs[i + 1:j], w.shape[1 - left.transposed])
+            outer = diag_product(realization, fs[j + 1:] + fs[:i], n)
             rows, cols = (inner, outer) if left.transposed else (outer, inner)
             sq = np.einsum("ij,ij,j->i", w, w, cols)
             return float(np.einsum("i,i->", rows, sq)) / n

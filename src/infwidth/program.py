@@ -371,9 +371,16 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
                     f"{ins.out!r}: inputs span several dimension classes {sorted(classes)}"
                 )
 
+    pairs: set[frozenset[str]] = set()
     for c in covs:
         if c.a not in {v.name for v in vectors} or c.b not in {v.name for v in vectors}:
             raise UndeclaredSymbol(f"cov references unknown initial vector: {c}")
+        if c.a == c.b:
+            raise DuplicateSymbol(f"cov {c.a} {c.b}: declare a variance as "
+                                  f"'vector {c.a} : {vec_class[c.a]} var VALUE'")
+        if frozenset((c.a, c.b)) in pairs:
+            raise DuplicateSymbol(f"cov of {c.a!r} and {c.b!r} declared twice")
+        pairs.add(frozenset((c.a, c.b)))
         if uf.find(vec_class[c.a]) != uf.find(vec_class[c.b]):
             raise DimClassConflict(
                 f"cov({c.a},{c.b}): jointly sampled vectors must share a class"

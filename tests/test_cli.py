@@ -195,6 +195,18 @@ def test_free_rejects_a_word_file_with_no_factors(tmp_path):
         "error,kind,message", f"error,ValueError,word file '{path}' holds no factors"]
 
 
+def test_verify_with_nothing_to_check_is_an_error(tmp_path, monkeypatch):
+    # fipbase has no moment scalar and no bundled test: without --test the
+    # run checked nothing, so it is an error row, raised before the limit
+    monkeypatch.setattr(cli, "build_replicated", None)
+    rc, data = _run(tmp_path, "verify", "--program", "@fipbase", "--n", "16,32",
+                    "--ensemble", "2000")
+    assert rc == 2
+    assert data.decode().splitlines() == [
+        "error,kind,message",
+        "error,ValueError,program 'fipbase' has no moment scalar to verify: give a --test"]
+
+
 def test_an_unwritable_out_gets_its_error_row_on_stdout(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert run(["law", "mp", "--rho", "0.5", "--out", str(out)]) == 2
@@ -379,15 +391,17 @@ _GOLDEN = {
 # one thread.  By design: the exact Jacobian path and word_apply, which
 # both centered traces (exact from the dense first polynomial, probes on
 # probe blocks) run through, multiply operands whose sides are multiples of
-# finite.SUPPORT_ALIGN (kept index sets, and full sides padded with zeros),
-# the Jacobian forms each W_l with numpy sums, not BLAS gemv, and the limit
-# chain takes its n-length dots and products as numpy sums too.
-# jacobian_tanh_deep differed between 1 and 2 threads before that,
+# finite.SUPPORT_ALIGN (finite._take appends zeros to each kept index set
+# and full side), the Jacobian forms each W_l with numpy sums, not BLAS
+# gemv, and the limit chain takes its n-length dots and products as numpy
+# sums too.  jacobian_tanh_deep differed between 1 and 2 threads before that,
 # jacobian_relu_700 does when the formation uses gemv, and free_auto did
 # when word_apply multiplied its unpadded n = 600 operands.  OpenBLAS
 # uses no more threads than the CPUs it may run on, so the digests need at
 # least 2 usable CPUs: under `taskset -c 0` free_auto fails even with
-# OPENBLAS_NUM_THREADS=2.
+# OPENBLAS_NUM_THREADS=2.  The relu Jacobian digests were re-recorded when
+# the zeros of a kept set moved from between its indices to its end, which
+# changes the block's sums by a few ulps.
 _GOLDEN_SHA = {
     "sim":
         "b2af752bb6740197fe58a5da334ae9172c352f87670db3fde2b9ca71df2f8fd7",
@@ -408,11 +422,11 @@ _GOLDEN_SHA = {
     "jacobian_probe":
         "5a370b0773d53afdf5f50d06a5a959800a941ee66cde48fb2ab03e8bb8596bff",
     "jacobian_relu_dense":
-        "d3cf8ba1bc328d68893463dcfa2bb71b17bccbd23ac2fe33885f93f5ce79981f",
+        "9842592e84835f1b4b128001551bb74cd8003124829f293b216aafd7aedf99ed",
     "jacobian_tanh_deep":
         "3ae64ed98b6a5b5ce033d9f35ac3b3b4e94af640952114729f9dcbabe5268a60",
     "jacobian_relu_700":
-        "0c9f4a02ab30f64ee12d2e0a5a0a40b246f393b9d0434174dc8fbcf78f33b9c1",
+        "0c20750263db12fb7f2955e382aad69f8e5218a29defacba56118f2f102e2862",
     "law_mp":
         "9d52187d5a837d983bb71a1643de3389b117c4dba60f9bdf35da534786fa49b9",
     "law_semicircle_density":

@@ -419,11 +419,10 @@ def _aligned(m: int) -> int:
 def _assert_kept_block(block, dense, kept):
     """block is word_block's: the padded kept sizes, the nonzeros of the
     dense word, and a Gram matrix with the dense Gram's power traces.
-    kept counts the indices of each side the word's diagonals keep: a side
-    that keeps every index is padded with zeros to a multiple of
-    SUPPORT_ALIGN (n = 200 to 224); a kept set is padded to one first."""
-    n = dense.shape[0]
-    assert block.shape == tuple(_aligned(min(n, _aligned(k))) for k in kept)
+    kept counts the indices of each side the word's diagonals keep, and
+    each side is padded with zeros to a multiple of SUPPORT_ALIGN, whether
+    it keeps every index (n = 200 to 224) or not (a set of 199 to 224)."""
+    assert block.shape == tuple(_aligned(k) for k in kept)
     assert np.count_nonzero(block) == np.count_nonzero(dense)
     scale = np.max(np.abs(dense), initial=0.0)
     assert np.allclose(np.sort(block[block != 0]), np.sort(dense[dense != 0]),
@@ -445,6 +444,34 @@ def test_materialize_drops_zero_diagonal_coordinates(n, case):
     kept = (n, n) if case == "inner_zero" else (
         int(np.any(dense, axis=1).sum()), int(np.any(dense, axis=0).sum()))
     _assert_kept_block(word_block(r, word), dense, kept)
+
+
+def _one_zero_word(r):
+    """step(h2) | W2 | step(h1), each step zero only at its vector's least
+    entry: 199 of 200 rows and columns kept, rounded past the side to 224."""
+    def step(v):
+        low = np.sort(r.vectors[v])[:2]
+        return _step_at(v, float(low.mean()))
+    return MatrixWord((step("h2"), MatFactor("W2"), step("h1")))
+
+
+@pytest.mark.parametrize("n, case", [(200, "one_zero"), (700, "jacobian"),
+                                     (700, "jacobian_transpose")])
+def test_word_block_puts_the_kept_rows_and_columns_first(n, case):
+    # the block's first rows and columns are the dense word's nonzero ones,
+    # in order, and the zeros that pad each side to SUPPORT_ALIGN follow them
+    r, jac = _jacobian_realization(n, 2)
+    word = {"one_zero": _one_zero_word(r), "jacobian": jac, "jacobian_transpose": jac.T}[case]
+    dense = word_apply(r, word)
+    rows, cols = np.flatnonzero(dense.any(axis=1)), np.flatnonzero(dense.any(axis=0))
+    if case == "one_zero":
+        assert (len(rows), len(cols)) == (199, 199)
+    block = word_block(r, word)
+    assert block.shape == (_aligned(len(rows)), _aligned(len(cols)))
+    scale = np.max(np.abs(dense))
+    assert np.allclose(block[:len(rows), :len(cols)], dense[np.ix_(rows, cols)],
+                       rtol=0.0, atol=1e-12 * scale)
+    assert not block[len(rows):].any() and not block[:, len(cols):].any()
 
 
 def test_word_without_zero_diagonal_entries_keeps_the_full_product():

@@ -181,6 +181,21 @@ def test_cov_requires_same_class():
         )
 
 
+@pytest.mark.parametrize("first, second", [(("v", "w"), ("w", "v")), (("v", "w"), ("v", "w"))])
+def test_a_repeated_cov_pair_is_a_duplicate(first, second):
+    # the second declaration used to replace the first silently
+    a, b = second
+    with pytest.raises(DuplicateSymbol, match=rf"^cov of '{a}' and '{b}' declared twice$"):
+        build_program([VectorDecl("v", "a"), VectorDecl("w", "a"),
+                       CovDecl(*first, 0.5), CovDecl(*second, 0.9)])
+
+
+def test_a_cov_of_a_vector_with_itself_points_to_its_var():
+    # cov v v used to override v's declared variance silently
+    with pytest.raises(DuplicateSymbol, match=r"^cov v v: .*'vector v : a var VALUE'$"):
+        build_program([VectorDecl("v", "a", var=1.0), CovDecl("v", "v", 2.0)])
+
+
 def test_init_block_psd_repair_accepts_near_psd():
     # correlation exactly 1 with a tiny negative eigenvalue from rounding
     prog = build_program(
