@@ -36,7 +36,6 @@ from .freeness import (
     freeness_sweep,
     jacobian_finite,
     jacobian_limit_moments,
-    word_from_groups,
 )
 from .limits import DEFAULT_SAMPLES, build_replicated
 from .program import Moment, Program
@@ -69,10 +68,10 @@ def _resolve_word(spec: str):
     if spec.startswith("@"):
         return corpus.load_word(spec[1:])
     with open(spec) as fh:
-        groups = dsl.parse_word_factors(fh.read())
-    if not groups:  # the empty product would trace to 1 at every size
+        word = dsl.parse_word(fh.read())
+    if not word.factors:  # the empty product would trace to 1 at every size
         raise ValueError(f"word file {spec!r} holds no factors")
-    return word_from_groups(groups)
+    return word
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -110,6 +109,14 @@ def _parse_tests(program: Program, name: str, test_flags: list[str]):
     return tests
 
 
+def _sweep_tests(program: Program, name: str, test_flags: list[str]):
+    """_parse_tests for sim and verify, whose rows are moment scalars and test averages."""
+    tests = _parse_tests(program, name, test_flags)
+    if not tests and not any(isinstance(ins, Moment) for ins in program.instructions):
+        raise ValueError(f"program {name!r} has no moment scalar to verify: give a --test")
+    return tests
+
+
 def _seed_list(args) -> list[int]:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
@@ -134,7 +141,7 @@ def _cell_stats(program: Program, tests, n: int, seed: int) -> list[tuple[str, f
 
 def cmd_sim(args) -> int:
     name, program = _resolve_program(args.program)
-    tests = _parse_tests(program, name, args.test)
+    tests = _sweep_tests(program, name, args.test)
     sizes = _parse_int_list(args.n)
     seeds = _seed_list(args)
     cells = [(n, s) for n in sizes for s in seeds]
@@ -178,7 +185,10 @@ def cmd_limit(args) -> int:
     name, program = _resolve_program(args.program)
     tests = _parse_tests(program, name, args.test)
     state = _limit_state(program, args, tests)
-    _write_csv(args.out, ("object", "kind", "value", "stderr"), _limit_rows(program, state, tests))
+    rows = _limit_rows(program, state, tests)
+    if not rows:
+        raise ValueError(f"program {name!r} has no scalar or correction to report: give a --test")
+    _write_csv(args.out, ("object", "kind", "value", "stderr"), rows)
     return 0
 
 
@@ -248,9 +258,7 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"verify needs a finite --tol >= 0 (got {args.tol})")
     name, program = _resolve_program(args.program)
-    tests = _parse_tests(program, name, args.test)
-    if not tests and not any(isinstance(ins, Moment) for ins in program.instructions):
-        raise ValueError(f"program {name!r} has no moment scalar to verify: give a --test")
+    tests = _sweep_tests(program, name, args.test)
     sizes = _parse_int_list(args.n)
     if sizes != sorted(sizes):
         raise ValueError("size sweep must be ascending")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from . import dsl
-from .freeness import AlternatingWord, word_from_groups
+from .freeness import AlternatingWord
 from .program import Program
 
 PROGRAM_NAMES = (
@@ -64,4 +64,4 @@ def load_word(name: str) -> AlternatingWord:
     if name not in WORD_NAMES:
         raise KeyError(f"no bundled word {name!r}; have {WORD_NAMES}")
     text = resources.files("infwidth").joinpath(f"words/{name}.word").read_text()
-    return word_from_groups(dsl.parse_word_factors(text))
+    return dsl.parse_word(text)

@@ -19,10 +19,12 @@ Expressions use input slots x1..xk and parameter slots p1..pl; scalar rules
 are ratios of polynomials in u = 1/n.  ``print_program`` emits a canonical
 form with ``parse_program(print_program(p)) == p``.
 
-Word files (for alternating-product experiments) hold one factor per line,
-``mat W``, ``mat W^T`` or ``diag v1,v2 <expr>``; blank lines separate
-factors of the alternating product, and consecutive lines from the same
-collection (the factor's ``collection()``) are grouped automatically.
+A word file (for alternating-product experiments) holds one factor per
+line, ``mat W``, ``mat W^T`` or ``diag v1,v2 <expr>``, and ``parse_word``
+reads it into one alternating word.  Blank lines separate the polynomials
+of the product, ``+`` lines the monomials of one polynomial, and a change
+of collection (the factor's ``collection()``) between lines starts a new
+polynomial.  Names are checked as in programs, by the same ``NAME^T`` rule.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import re
 
 from . import exprs
 from .errors import ParseError
-from .finite import DiagFactor, MatFactor
+from .finite import DiagFactor, MatFactor, MatrixWord
+from .freeness import AlternatingWord, WordPoly, alternating_word
 from .program import (
     CovDecl,
     MatMul,
@@ -53,6 +56,13 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 def _check_name(tok: str, line: int):
     if not _NAME.match(tok):
         raise ParseError(f"invalid name {tok!r}", line, 1)
+
+
+def _matrix_ref(tok: str, line: int) -> tuple[str, bool]:
+    """(name, transposed) of a ``NAME`` or ``NAME^T`` matrix reference."""
+    name = tok.removesuffix("^T")
+    _check_name(name, line)
+    return name, name != tok
 
 
 def parse_program(text: str) -> Program:
@@ -132,11 +142,7 @@ def _parse_instruction(out: str, rest: str, lineno: int):
         toks = rest.split()
         if len(toks) != 3:
             raise ParseError("expected: NAME = matmul MATRIX[^T] VECTOR", lineno, 1)
-        mat = toks[1]
-        transposed = mat.endswith("^T")
-        if transposed:
-            mat = mat[:-2]
-        _check_name(mat, lineno)
+        mat, transposed = _matrix_ref(toks[1], lineno)
         _check_name(toks[2], lineno)
         return MatMul(out, mat, transposed, toks[2])
     for kind in ("nonlin", "moment"):
@@ -266,61 +272,37 @@ def _format_rule(rule: ScalarRule) -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_word_factors(text: str) -> list[list[list[MatFactor | DiagFactor]]]:
-    """Parse a word file into groups of monomials.
-
-    Each group is one polynomial of the alternating product, a list of
-    monomials (factor lists).  Blank lines separate groups, a line holding
-    just ``+`` separates monomials inside a group, and a change of
-    collection between lines starts a new group automatically.
-    """
-    groups: list[list[list[MatFactor | DiagFactor]]] = []
-    monomials: list[list[MatFactor | DiagFactor]] = []
-    current: list[MatFactor | DiagFactor] = []
+def parse_word(text: str) -> AlternatingWord:
+    """Parse a word file into its alternating word; every coefficient is 1."""
+    groups = [[[]]]  # the polynomials, each a list of monomials, each a list of factors
     last_collection = None
-
-    def end_monomial():
-        nonlocal current
-        if current:
-            monomials.append(current)
-        current = []
-
-    def end_group():
-        nonlocal monomials, last_collection
-        end_monomial()
-        if monomials:
-            groups.append(monomials)
-        monomials = []
-        last_collection = None
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            end_group()
+            groups.append([[]])
+            last_collection = None
             continue
         if line == "+":
-            end_monomial()
+            groups[-1].append([])
             continue
         toks = line.split(None, 2)
         if toks[0] == "mat":
             if len(toks) != 2:
                 raise ParseError("expected: mat NAME[^T]", lineno, 1)
-            name = toks[1]
-            transposed = name.endswith("^T")
-            if transposed:
-                name = name[:-2]
-            factor: MatFactor | DiagFactor = MatFactor(name, transposed)
+            factor: MatFactor | DiagFactor = MatFactor(*_matrix_ref(toks[1], lineno))
         elif toks[0] == "diag":
             if len(toks) != 3:
                 raise ParseError("expected: diag VECTORS EXPR", lineno, 1)
             vectors = tuple(t.strip() for t in toks[1].split(","))
+            for v in vectors:
+                _check_name(v, lineno)
             factor = DiagFactor(vectors, exprs.parse_expr(toks[2], line=lineno))
         else:
             raise ParseError(f"unknown word factor {toks[0]!r}", lineno, 1)
         if last_collection not in (None, factor.collection()):
-            end_group()
-        current.append(factor)
+            groups.append([[]])
+        groups[-1][-1].append(factor)
         last_collection = factor.collection()
-    end_group()
-    return groups
-
+    polys = [WordPoly(tuple((1.0, MatrixWord(tuple(m))) for m in group if m))
+             for group in groups if any(group)]
+    return alternating_word(*polys)

@@ -293,7 +293,8 @@ class Realization:
                     )
             bufs = [np.zeros([n + -n % SUPPORT_ALIGN for n in shape]) for shape in shapes]
             views = [buf[:r, :c] for buf, (r, c) in zip(bufs, shapes)]
-            form_dense([self.samplers[name] for name in todo], views)
+            if todo:  # else every name is formed already
+                form_dense([self.samplers[name] for name in todo], views)
             for name, buf, (r, c) in zip(todo, bufs, shapes):
                 buf.flags.writeable = False
                 self.matrices[name] = buf[:r, :c]

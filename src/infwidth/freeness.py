@@ -122,14 +122,6 @@ def alternating_word(*polys: WordPoly) -> AlternatingWord:
     return AlternatingWord(tuple((p.collection(), p) for p in polys))
 
 
-def word_from_groups(groups: list[list[list[MatFactor | DiagFactor]]]) -> AlternatingWord:
-    """Build an alternating word from word-file groups of monomials."""
-    polys = []
-    for group in groups:
-        polys.append(WordPoly(tuple((1.0, MatrixWord(tuple(m))) for m in group)))
-    return alternating_word(*polys)
-
-
 # ---------------------------------------------------------------------------
 # Centered traces
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -205,6 +206,40 @@ def test_verify_with_nothing_to_check_is_an_error(tmp_path, monkeypatch):
     assert data.decode().splitlines() == [
         "error,kind,message",
         "error,ValueError,program 'fipbase' has no moment scalar to verify: give a --test"]
+
+
+def test_sim_with_nothing_to_report_is_an_error(tmp_path, monkeypatch):
+    # as verify's: fipbase has no moment scalar and no bundled test, so the
+    # run is an error row, raised before any cell runs
+    monkeypatch.setattr(cli, "instantiate", None)
+    rc, data = _run(tmp_path, "sim", "--program", "@fipbase", "--n", "16,32", "--seeds", "2")
+    assert rc == 2
+    assert data.decode().splitlines() == [
+        "error,kind,message",
+        "error,ValueError,program 'fipbase' has no moment scalar to verify: give a --test"]
+
+
+def test_limit_with_nothing_to_report_is_an_error(tmp_path):
+    # fipbase declares no scalar, and W is never applied transposed, so it has no
+    # correction either: without --test its report would be the header alone
+    rc, data = _run(tmp_path, "limit", "--program", "@fipbase", "--ensemble", "2000")
+    assert rc == 2
+    assert data.decode().splitlines() == [
+        "error,kind,message",
+        "error,ValueError,program 'fipbase' has no scalar or correction to report: give a --test"]
+
+
+def test_readme_free_example_prints_its_decay_slope(tmp_path, capsys):
+    # the README's CLI block quotes the stderr line of its free example; run
+    # the command as written there and find that line
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```")[1::2] if "infwidth free" in b)
+    lines = block.replace("\\\n", " ").splitlines()
+    (command,) = [line for line in lines if line.startswith("infwidth free")]
+    (quoted,) = [line.split("# stderr:")[1].strip() for line in lines if "# stderr:" in line]
+    assert quoted == "decay_slope 0.11459689464895637"
+    assert run(shlex.split(command, comments=True)[1:] + ["--out", str(tmp_path / "free.csv")]) == 0
+    assert quoted in capsys.readouterr().err.splitlines()
 
 
 def test_an_unwritable_out_gets_its_error_row_on_stdout(tmp_path, capsys):

@@ -6,8 +6,8 @@ from conftest import random_program
 from infwidth import corpus, dsl
 from infwidth import exprs as E
 from infwidth.errors import DimClassConflict, ParseError, UndeclaredSymbol
-from infwidth.finite import DiagFactor, MatFactor
-from infwidth.freeness import word_from_groups
+from infwidth.finite import DiagFactor, MatFactor, MatrixWord
+from infwidth.freeness import WordPoly, monomial
 from infwidth.program import MatMul, Moment, Nonlin, Program, TieDecl
 
 SEMICIRCLE_STEP = """
@@ -145,19 +145,65 @@ def test_fuzz_corpus_roundtrip_50():
 
 
 def test_word_file_parsing_groups_and_sums():
-    groups = dsl.parse_word_factors(
-        "mat W\nmat W^T\n\ndiag xv step(x1)\n\nmat W\n+\nmat W^T\n"
-    )
-    assert len(groups) == 3
-    assert groups[0] == [[MatFactor("W"), MatFactor("W", True)]]
-    assert groups[1] == [[DiagFactor(("xv",), E.step(E.x(0)))]]
-    assert groups[2] == [[MatFactor("W")], [MatFactor("W", True)]]
-    # collection change without a blank line still starts a new group
-    auto = dsl.parse_word_factors("mat W\ndiag xv step(x1)\n")
-    assert len(auto) == 2
+    word = dsl.parse_word("mat W\nmat W^T\n\ndiag xv step(x1)\n\nmat W\n+\nmat W^T\n")
+    w, wt = MatFactor("W"), MatFactor("W", True)
+    assert [poly for _, poly in word.factors] == [
+        monomial(MatrixWord((w, wt))),
+        monomial(MatrixWord((DiagFactor(("xv",), E.step(E.x(0))),))),
+        WordPoly(((1.0, MatrixWord((w,))), (1.0, MatrixWord((wt,))))),
+    ]
+    # collection change without a blank line still starts a new polynomial
+    assert len(dsl.parse_word("mat W\ndiag xv step(x1)\n")) == 2
+    assert len(dsl.parse_word("mat W\n+\ndiag xv step(x1)\n")) == 2
     # two images of one vector are two collections; W and W^T are one
-    diags = dsl.parse_word_factors("diag xv step(x1)\ndiag xv step(x1) - 0.5\n")
-    assert len(diags) == 2
-    assert dsl.parse_word_factors("mat W\nmat W^T\n") == groups[:1]
-    for parsed in (groups, auto, diags):
-        assert len(word_from_groups(parsed)) == len(parsed)  # no NotAlternating
+    assert len(dsl.parse_word("diag xv step(x1)\ndiag xv step(x1) - 0.5\n")) == 2
+    assert dsl.parse_word("mat W\nmat W^T\n").factors == word.factors[:1]
+    assert dsl.parse_word("# only a comment\n\n+\n").factors == ()
+
+
+@pytest.mark.parametrize("line, name", [
+    ("mat W^T^T", "W^T"),
+    ("mat 1W", "1W"),
+    ("diag xv, step(x1)", ""),
+])
+def test_word_file_names_are_checked(line, name):
+    # as in a program, a bad name is a parse error at its line, not an
+    # undeclared symbol at its first use
+    with pytest.raises(ParseError) as err:
+        dsl.parse_word(f"mat W\n\n{line}\n")
+    assert (err.value.line, err.value.col) == (3, 1)
+    assert str(err.value) == f"line 3, col 1: invalid name {name!r}"
+
+
+@pytest.mark.parametrize("parse, line, col, message", [
+    (dsl.parse_program, "class 1c ratio 2.0", 1, "invalid name '1c'"),
+    (dsl.parse_program, "class c ratio", 1, "expected: class NAME ratio VALUE"),
+    (dsl.parse_program, "class c ratio two", 1, "expected a number, got 'two'"),
+    (dsl.parse_program, "matrix W : c var 1.0", 1,
+     "expected: matrix NAME : ROWS x COLS var VALUE"),
+    (dsl.parse_program, "vector w", 1, "expected: vector NAME : CLASS [mean VALUE] [var VALUE]"),
+    (dsl.parse_program, "cov v w", 1, "expected: cov NAME NAME VALUE"),
+    (dsl.parse_program, "tie v", 1, "expected: tie NAME NAME"),
+    (dsl.parse_program, "scalar th 0.0", 1,
+     "expected: scalar NAME limit VALUE [rule EXPR[/EXPR]]"),
+    # a bar inside parentheses is not the ratio's bar, so the numerator
+    # holds it, and expressions have no division
+    (dsl.parse_program, "scalar th limit 0.0 rule (u / 2.0)", 5, "expected ')'"),
+    (dsl.parse_program, "hello world", 1, "unrecognized line 'hello world'"),
+    (dsl.parse_program, "y = apply W v", 1, "unknown instruction 'apply'"),
+    (dsl.parse_program, "z = nonlin x1 + 1.0", 8,
+     "instruction must end with an argument list (...)"),
+    (dsl.parse_program, "z = nonlin x1 + 1.0 v)", 1, "unbalanced parentheses in argument list"),
+    (dsl.parse_program, "z = nonlin 1.0 ()", 1, "instruction needs at least one input vector"),
+    # the matrix is checked before the input vector
+    (dsl.parse_program, "y = matmul W^T^T 1v", 1, "invalid name 'W^T'"),
+    (dsl.parse_word, "mat W W", 1, "expected: mat NAME[^T]"),
+    (dsl.parse_word, "mat", 1, "expected: mat NAME[^T]"),
+    (dsl.parse_word, "diag v", 1, "expected: diag VECTORS EXPR"),
+    (dsl.parse_word, "perm W", 1, "unknown word factor 'perm'"),
+])
+def test_parse_errors_name_line_and_column(parse, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(f"# two lines before the bad one\n\n{line}\n")
+    assert (err.value.line, err.value.col) == (3, col)
+    assert str(err.value) == f"line 3, col {col}: {message}"

@@ -109,6 +109,22 @@ def test_parse_examples():
         E.parse_expr("x1 / x2")
 
 
+@pytest.mark.parametrize("text, col, message", [
+    ("-x0", 4, "input slots are numbered from x1"),  # through unary minus of a non-literal
+    ("x0", 3, "input slots are numbered from x1"),
+    ("p0", 3, "parameter slots are numbered from p1"),
+    ("x1^-2", 6, "power must be a nonnegative integer"),
+    ("x1^1.5", 7, "power must be a nonnegative integer"),
+    ("1.2.3", 1, "expected a number"),
+    ("x1^e", 4, "expected a number"),
+])
+def test_parse_errors_name_line_and_column(text, col, message):
+    with pytest.raises(ParseError) as err:
+        E.parse_expr(text, line=7)
+    assert (err.value.line, err.value.col) == (7, col)
+    assert str(err.value) == f"line 7, col {col}: {message}"
+
+
 def test_roundtrip_handles_precedence():
     cases = [
         E.mul(E.add(E.x(0), E.x(1)), E.x(0)),

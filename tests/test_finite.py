@@ -957,6 +957,19 @@ def test_exact_jacobian_forms_every_matrix_once_together(monkeypatch):
     assert calls == [["W2", "W3", "W4"]]
 
 
+def test_forming_formed_matrices_fills_nothing(monkeypatch):
+    # a probe centered trace forms W once per matrix application, after its
+    # centering constants formed it, and no such call reaches form_dense
+    calls = []
+    monkeypatch.setattr(finite, "form_dense", lambda samplers, outs: calls.append(samplers))
+    prog = corpus.load_program("fipbase")
+    r = instantiate(prog, dims_for_scale(prog, 64), seed=1)
+    (w,) = r.form("W")
+    assert len(calls) == 1
+    assert r.form("W", "W")[0] is w
+    assert len(calls) == 1
+
+
 def test_applying_a_matrix_at_an_unaligned_side_copies_no_matrix():
     # W is formed once into a buffer padded from 1100 to 1120, and a
     # product multiplies that buffer, not a padded copy of W

@@ -171,6 +171,25 @@ def _centered_trace_copying(r, word, probes):
     return float(np.mean(forms[0]) / n)
 
 
+@pytest.mark.parametrize("name, label", [
+    ("word_a", "1.0*(mat W | mat W^T)|1.0*(diag xv step(x1))"),
+    ("word_b", "1.0*(diag xv step(x1))|1.0*(mat W) + 1.0*(mat W^T)"),
+    ("negative", "1.0*(diag xv step(x1))|1.0*(diag xv step(x1) - 0.5)"),
+])
+def test_bundled_word_probe_labels_are_their_polynomial_keys(monkeypatch, name, label):
+    # a probe centered trace keys its probe stream by the word's polynomial
+    # keys, so the bytes of its rows hold only while the keys do
+    labels = []
+
+    def spy(apply, n, k, p, seed, kind, key):
+        labels.append(key)
+        return probe_forms(apply, n, k, p, seed, kind, key)
+
+    monkeypatch.setattr(freeness, "probe_forms", spy)
+    centered_trace(_real(32, 0), corpus.load_word(name), method="hutch", probes=4)
+    assert labels == [label]
+
+
 @pytest.mark.parametrize("probes", [32, 200])
 def test_in_place_centering_keeps_the_bytes(probes):
     # three alternating factors, one of them a weighted two-term polynomial

@@ -196,6 +196,21 @@ def test_a_cov_of_a_vector_with_itself_points_to_its_var():
         build_program([VectorDecl("v", "a", var=1.0), CovDecl("v", "v", 2.0)])
 
 
+@pytest.mark.parametrize("decls, error, message", [
+    ([MatMul("y", "W", False, "v")], UndeclaredSymbol, "matrix 'W' not declared"),
+    ([Nonlin("z", E.x(0), ("q",))], UndeclaredSymbol, "vector 'q' used before definition"),
+    ([ScalarDecl("th", 0.5), Nonlin("z", E.mul(E.p(0), E.p(1)), ("v",), ("th",))],
+     ArityMismatch, "'z': expression needs 2 parameters, got 1"),
+    ([CovDecl("v", "q", 0.5)], UndeclaredSymbol,
+     "cov references unknown initial vector: CovDecl(a='v', b='q', cov=0.5)"),
+])
+def test_build_errors_name_the_symbol(decls, error, message):
+    with pytest.raises(error) as err:
+        build_program([VectorDecl("v", "a"), *decls])
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_init_block_psd_repair_accepts_near_psd():
     # correlation exactly 1 with a tiny negative eigenvalue from rounding
     prog = build_program(
