@@ -322,14 +322,15 @@ def cmd_free(args) -> int:
     sizes = _parse_int_list(args.n)
     seeds = _seed_list(args)
     method, probes = _parse_method(args.method)
+    if args.witness:  # a witness error must come before the sweep's rows
+        witness = fip_witness_program(program, word)
+        state = _limit_state(witness.program, args, [])
+        val, se = state.scalar_limit(witness.final_scalar)
     report = freeness_sweep(program, word, sizes, seeds, method=method, probes=probes,
                             workers=args.workers)
     _write_csv(args.out, ("n", "seed_count", "median_abs", "mean_abs", "std"), report.rows)
     print(f"decay_slope {report.slope!r}", file=sys.stderr)
     if args.witness:
-        witness = fip_witness_program(program, word)
-        state = _limit_state(witness.program, args, [])
-        val, se = state.scalar_limit(witness.final_scalar)
         print(f"witness_limit {val!r} stderr {se!r}", file=sys.stderr)
     return 0
 

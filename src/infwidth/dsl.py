@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 
 from . import exprs
-from .errors import ParseError
+from .errors import ArityMismatch, ParseError
 from .finite import DiagFactor, MatFactor, MatrixWord
 from .freeness import AlternatingWord, WordPoly, alternating_word
 from .program import (
@@ -296,7 +296,11 @@ def parse_word(text: str) -> AlternatingWord:
             vectors = tuple(t.strip() for t in toks[1].split(","))
             for v in vectors:
                 _check_name(v, lineno)
-            factor = DiagFactor(vectors, exprs.parse_expr(toks[2], line=lineno))
+            expr = exprs.parse_expr(toks[2], line=lineno)
+            try:
+                factor = DiagFactor(vectors, expr)
+            except (ValueError, ArityMismatch) as e:
+                raise ParseError(str(e), lineno, 1) from None
         else:
             raise ParseError(f"unknown word factor {toks[0]!r}", lineno, 1)
         if last_collection not in (None, factor.collection()):

@@ -290,7 +290,6 @@ def _loglog_slope(ns, vals) -> float:
 class FipWitness:
     program: Program
     final_scalar: str  # limit must be 0 for alternating words
-    tau_scalars: tuple[str, ...]
 
 
 def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
@@ -354,7 +353,6 @@ def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
         decls.append(Nonlin(out, combo, tuple(ends)))
         return out
 
-    taus = []
     prev = v0
     for i, (_, w) in enumerate(word.factors, start=1):
         applied = apply_chain(w, prev)
@@ -363,7 +361,6 @@ def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
         decls.append(
             Moment(tau, exprs.mul(exprs.x(0), exprs.x(1)), (probes[i - 1], probed))
         )
-        taus.append(tau)
         nxt = fresh("v")
         decls.append(
             Nonlin(
@@ -377,7 +374,7 @@ def fip_witness_program(base: Program, word: AlternatingWord) -> FipWitness:
 
     final = f"{prefix}out"
     decls.append(Moment(final, exprs.mul(exprs.x(0), exprs.x(1)), (v0, prev)))
-    return FipWitness(build_program(decls), final, tuple(taus))
+    return FipWitness(build_program(decls), final)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +437,9 @@ def jacobian_limit_moments(
     if len(rho_list) != layers - 1:
         raise ValueError("rho_list must have layers - 1 entries")
     qs = mlp_forward_variances(phi, q1, layers - 1)
-    out = laws.point_mass_moments(1.0, k_max)
-    for q in qs:
-        out = laws.free_mul_conv(out, d_squared_moments(phi_prime, q, k_max), k_max)
-    for rho in rho_list:
-        out = laws.free_mul_conv(out, laws.mp_moments(k_max, rho), k_max)
-    return out
+    factors = [d_squared_moments(phi_prime, q, k_max) for q in qs]
+    factors += [laws.mp_moments(k_max, rho) for rho in rho_list]
+    return laws.free_mul_conv(*factors, k=k_max)
 
 
 def mlp_program(layers: int, phi: exprs.Expr, q1: float) -> Program:

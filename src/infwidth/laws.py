@@ -244,23 +244,18 @@ def moments_from_s(s: FormalSeries, k: int) -> np.ndarray:
     return np.array([psi[j] for j in range(1, k + 1)])
 
 
-def free_mul_conv(a, b, k: int | None = None) -> np.ndarray:
-    """Free multiplicative convolution of two moment sequences.
+def free_mul_conv(*moments, k: int | None = None) -> np.ndarray:
+    """Free multiplicative convolution of any number of moment sequences.
 
-    Multiplies the S-transforms and reads the moments back; both first
-    moments must be nonzero.
+    Multiplies the laws' S-transforms into one series and reads the
+    moments back once; every first moment must be nonzero.
     """
-    a = as_moments(a)
-    b = as_moments(b)
+    ms = [as_moments(m) for m in moments]
     if k is None:
-        k = min(a.size, b.size)
-    if a.size < k or b.size < k:
-        raise ValueError(f"need {k} moments on both operands")
-    sa = s_transform(a[:k])
-    sb = s_transform(b[:k])
-    return moments_from_s(series_mul(sa, sb, k - 1), k)
-
-
-def point_mass_moments(c: float, k: int) -> np.ndarray:
-    """Moments of a unit point mass at c (the identity of ⊠ when c = 1)."""
-    return np.array([c**j for j in range(1, k + 1)])
+        k = min(m.size for m in ms)
+    if any(m.size < k for m in ms):
+        raise ValueError(f"need {k} moments on every operand")
+    s = s_transform(ms[0][:k])
+    for m in ms[1:]:
+        s = series_mul(s, s_transform(m[:k]), k - 1)
+    return moments_from_s(s, k)

@@ -200,6 +200,8 @@ def test_word_file_names_are_checked(line, name):
     (dsl.parse_word, "mat W W", 1, "expected: mat NAME[^T]"),
     (dsl.parse_word, "mat", 1, "expected: mat NAME[^T]"),
     (dsl.parse_word, "diag v", 1, "expected: diag VECTORS EXPR"),
+    (dsl.parse_word, "diag xv x1", 1, "diagonal factors require a bounded expression"),
+    (dsl.parse_word, "diag xv step(x2)", 1, "diagonal expression arity exceeds vector count"),
     (dsl.parse_word, "perm W", 1, "unknown word factor 'perm'"),
 ])
 def test_parse_errors_name_line_and_column(parse, line, col, message):

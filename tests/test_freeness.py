@@ -354,7 +354,10 @@ def test_cyclic_rotation_invariance():
 def test_witness_t1_wwt():
     w = fip_witness_program(FIPBASE, alternating_word(WWT))
     state = build_replicated(w.program, n_samples=120_000, seed=12, replicas=10)
-    tau, tau_se = state.scalar_limit(w.tau_scalars[0])
+    # fipbase declares no scalar, so the one moment besides the final one
+    # is the centering constant of W W^T
+    (tau_name,) = set(w.program.scalar_names) - {w.final_scalar}
+    tau, tau_se = state.scalar_limit(tau_name)
     assert abs(tau - 1.0) <= 3.0 * tau_se  # first Wishart moment
     final, se = state.scalar_limit(w.final_scalar)
     assert abs(final) <= 3.0 * se
@@ -435,6 +438,18 @@ def test_jacobian_limit_identity_is_fuss_catalan_up_to_kmax(layers):
             for k in range(1, JACOBIAN_KMAX + 1)]
     assert JACOBIAN_KMAX == 32
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("layers", [3, 4, 5])
+def test_jacobian_limit_is_one_free_product_to_the_last_digit(layers):
+    # one product of the L - 1 Marchenko-Pastur S-transforms, read back once,
+    # gives the Fuss-Catalan numbers C(Lk, k) / ((L-1)k + 1) to about one
+    # ulp; each extra moments round trip would lose digits
+    phi, dphi = ACTIVATIONS["identity"]
+    got = jacobian_limit_moments(layers, phi, dphi, 1.0, JACOBIAN_KMAX)
+    want = np.array([math.comb(layers * k, k) / ((layers - 1) * k + 1)
+                     for k in range(1, JACOBIAN_KMAX + 1)])
+    assert np.max(np.abs(got - want) / want) <= 1e-15
 
 
 def test_jacobian_limit_relu_first_moment():
