@@ -24,7 +24,9 @@ line, ``mat W``, ``mat W^T`` or ``diag v1,v2 <expr>``, and ``parse_word``
 reads it into one alternating word.  Blank lines separate the polynomials
 of the product, ``+`` lines the monomials of one polynomial, and a change
 of collection (the factor's ``collection()``) between lines starts a new
-polynomial.  Names are checked as in programs, by the same ``NAME^T`` rule.
+polynomial; a factor after a ``+`` line must keep the collection of the
+factor before it.  Names are checked as in programs, by the same ``NAME^T``
+rule.
 """
 
 from __future__ import annotations
@@ -138,21 +140,23 @@ def _parse_line(line: str, lineno: int):
 
 
 def _parse_instruction(out: str, rest: str, lineno: int):
-    if rest.startswith("matmul"):
+    if not rest:
+        raise ParseError("expected an instruction after '='", lineno, 1)
+    kind = re.match(r"\w*", rest).group()  # the keyword, read as a whole word
+    if kind == "matmul":
         toks = rest.split()
         if len(toks) != 3:
             raise ParseError("expected: NAME = matmul MATRIX[^T] VECTOR", lineno, 1)
         mat, transposed = _matrix_ref(toks[1], lineno)
         _check_name(toks[2], lineno)
         return MatMul(out, mat, transposed, toks[2])
-    for kind in ("nonlin", "moment"):
-        if rest.startswith(kind):
-            body = rest[len(kind):].strip()
-            expr_text, args_text = _split_args(body, lineno)
-            expr = exprs.parse_expr(expr_text, line=lineno)
-            inputs, params = _parse_arg_list(args_text, lineno)
-            cls = Nonlin if kind == "nonlin" else Moment
-            return cls(out, expr, inputs, params)
+    if kind in ("nonlin", "moment"):
+        body = rest[len(kind):].strip()
+        expr_text, args_text = _split_args(body, lineno)
+        expr = exprs.parse_expr(expr_text, line=lineno)
+        inputs, params = _parse_arg_list(args_text, lineno)
+        cls = Nonlin if kind == "nonlin" else Moment
+        return cls(out, expr, inputs, params)
     raise ParseError(f"unknown instruction {rest.split()[0]!r}", lineno, 1)
 
 
@@ -304,6 +308,8 @@ def parse_word(text: str) -> AlternatingWord:
         else:
             raise ParseError(f"unknown word factor {toks[0]!r}", lineno, 1)
         if last_collection not in (None, factor.collection()):
+            if not groups[-1][-1]:  # the first factor of a monomial after '+'
+                raise ParseError("'+' joins monomials of one collection", lineno, 1)
             groups.append([[]])
         groups[-1][-1].append(factor)
         last_collection = factor.collection()

@@ -9,8 +9,9 @@ which forms all of a word's matrices together: the one way to get a dense
 matrix).  On top of realizations this module
 evaluates coordinate averages, applies matrix words (products of program
 matrices and diagonal matrices of bounded coordinatewise images) factor by
-factor, and estimates normalized traces either exactly, from power traces
-of the dense word, or with the Gaussian probe identity tr M = E z^T M z.
+factor, sampling the products of matrices not formed yet (word_apply), and
+estimates normalized traces either exactly, from power traces of the dense
+word, or with the Gaussian probe identity tr M = E z^T M z.
 """
 
 from __future__ import annotations
@@ -256,10 +257,10 @@ class Realization:
     a matrix is formed on first use (form_dense), subject to ELEMENT_CAP, in
     a zero-padded buffer whose sides are multiples of SUPPORT_ALIGN, and
     `matrices` holds its (r, c) top-left view, read-only, whose `.base` is
-    that buffer.  Products applied after instantiate, through
-    `samplers[name].apply`, extend that sampler: a matrix formed afterwards
-    reproduces them too, one formed before does not.  Such products mutate
-    the sampler, so one thread applies them.
+    that buffer.  word_apply samples the products of a matrix not formed
+    yet (`samplers[name].apply`), extending its sampler, so a matrix formed
+    afterwards reproduces them, to rounding.  Such products mutate the
+    sampler, so one thread applies them.
     """
 
     program: Program
@@ -457,9 +458,12 @@ def diag_entries(realization: Realization, f: DiagFactor) -> np.ndarray:
 def _apply_factor(
     realization: Realization, f: WordFactor, probe: np.ndarray | None
 ) -> np.ndarray:
-    """f @ probe; without a probe, f itself as a fresh dense matrix."""
+    """f @ probe, sampled if f is a matrix not formed yet; without a probe,
+    f itself as a fresh dense matrix, formed already."""
     if isinstance(f, MatFactor):
-        (w,) = realization.form(f.name)
+        w = realization.matrices.get(f.name)
+        if w is None:
+            return realization.samplers[f.name].apply(probe, f.transposed)
         if probe is None:
             return (w.T if f.transposed else w).copy()
         rows = w.shape[int(f.transposed)]
@@ -477,8 +481,11 @@ def word_apply(
 ) -> np.ndarray:
     """word @ probe computed factor by factor, never forming the product.
 
-    Without a probe it is the dense word, with the entries of word @ I (no
-    side above EXACT_CAP), but no factor is applied to an identity: the
+    A formed matrix multiplies the probe through its padded buffer, and the
+    product of one not formed yet is sampled (ProductSampler.apply), so a
+    probe forms no matrix.  Without a probe it is the dense word, with the
+    entries of word @ I (no side above EXACT_CAP): the word's matrices are
+    formed together first, and no factor is applied to an identity: the
     first factor applied is taken as it is, and the others are applied to
     it.  The result may be a cropped view of a padded array.
     """
@@ -489,6 +496,7 @@ def word_apply(
         side = max(realization.dims[rows], realization.dims[cols])
         if side > EXACT_CAP:
             raise CapExceeded(f"side {side} exceeds dense cap {EXACT_CAP}")
+        realization.form(*(f.name for f in word.factors if isinstance(f, MatFactor)))
     else:
         probe = np.asarray(probe, dtype=np.float64)
         if cols and probe.shape[0] != realization.dims[cols]:

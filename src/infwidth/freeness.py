@@ -9,13 +9,13 @@ grows when the collections are asymptotically free.  This module measures
 those traces over size sweeps, constructs an equivalent scalar program
 whose final moment has the same limit (so the limit engine can check it
 symbolically), and runs the deep-net Jacobian singular-value pipeline:
-empirical moments of J^T J, exact from finite.spectral_moments of that
-mirror word (power traces of the Gram matrix of J's kept columns) or from
-probe forms that apply J or J^T once per moment, against the free
-multiplicative convolution of the per-layer square-derivative laws with
-Marchenko-Pastur factors.  A centered trace applies its product factor by
-factor, from no probe (the dense product) up to the dense cap and to
-Gaussian probe blocks above it.  The centering constant of a diagonal
+empirical moments of J^T J, finite.spectral_moments of that mirror word
+(power traces of the Gram matrix of J's kept columns, or probe forms that
+apply J or J^T once per moment, with every product sampled), against the
+free multiplicative convolution of the per-layer square-derivative laws
+with Marchenko-Pastur factors.  A centered trace applies its product
+factor by factor, from no probe (the dense product) up to the dense cap
+and to Gaussian probe blocks above it.  The centering constant of a diagonal
 monomial, of one with a single matrix factor, or of a mirror W D W^T E
 such as W W^T, is an exact O(n^2) sum over the formed matrices
 (monomial_trace); other monomials are traced as the product is.
@@ -37,7 +37,6 @@ from .finite import (
     MatFactor,
     MatrixWord,
     Realization,
-    diag_entries,
     diag_product,
     dims_for_scale,
     instantiate,
@@ -472,36 +471,14 @@ def jacobian_finite(
     k_max: int,
     cap: int = EXACT_CAP,
 ) -> np.ndarray:
-    """Empirical moments (1/n) tr (J^T J)^k of one finite realization.
-
-    No W_l is drawn: the forward pass samples each product exactly
-    (finite.ProductSampler).  Up to the dense side `cap` the moments are
-    finite.spectral_moments of the mirror word J^T J: power traces of the
-    Gram matrix of J's kept columns (finite.word_block), which forms every
-    W_l together, each given its forward product, and whose products have
-    sides that are multiples of finite.SUPPORT_ALIGN, so the moments do not
-    depend on the BLAS thread count.  Above the cap the moments come from
-    Gaussian probe blocks, one application of J or J^T per moment
-    (finite.probe_forms with an adjoint), and no W_l is formed: each
-    product with a probe block is sampled exactly given the earlier ones,
-    extending the realization's samplers."""
+    """Empirical moments (1/n) tr (J^T J)^k of one finite realization: the
+    means of finite.spectral_moments of the mirror word J^T J, exact up to
+    the dense side `cap` and from Gaussian probes above it.  No W_l is
+    drawn: the forward pass samples each product (finite.ProductSampler),
+    and so do the probe products, while the exact path forms every W_l
+    together, each given its forward product."""
     prog = mlp_program(layers, phi, q1)
-    p = trace_probes(n, "auto", cap, FREENESS_PROBES)
     r = instantiate(prog, {rep: n for rep in prog.cdc_reps()}, seed)
     word = jacobian_word(layers, phi_prime)
-    if p == 0:
-        return np.array([m for m, _ in spectral_moments(r, word.T * word, k_max, "exact")])
-
-    def sampled(w: MatrixWord):
-        def apply(x):
-            for f in reversed(w.factors):
-                if isinstance(f, MatFactor):
-                    x = r.samplers[f.name].apply(x, f.transposed)
-                else:
-                    x = diag_entries(r, f)[:, None] * x
-            return x
-        return apply
-
-    forms = probe_forms(sampled(word), n, k_max, p, seed, "jacobian", word.key(),
-                        adjoint=sampled(word.T))
-    return forms.mean(axis=1) / n
+    moments = spectral_moments(r, word.T * word, k_max, "exact" if n <= cap else "hutch")
+    return np.array([m for m, _ in moments])

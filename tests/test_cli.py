@@ -523,6 +523,10 @@ _GOLDEN = {
 # changes the block's sums by a few ulps.  jacobian_tanh_deep was re-recorded
 # when the Jacobian limit became one free product of all its laws, which
 # moves four of its limit moments by at most 2.1e-16 relative.
+# jacobian_probe was re-recorded when the Jacobian's probe moments became
+# finite.spectral_moments of J^T J, whose probes come from the stream
+# (seed, "hutch", key of J^T J), not (seed, "jacobian", key of J): its
+# limit column is unchanged, its k = 1 moment moved from 0.53134 to 0.53003.
 _GOLDEN_SHA = {
     "sim":
         "b2af752bb6740197fe58a5da334ae9172c352f87670db3fde2b9ca71df2f8fd7",
@@ -541,7 +545,7 @@ _GOLDEN_SHA = {
     "jacobian_dense":
         "b60cca68949e8aa80086b44e6306db5e05582ad51f9ea50d1fdbc26c22d1a31b",
     "jacobian_probe":
-        "5a370b0773d53afdf5f50d06a5a959800a941ee66cde48fb2ab03e8bb8596bff",
+        "62fade76ee9bca428e226171dc331f9ce547ec1826eeeabc0c134727acb97182",
     "jacobian_relu_dense":
         "9842592e84835f1b4b128001551bb74cd8003124829f293b216aafd7aedf99ed",
     "jacobian_tanh_deep":
@@ -622,6 +626,26 @@ def test_sim_and_verify_cells_draw_no_matrix(monkeypatch, tmp_path, command):
     assert rc == 0 and len(seen) == 2
     assert all(not r.matrices and set(r.samplers) == {"A"} for r in seen)
     assert peak < 2048 * 1024 * 8
+
+
+def test_free_probe_products_above_the_element_cap_form_no_matrix(monkeypatch, tmp_path):
+    # W W has no exact centering constant, so every product of W, whose
+    # 8193 x 8193 entries are above ELEMENT_CAP, is a sampled probe product
+    seen = []
+    real = freeness.instantiate
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(freeness, "instantiate", spy)
+    path = tmp_path / "ww.word"
+    path.write_text("mat W\nmat W\n\ndiag xv step(x1)\n")
+    rc, _ = _run(tmp_path, "free", "--program", "@fipbase", "--word", str(path),
+                 "--method", "hutch", "--n", "4096,8193", "--seeds", "2")
+    assert rc == 0 and len(seen) == 4
+    assert seen[-1].dims["c"] ** 2 > ELEMENT_CAP
+    assert not any(r.matrices for r in seen)
 
 
 def _bytes_under_blas_threads(tmp_path, argv) -> list[bytes]:

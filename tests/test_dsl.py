@@ -154,7 +154,10 @@ def test_word_file_parsing_groups_and_sums():
     ]
     # collection change without a blank line still starts a new polynomial
     assert len(dsl.parse_word("mat W\ndiag xv step(x1)\n")) == 2
-    assert len(dsl.parse_word("mat W\n+\ndiag xv step(x1)\n")) == 2
+    # a '+' joins monomials of one collection: the sum W + D is no
+    # alternating product (W)(D)
+    with pytest.raises(ParseError, match=r"^line 3, col 1: '\+' joins monomials of one "):
+        dsl.parse_word("mat W\n+\ndiag xv step(x1)\n")
     # two images of one vector are two collections; W and W^T are one
     assert len(dsl.parse_word("diag xv step(x1)\ndiag xv step(x1) - 0.5\n")) == 2
     assert dsl.parse_word("mat W\nmat W^T\n").factors == word.factors[:1]
@@ -191,6 +194,10 @@ def test_word_file_names_are_checked(line, name):
     (dsl.parse_program, "scalar th limit 0.0 rule (u / 2.0)", 5, "expected ')'"),
     (dsl.parse_program, "hello world", 1, "unrecognized line 'hello world'"),
     (dsl.parse_program, "y = apply W v", 1, "unknown instruction 'apply'"),
+    # an instruction keyword is a whole word, not a prefix
+    (dsl.parse_program, "y = matmulX W v", 1, "unknown instruction 'matmulX'"),
+    (dsl.parse_program, "y = nonlinear x1 (v)", 1, "unknown instruction 'nonlinear'"),
+    (dsl.parse_program, "y =", 1, "expected an instruction after '='"),
     (dsl.parse_program, "z = nonlin x1 + 1.0", 8,
      "instruction must end with an argument list (...)"),
     (dsl.parse_program, "z = nonlin x1 + 1.0 v)", 1, "unbalanced parentheses in argument list"),
@@ -203,9 +210,17 @@ def test_word_file_names_are_checked(line, name):
     (dsl.parse_word, "diag xv x1", 1, "diagonal factors require a bounded expression"),
     (dsl.parse_word, "diag xv step(x2)", 1, "diagonal expression arity exceeds vector count"),
     (dsl.parse_word, "perm W", 1, "unknown word factor 'perm'"),
+    (dsl.parse_word, "diag xv step(x1)\n+\nmat W", 1, "'+' joins monomials of one collection"),
 ])
 def test_parse_errors_name_line_and_column(parse, line, col, message):
+    # the bad line is the last line of the row, after two lines
     with pytest.raises(ParseError) as err:
-        parse(f"# two lines before the bad one\n\n{line}\n")
-    assert (err.value.line, err.value.col) == (3, col)
-    assert str(err.value) == f"line 3, col {col}: {message}"
+        parse(f"# two lines before the row\n\n{line}\n")
+    bad = 3 + line.count("\n")
+    assert (err.value.line, err.value.col) == (bad, col)
+    assert str(err.value) == f"line {bad}, col {col}: {message}"
+
+
+def test_an_instruction_keyword_may_touch_its_expression():
+    prog = dsl.parse_program("vector x : c\ny = nonlin(x1) (x)\n")
+    assert prog.instructions[0].expr == E.x(0)

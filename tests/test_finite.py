@@ -106,8 +106,9 @@ def test_memory_policy_cap():
     prog = build_program(
         [MatrixDecl("W", "c", "c", 1.0), VectorDecl("v", "c"), MatMul("x", "W", False, "v")]
     )
-    # W : 8193 x 8193 is above ELEMENT_CAP; its product is sampled without
-    # drawing it, and the cap is checked when a word needs it formed
+    # W : 8193 x 8193 is above ELEMENT_CAP; its products are sampled
+    # without drawing it, a probe product too, and the cap is checked when
+    # W is formed
     n = 8193
     assert n * n > ELEMENT_CAP
     r = instantiate(prog, {"c": n}, seed=0)
@@ -116,12 +117,42 @@ def test_memory_policy_cap():
     try:
         with pytest.raises(MemoryPolicyError):
             r.form("W")
-        with pytest.raises(MemoryPolicyError):
-            word_apply(r, MatrixWord((MatFactor("W"),)), r.vectors["v"])
+        got = word_apply(r, MatrixWord((MatFactor("W"),)), r.vectors["v"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert got.shape == (n,) and not r.matrices
     assert peak < n * n  # W would take 8 n^2 bytes
+
+
+def test_probe_moments_above_the_element_cap_form_no_matrix():
+    # W W^T of fipbase at n = 8193, whose W is above ELEMENT_CAP: its probe
+    # moments sample every product and are those of MP(1), 1, 2 and 5
+    prog = corpus.load_program("fipbase")
+    r = instantiate(prog, dims_for_scale(prog, 8193), seed=1)
+    assert r.dims["c"] ** 2 > ELEMENT_CAP
+    moments = spectral_moments(r, MatrixWord((MatFactor("W"), MatFactor("W", True))), 3,
+                               method="hutch")
+    assert not r.matrices
+    for (mean, se), want in zip(moments, [1.0, 2.0, 5.0]):
+        assert abs(mean - want) <= 4.0 * se
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_a_product_sampled_before_form_is_the_formed_one(transposed):
+    # a sampled product extends W's sampler, so the W formed afterwards
+    # reproduces it to rounding; after that, products multiply the formed
+    # W, bit for bit (n and the probe count are multiples of SUPPORT_ALIGN,
+    # so the padded buffer is W itself)
+    prog = corpus.load_program("fipbase")
+    r = instantiate(prog, dims_for_scale(prog, 96), seed=3)
+    word = MatrixWord((MatFactor("W", transposed),))
+    probe = stream(3, "probe").standard_normal((96, HUTCHINSON_PROBES))
+    sampled = word_apply(r, word, probe)
+    (w,) = r.form("W")
+    formed = (w.T if transposed else w) @ probe
+    assert np.max(np.abs(sampled - formed)) <= 1e-12 * np.max(np.abs(formed))
+    assert np.array_equal(word_apply(r, word, probe), formed)
 
 
 def test_dims_must_cover_and_agree():
@@ -174,8 +205,9 @@ def test_word_apply_unit_probe_gives_column():
     r = instantiate(prog, {"c": 16}, seed=2)
     e1 = np.zeros(16)
     e1[0] = 1.0
+    (w,) = r.form("W")  # a product of W not formed yet is sampled
     got = word_apply(r, MatrixWord((MatFactor("W"),)), e1)
-    assert np.array_equal(got, r.form("W")[0][:, 0])
+    assert np.array_equal(got, w[:, 0])
 
 
 def test_word_apply_matches_dense_product():
@@ -561,17 +593,19 @@ def test_mirror_forms_match_full_word_forms(case):
 
 def test_non_mirror_forms_keep_the_full_word_path():
     # a single factor, a square of one matrix and an odd length: the probe
-    # moments are the full word's forms, bit for bit
+    # moments are the full word's forms, bit for bit.  Each pass samples
+    # W's products, so each runs on a fresh realization of the same seed
     prog = semicircle_program(2)
-    r = instantiate(prog, {"c": 96}, seed=4)
+    fresh = lambda: instantiate(prog, {"c": 96}, seed=4)
     w, wt = MatFactor("W"), MatFactor("W", True)
     d = DiagFactor(("z1",), E.step(E.x(0)))
     for word in [MatrixWord((w,)), MatrixWord((w, w)), MatrixWord((w, d, wt))]:
+        r = fresh()
         forms = probe_forms(lambda v: word_apply(r, word, v), 96, 3, HUTCHINSON_PROBES, 4,
                             "hutch", word.key())
         want = [(float(np.mean(est)), float(np.std(est, ddof=1) / math.sqrt(HUTCHINSON_PROBES)))
                 for est in forms / 96]
-        assert spectral_moments(r, word, 3, method="hutch") == want
+        assert spectral_moments(fresh(), word, 3, method="hutch") == want
 
 
 def _block_forms_reference(b, z, k, adjoint):

@@ -235,10 +235,11 @@ def test_monomial_trace_is_exact_on_cheap_forms(name, factors):
 @pytest.mark.parametrize("factors", [(W, W), (W, WT, W, WT)])
 def test_monomial_trace_keeps_probes_elsewhere(factors):
     # W W reads W against its own transpose, and a four-matrix mirror is
-    # no single W D W^T E: both stay on the probes of trace_moment
-    r = _real(128, 6)
+    # no single W D W^T E: both stay on the probes of trace_moment.  Each
+    # samples W's products, so each runs on a fresh realization
     word = MatrixWord(factors)
-    assert monomial_trace(r, word, 24) == trace_moment(r, word, "hutch", 24)[0]
+    assert monomial_trace(_real(128, 6), word, 24) == trace_moment(_real(128, 6), word,
+                                                                   "hutch", 24)[0]
 
 
 def _drawn_streams(monkeypatch) -> list:
@@ -541,8 +542,9 @@ def _spy_instantiate(monkeypatch) -> list:
 def test_jacobian_probe_moments_match_gram_probe_forms(monkeypatch, phi_name, layers):
     # the probe path samples its products and the samplers keep them, so
     # the W_l formed afterwards reproduce them: Gram probe forms on those
-    # matrices give the same moments.  At n = 80 the 96 forward probe
-    # columns span the whole input side, so the last block adds no direction.
+    # matrices, on the same probes, give the same moments.  At n = 80 the
+    # 96 forward probe columns span the whole input side, so the last
+    # block adds no direction.
     seen = _spy_instantiate(monkeypatch)
     phi, dphi = ACTIVATIONS[phi_name]
     got = jacobian_finite(layers, 80, phi, dphi, 1.0, 6, 5, cap=64)
@@ -550,8 +552,12 @@ def test_jacobian_probe_moments_match_gram_probe_forms(monkeypatch, phi_name, la
     assert not r.matrices
     word = jacobian_word(layers, dphi)
     jtj = word.T * word
+    # the probe moments of the mirror word J^T J, on a fresh realization
+    again = finite.spectral_moments(_jacobian_case(phi_name, layers, 80, 6)[1], jtj, 5, "hutch")
+    assert np.array_equal(got, [m for m, _ in again])
+    r.form(*r.samplers)
     forms = probe_forms(lambda v: word_apply(r, jtj, v), 80, 5, FREENESS_PROBES, 6,
-                        "jacobian", word.key())
+                        "hutch", jtj.key())
     assert np.allclose(got, forms.mean(axis=1) / 80, rtol=1e-12, atol=0.0)
 
 
