@@ -85,7 +85,7 @@ def _parse_line(line: str, lineno: int):
         if len(toks) != 4 or toks[2] != "ratio":
             raise ParseError("expected: class NAME ratio VALUE", lineno, 1)
         _check_name(toks[1], lineno)
-        return RatioDecl(toks[1], _num(toks[3], lineno))
+        return _checked(RatioDecl, lineno, toks[1], _num(toks[3], lineno))
     if head == "matrix":
         # matrix NAME : ROWS x COLS var VALUE
         m = re.match(
@@ -95,7 +95,7 @@ def _parse_line(line: str, lineno: int):
             raise ParseError("expected: matrix NAME : ROWS x COLS var VALUE", lineno, 1)
         for t in m.groups()[:3]:
             _check_name(t, lineno)
-        return MatrixDecl(m.group(1), m.group(2), m.group(3), _num(m.group(4), lineno))
+        return _checked(MatrixDecl, lineno, *m.groups()[:3], _num(m.group(4), lineno))
     if head == "vector":
         m = re.match(
             r"vector\s+(\S+)\s*:\s*(\S+?)(?:\s+mean\s+(\S+))?(?:\s+var\s+(\S+))?$",
@@ -108,12 +108,8 @@ def _parse_line(line: str, lineno: int):
         name, cls, mean, var = m.groups()
         _check_name(name, lineno)
         _check_name(cls, lineno)
-        return VectorDecl(
-            name,
-            cls,
-            _num(mean, lineno) if mean else 0.0,
-            _num(var, lineno) if var else 1.0,
-        )
+        return _checked(VectorDecl, lineno, name, cls, _num(mean, lineno) if mean else 0.0,
+                        _num(var, lineno) if var else 1.0)
     if head == "cov":
         if len(toks) != 4:
             raise ParseError("expected: cov NAME NAME VALUE", lineno, 1)
@@ -129,7 +125,7 @@ def _parse_line(line: str, lineno: int):
         name, lim, rule_text = m.groups()
         _check_name(name, lineno)
         rule = _parse_rule(rule_text, lineno) if rule_text else None
-        return ScalarDecl(name, _num(lim, lineno), rule)
+        return _checked(ScalarDecl, lineno, name, _num(lim, lineno), rule)
     # instruction: NAME = kind ...
     if len(toks) >= 2 and toks[1] == "=":
         out = toks[0]
@@ -137,6 +133,14 @@ def _parse_line(line: str, lineno: int):
         rest = line.split("=", 1)[1].strip()
         return _parse_instruction(out, rest, lineno)
     raise ParseError(f"unrecognized line {line!r}", lineno, 1)
+
+
+def _checked(decl, lineno: int, *args):
+    """decl(*args), its value check a ParseError at the line."""
+    try:
+        return decl(*args)
+    except ValueError as e:
+        raise ParseError(str(e), lineno, 1) from None
 
 
 def _parse_instruction(out: str, rest: str, lineno: int):

@@ -443,6 +443,7 @@ def _parse_atom(lex: _Lexer) -> Expr:
         lex.take(")")
         return _FUNCS2[w](a, b)
     if w == "clamp":
+        col = lex.pos - len(w) + 1
         lex.take("(")
         a = _parse_sum(lex)
         lex.take(",")
@@ -450,6 +451,8 @@ def _parse_atom(lex: _Lexer) -> Expr:
         lex.take(",")
         hi = lex.number()
         lex.take(")")
+        if lo > hi:
+            raise ParseError("clamp needs lo <= hi", lex.line, col)
         return clamp(a, lo, hi)
     if w[0] == "x" and w[1:].isdigit():
         i = int(w[1:])

@@ -2,11 +2,11 @@
 
 A program is an ordered list of declarations (matrices, initial vectors,
 initial scalars) and instructions (matmul, coordinatewise nonlin, moment).
-Vectors are typed by dimension-class symbols; classes that are forced to
-share a dimension (by matrix sides, by coordinatewise instructions, or by
-explicit ties) are merged into common dimension classes (CDCs) with
-union-find.  Each class carries a limiting size ratio used when classes
-grow to infinity at fixed relative scale.
+Vectors are typed by dimension-class symbols; explicit ties merge classes
+into common dimension classes (CDCs), each represented by its smallest
+symbol, and matrix sides and coordinatewise instructions must then agree.
+Each class carries a limiting size ratio used when classes grow to infinity
+at fixed relative scale.
 
 Everything here is immutable after ``build_program``; a Program can be
 shared freely across threads.
@@ -156,30 +156,6 @@ Declaration = MatrixDecl | VectorDecl | CovDecl | RatioDecl | TieDecl | ScalarDe
 # ---------------------------------------------------------------------------
 # Program
 # ---------------------------------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def add(self, s: str):
-        self.parent.setdefault(s, s)
-
-    def find(self, s: str) -> str:
-        self.add(s)
-        root = s
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[s] != root:
-            self.parent[s], s = root, self.parent[s]
-        return root
-
-    def union(self, a: str, b: str):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic root: lexicographically smallest symbol
-            lo, hi = sorted((ra, rb))
-            self.parent[hi] = lo
 
 
 @dataclass(frozen=True)
@@ -338,19 +314,18 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
             else:
                 known_scalars.add(ins.out)
 
-    # second pass: union-find closure over class symbols
-    uf = _UnionFind()
-    for m in matrices:
-        uf.add(m.rows)
-        uf.add(m.cols)
-    for c in vec_class.values():
-        uf.add(c)
-    for r in ratios:
-        uf.add(r.dim)
+    # second pass: tie closure over class symbols; each tie relabels every
+    # symbol of the larger representative to the smaller
+    symbols = [c for m in matrices for c in (m.rows, m.cols)]
+    symbols += [*vec_class.values(), *(r.dim for r in ratios)]
+    cdc_of_class = {c: c for c in symbols}
     for t in ties:
         if t.a not in vec_class or t.b not in vec_class:
             raise UndeclaredSymbol(f"tie references unknown vector {t.a!r} or {t.b!r}")
-        uf.union(vec_class[t.a], vec_class[t.b])
+        lo, hi = sorted((cdc_of_class[vec_class[t.a]], cdc_of_class[vec_class[t.b]]))
+        for c, rep in cdc_of_class.items():
+            if rep == hi:
+                cdc_of_class[c] = lo
 
     # third pass: check instruction constraints under the final closure
     for ins in instrs:
@@ -358,14 +333,14 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
             m = mat_by_name[ins.matrix]
             need = m.rows if ins.transposed else m.cols
             got = vec_class[ins.vin]
-            if uf.find(need) != uf.find(got):
+            if cdc_of_class[need] != cdc_of_class[got]:
                 side = "rows" if ins.transposed else "cols"
                 raise DimClassConflict(
                     f"{ins.out!r} = matmul: input {ins.vin!r} has class {got!r} "
                     f"but {ins.matrix!r} needs its {side} class {need!r}"
                 )
         elif isinstance(ins, (Nonlin, Moment)):
-            classes = {uf.find(vec_class[nm]) for nm in ins.inputs}
+            classes = {cdc_of_class[vec_class[nm]] for nm in ins.inputs}
             if len(classes) > 1:
                 raise DimClassConflict(
                     f"{ins.out!r}: inputs span several dimension classes {sorted(classes)}"
@@ -381,12 +356,10 @@ def build_program(decls: Iterable[Declaration | Instruction]) -> Program:
         if frozenset((c.a, c.b)) in pairs:
             raise DuplicateSymbol(f"cov of {c.a!r} and {c.b!r} declared twice")
         pairs.add(frozenset((c.a, c.b)))
-        if uf.find(vec_class[c.a]) != uf.find(vec_class[c.b]):
+        if cdc_of_class[vec_class[c.a]] != cdc_of_class[vec_class[c.b]]:
             raise DimClassConflict(
                 f"cov({c.a},{c.b}): jointly sampled vectors must share a class"
             )
-
-    cdc_of_class = {c: uf.find(c) for c in uf.parent}
 
     # class ratios: declared per class symbol; merged classes must agree
     class_ratio: dict[str, float] = {}

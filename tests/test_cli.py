@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -313,17 +314,37 @@ def test_command_line_validation_errors(tmp_path, argv, kind, message):
     assert data.decode().splitlines() == ["error,kind,message", f"error,{kind},{message}"]
 
 
-def test_readme_free_example_prints_its_decay_slope(tmp_path, capsys):
-    # the README's CLI block quotes the stderr line of its free example; run
-    # the command as written there and find that line
+def test_readme_cli_block_runs_and_prints_what_it_quotes(tmp_path, capsys):
+    # every infwidth line of the README's CLI block exits 0 and prints each
+    # output its comment quotes: CSV lines (a header, a row) or a stderr line;
+    # a comment on a line of its own belongs to the command above it
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = next(b for b in readme.split("```")[1::2] if "infwidth free" in b)
-    lines = block.replace("\\\n", " ").splitlines()
-    (command,) = [line for line in lines if line.startswith("infwidth free")]
-    (quoted,) = [line.split("# stderr:")[1].strip() for line in lines if "# stderr:" in line]
-    assert quoted == "decay_slope 0.11459689464895637"
-    assert run(shlex.split(command, comments=True)[1:] + ["--out", str(tmp_path / "free.csv")]) == 0
-    assert quoted in capsys.readouterr().err.splitlines()
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        text, _, comment = line.partition("#")
+        if text.strip():
+            commands.append([text, comment])
+        elif comment:
+            commands[-1][1] += comment
+    quoted_all = []
+    for i, (text, comment) in enumerate(commands):
+        argv = shlex.split(text)
+        assert argv[0] == "infwidth"
+        out = tmp_path / f"{i}.csv"
+        assert run(argv[1:] + ["--out", str(out)]) == 0, text
+        err = capsys.readouterr().err.splitlines()
+        if "stderr:" in comment:
+            quoted = [comment.split("stderr:")[1].strip()]
+            assert quoted[0] in err
+        else:
+            quoted = re.findall(r"\S+,\S+", comment)
+            assert set(quoted) <= set(out.read_text().splitlines()), text
+        quoted_all += quoted
+    assert len(commands) == 9
+    assert quoted_all == ["stat,n,seed,value,stderr", "object,kind,value,stderr",
+                          "law,param,r,value", "x,density", "atom,0.5",
+                          "decay_slope 0.11459689464895637"]
 
 
 def test_an_unwritable_out_gets_its_error_row_on_stdout(tmp_path, capsys):
@@ -857,7 +878,7 @@ def test_sim_rejects_non_finite_mean(tmp_path):
     rc, data = _run(tmp_path, "sim", "--program", str(prog), "--n", "8", "--seeds", "1",
                     "--test", "x1:v")
     assert rc == 2
-    assert _error_row(data) == "error,ValueError,vector v: mean must be finite"
+    assert _error_row(data) == 'error,ParseError,"line 1, col 1: vector v: mean must be finite"'
 
 
 @pytest.mark.parametrize("flags", [["--ensemble", "1"], ["--ensemble", "5", "--replicas", "8"]])

@@ -61,10 +61,16 @@ def test_build_errors_surface_from_source():
     ("scalar th limit inf", "scalar th: limit must be finite"),
     ("matrix W : c x c var inf", "matrix W: sigma2 must be positive and finite"),
     ("class c ratio inf", "class c: ratio must be positive and finite"),
+    ("matrix W : a x b var 0", "matrix W: sigma2 must be positive and finite"),
+    ("vector v : c var -1", "vector v: variance must be >= 0 and finite"),
+    ("class a ratio -2", "class a: ratio must be positive and finite"),
 ])
 def test_non_finite_declaration_numbers_are_rejected(line, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    # a declaration's value check is a parse error at its line, as every
+    # other DSL error is
+    with pytest.raises(ParseError) as err:
         dsl.parse_program(line + "\n")
+    assert str(err.value) == f"line 1, col 1: {message}"
 
 
 def test_scalar_rule_roundtrip():
@@ -204,11 +210,15 @@ def test_word_file_names_are_checked(line, name):
     (dsl.parse_program, "z = nonlin 1.0 ()", 1, "instruction needs at least one input vector"),
     # the matrix is checked before the input vector
     (dsl.parse_program, "y = matmul W^T^T 1v", 1, "invalid name 'W^T'"),
+    # clamp's bounds are checked at the clamp's column in its expression
+    (dsl.parse_program, "y = nonlin clamp(x1, 2.0, 1.0) (v)", 1, "clamp needs lo <= hi"),
+    (dsl.parse_program, "y = nonlin x1 + clamp(x1, 2.0, 1.0) (v)", 6, "clamp needs lo <= hi"),
     (dsl.parse_word, "mat W W", 1, "expected: mat NAME[^T]"),
     (dsl.parse_word, "mat", 1, "expected: mat NAME[^T]"),
     (dsl.parse_word, "diag v", 1, "expected: diag VECTORS EXPR"),
     (dsl.parse_word, "diag xv x1", 1, "diagonal factors require a bounded expression"),
     (dsl.parse_word, "diag xv step(x2)", 1, "diagonal expression arity exceeds vector count"),
+    (dsl.parse_word, "diag xv clamp(x1, 1.0, -1.0)", 1, "clamp needs lo <= hi"),
     (dsl.parse_word, "perm W", 1, "unknown word factor 'perm'"),
     (dsl.parse_word, "diag xv step(x1)\n+\nmat W", 1, "'+' joins monomials of one collection"),
 ])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -89,6 +90,23 @@ def test_cdc_mlp_distinct_layers():
 
 def test_cdc_mlp_with_ties_single_class():
     assert len(compute_cdc(_mlp(ties=True))) == 1
+
+
+@pytest.mark.parametrize("ties", list(itertools.permutations(
+    [TieDecl("vd", "vc"), TieDecl("vc", "ve"), TieDecl("ve", "vb")])))
+def test_tie_chain_maps_every_class_to_its_smallest_symbol(ties):
+    # three ties chain d, c, e and b in any order; a is untied and keeps
+    # itself, though it is smaller than the chain's representative
+    vectors = [VectorDecl(f"v{c}", c) for c in "dceba"]
+    prog = build_program([*vectors, *ties])
+    assert list(prog.cdc_of_class.items()) == [
+        ("d", "b"), ("c", "b"), ("e", "b"), ("b", "b"), ("a", "a")]
+
+
+def test_self_tie_is_a_no_op():
+    vectors = [VectorDecl("v", "b"), VectorDecl("w", "a")]
+    prog = build_program([*vectors, TieDecl("v", "v")])
+    assert list(prog.cdc_of_class.items()) == [("b", "b"), ("a", "a")]
 
 
 def test_cdc_square_matrix_single_class():
